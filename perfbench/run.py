@@ -9,9 +9,25 @@ Each run starts fresh interpreters (perfbench/worker.py) that import the
 library from this checkout's src/.  With --trace 0 the run times set-up
 from outside over several fresh interpreters, runs the workload for
 --seconds of timed work, checks every output and prints the end-to-end
-metrics of BENCHMARK.json.  With --trace 1 it prints the per-layer metrics
-of BENCHMARK.json instead, measured by spans the benchmark's own files
-record around the library's public functions (see tracer.py).
+metrics of BENCHMARK.json.
+
+The worker runs passes over the workload's fixed operation list until
+--seconds of timed work is done, and each operation's time is its best
+(fastest) pass.  A median is not steady enough on a shared machine: there
+the same Python code runs up to 60 % slower for stretches of many seconds,
+and the share of slow time changes from one run to the next, so the median
+pass, and every figure built from it, moves with the host.  The slow
+stretches are broken by short gaps at full speed, and an operation of a
+few tens of milliseconds repeated dozens of times lands in some of them, so
+its fastest pass moves far less between runs than its median (figures in
+perfbench/README.md, under Noise).  The workloads are sized for that: many
+passes over operations that each take milliseconds.
+Set-up is one event per interpreter; setup_s is the median of several
+interpreters, half started before the worker and half after it.
+
+With --trace 1 the run prints the per-layer metrics of BENCHMARK.json
+instead, measured by spans the benchmark's own files record around the
+library's public functions (see tracer.py).
 
 The last line of stdout is one JSON object with the keys correct,
 attempted, failed and metrics.  The line before it is the full record:
@@ -48,8 +64,9 @@ OUT_DIR = os.path.join(ROOT, ".perfbench")
 REFERENCE = os.path.join(HERE, "seed_commit.json")
 
 WORKLOADS = ("sweep", "classify", "longcode")
-#: fresh interpreters timed for setup_s in one run (the worker is one of them).
-SETUP_SAMPLES = 5
+#: fresh interpreters timed for setup_s before and after the worker, which
+#: is one more.
+SETUP_BEFORE = SETUP_AFTER = 3
 #: every child is killed after this, so a run ends well within 180 s.
 DEADLINE_S = 170.0
 
@@ -163,33 +180,33 @@ def load_json(path):
         return json.load(fh)
 
 
-def op_medians(latencies):
-    """Median latency of each operation over the passes of a run."""
-    return [statistics.median(col) for col in zip(*latencies)]
+def op_best(latencies):
+    """Latency of each operation in its fastest pass of the run."""
+    return [min(col) for col in zip(*latencies)]
 
 
-def workload_figures(workload, worker, medians):
+def workload_figures(workload, worker, best):
     """Figures named after the workload, reported in the record only."""
     out = {}
     if workload == "sweep":
         for tag, pick in (("w1", lambda w: w == 1), ("w2", lambda w: w > 1)):
             words = secs = 0.0
-            for size, t in zip(worker["sizes"], medians):
+            for size, t in zip(worker["sizes"], best):
                 if pick(size["workers"]):
                     words += size["words"]
                     secs += t
             out[f"sweep_{tag}_words_per_s"] = words / secs if secs else 0.0
     if workload == "classify":
-        out["codes_per_s"] = len(medians) / sum(medians)
-        out["code_p50_ms"] = 1e3 * statistics.median(medians)
-        out["code_p90_ms"] = 1e3 * percentile(medians, 90)
+        out["codes_per_s"] = len(best) / sum(best)
+        out["code_p50_ms"] = 1e3 * statistics.median(best)
+        out["code_p90_ms"] = 1e3 * percentile(best, 90)
     return out
 
 
-def by_label(labels, medians):
+def by_label(labels, best):
     """Seconds per operation label, summed over operations with that label."""
     out = {}
-    for label, t in zip(labels, medians):
+    for label, t in zip(labels, best):
         out[label] = out.get(label, 0.0) + t
     return out
 
@@ -217,33 +234,34 @@ def main(argv=None) -> int:
     if args.trace:
         run_args += ["--spans-out", spans_path]
     setups = []
+    before, after = (0, 0) if args.trace else (SETUP_BEFORE, SETUP_AFTER)
     try:
-        if not args.trace:
-            for _ in range(SETUP_SAMPLES - 1):
-                setups.append(spawn(base + ["--setup-only"], deadline)[0])
+        for _ in range(before):
+            setups.append(spawn(base + ["--setup-only"], deadline)[0])
         setup, lines = spawn(run_args, deadline)
         setups.append(setup)
         worker = json.loads(lines[-1])
+        for _ in range(after):
+            setups.append(spawn(base + ["--setup-only"], deadline)[0])
     except (RunFailed, IndexError, json.JSONDecodeError) as exc:
         print(f"benchmark run failed: {exc}", file=sys.stderr)
         return 1
 
-    medians = op_medians(worker["latencies"])
-    wall = sum(medians)
+    best = op_best(worker["latencies"])
+    wall = sum(best)
+    pass_walls = [sum(lat) for lat in worker["latencies"]]
     if args.trace:
         values = dict(worker["layer"])
         values["bench.check_s"] = worker["check_s"]
-        values["trace.overhead_pct"] = 100.0 * (
-            worker["traced_wall"] / wall - 1.0
-        )
+        values["trace.overhead_pct"] = 100.0 * (worker["traced_wall"] / wall - 1.0)
         wanted = spec["per_layer"]
     else:
         values = {
             "setup_s": statistics.median(setups),
             "wall_s": wall,
             "peak_rss_mb": worker["peak_rss_mb"],
-            "op_p50_ms": 1e3 * statistics.median(medians),
-            "op_p90_ms": 1e3 * percentile(medians, 90),
+            "op_p50_ms": 1e3 * statistics.median(best),
+            "op_p90_ms": 1e3 * percentile(best, 90),
         }
         wanted = spec["end_to_end"]
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in wanted}
@@ -259,12 +277,12 @@ def main(argv=None) -> int:
         "failed": worker["failed"],
         "fail_rate": worker["failed"] / worker["attempted"],
         "passes": len(worker["latencies"]),
-        "pass_walls_s": [sum(lat) for lat in worker["latencies"]],
+        "pass_walls_s": pass_walls,
         "setup_samples_s": setups,
         "check_s": worker["check_s"],
-        "seconds_by_operation": by_label(worker["labels"], medians),
-        "tail": tail_percentile(medians),
-        "workload_figures": workload_figures(args.workload, worker, medians),
+        "seconds_by_operation": by_label(worker["labels"], best),
+        "tail": tail_percentile(best),
+        "workload_figures": workload_figures(args.workload, worker, best),
         "metrics": metrics,
         "seed_commit_reference": load_json(REFERENCE).get(args.workload),
     }

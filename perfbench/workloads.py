@@ -18,10 +18,14 @@ splitting field, numpy tower tables).
 sweep
     Why: exhaustive weight enumeration, so the `weights` kernel does almost
     all of the work.  Four codes, each drawn by the seed from the divisors
-    of a fixed (q, n, k), so the cost does not depend on the seed: it
-    crosses p = 2 with odd p (the XOR path against the mod-p path) and
-    k <= n with k > n.  Each code is swept at workers = 1 and again at
-    workers = min(2, nproc).
+    of a fixed (q, n, k) and shape (see _sweep_code), so the cost does not
+    depend on the seed: it crosses p = 2 with odd p (the XOR path against
+    the mod-p path) and k <= n with k > n.  Each code is swept at
+    workers = 1 and again at workers = min(2, nproc).  The codes have 1.6
+    to 4.8 million codewords and a pass takes about ten seconds, so a run
+    makes three or four passes.  Codes a quarter that size, with about
+    twelve passes a run, spread no less between runs (7.5 % against 7 %,
+    quartile distance over median, five seeds run alternately).
     Measures: items 2 and 3.  Item 2 should gain only on the two k > n
     codes (their dual is the smaller side); item 3 on all four.
     Bypass control: item 2 on the two k <= n codes (prediction: no change),
@@ -29,24 +33,31 @@ sweep
 
 classify
     Why: the coding theorist's loop over many small codes, where `weights`
-    does almost nothing.  150 divisor codes per (q, n) family, a seeded
-    systematic sample of the divisor lattice (see prepare_classify), 1,200
-    operations per pass.  Each runs divisor -> ConjucyclicCode -> alternating dual ->
-    dual containment -> largest cyclic subcode, plus stabilizer_params when
-    the code is dual-containing and q^k <= 2^16 (a few tiny sweeps, so a
-    sweep change that adds per-call set-up shows here as a cost).
+    does almost nothing.  16 divisor codes per (q, n) family, a seeded
+    systematic sample of the divisor lattice (see prepare_classify), 128
+    operations per pass, each of a few milliseconds.  Each runs divisor ->
+    ConjucyclicCode -> alternating dual -> dual containment -> largest
+    cyclic subcode, plus stabilizer_params when the code is dual-containing
+    and q^k <= 2^16 (a few tiny sweeps, so a sweep change that adds
+    per-call set-up shows here as a cost).
     Measures: item 4 (the two elimination-backed calls dominate).
     Bypass control: item 3 and item 2 (prediction: no change beyond the
     per-call cost of the tiny sweeps) and item 5's tower tables.
 
 longcode
-    Why: a few large structures.  The only workload where `field` (the
-    q = 512 tower table, in setup_s) and `poly` (splitting-field search)
-    dominate, and where `linalg` sees a few huge matrices instead of many
-    small ones.  Two bare factorizations with large splitting fields, then
-    three pipelines (factor, one code with deg g = n and a fixed cyclic
-    subcode dimension, alternating dual, dual containment, cyclic subcode).  (q, n) = (2, 29) is left out on
-    purpose: its factorization alone takes over 20 s at the seed commit.
+    Why: the largest structures whose single calls still take at most
+    tens of milliseconds.  The only workload where `field` dominates
+    set-up (the q = 512 tower table) and `poly` (splitting-field search)
+    takes a large share (about 40 %) of the timed work, and where `linalg`
+    sees matrices of up to 102 columns instead of at most 42.  Four bare
+    factorizations with splitting fields of 2^15.8 to 2^18 elements, then
+    four pipelines at n = 9 to 51: the factorization, then three codes
+    with deg g = n and a fixed cyclic-subcode dimension, each asked two
+    questions as two operations (alternating dual with dual containment,
+    and the largest cyclic subcode).  32 operations per pass.  Calls that
+    take a second or more, such as factoring at (2, 47) or eliminating at
+    (3, 121), are left out: on a shared machine a single timed call that
+    long cannot be told apart from the host's slow stretches (see run.py).
     Measures: items 4 and 5.
     Bypass control: items 2 and 3 (no sweep runs here; prediction: no
     change).
@@ -165,6 +176,60 @@ def factors_of_x_n_plus_1(lib, tower, n, fac):
     return tuple(int(lib.CyclicCode(tower, n, f).contains(tuple(plus))) for f in fac.base)
 
 
+def reciprocal_partners(lib, tower, fac):
+    """partner[i] is the index of the monic reciprocal of base factor i."""
+    index = {f: i for i, f in enumerate(fac.base)}
+    return tuple(index[lib.poly.monic_reciprocal(tower, f)] for f in fac.base)
+
+
+def shape(exps, degrees, in_plus, partners):
+    """What a divisor's cost depends on, without naming its factors.
+
+    One entry per orbit of the reciprocal map: the factor degree, whether
+    the factors divide x^n + 1, and the exponents of the orbit.  Divisors
+    of one shape have the same deg g and cyclic-subcode degree, and build
+    matrices of the same sizes.
+    """
+    orbits = []
+    for i, j in enumerate(partners):
+        if i < j:
+            orbits.append((degrees[i], in_plus[i], tuple(sorted((exps[i], exps[j])))))
+        elif i == j:
+            orbits.append((degrees[i], in_plus[i], (exps[i],)))
+    return tuple(sorted(orbits))
+
+
+class ShapePicker:
+    """Seeded choice of a divisor of the same shape as a reference one.
+
+    The benchmark fixes the reference divisors, so the cost of a pass does
+    not depend on the seed; the seed picks, for each reference, a divisor
+    of the same shape and the same dual-containment verdict (which decides
+    whether a sweep follows).  Where the shape has one member, every seed
+    gets the reference itself.
+    """
+
+    def __init__(self, lib, tower, n, fac, in_plus, candidates):
+        self.lib, self.tower, self.n, self.fac = lib, tower, n, fac
+        partners = reciprocal_partners(lib, tower, fac)
+        self.shape_of = lambda e: shape(e, fac.degrees, in_plus, partners)
+        self.classes = {}
+        for e in candidates:
+            self.classes.setdefault(self.shape_of(e), []).append(e)
+
+    def contained(self, exps) -> bool:
+        code = self.lib.ConjucyclicCode(self.tower, self.n, self.fac.divisor(exps))
+        return self.lib.is_alternating_dual_containing(code)
+
+    def pick(self, rng, reference, count=1):
+        """`count` seeded divisors like `reference`, distinct while there are enough."""
+        verdict = self.contained(reference)
+        members = list(self.classes[self.shape_of(reference)])
+        rng.shuffle(members)
+        alike = [e for e in members if e == reference or self.contained(e) == verdict]
+        return [alike[i % len(alike)] for i in range(count)]
+
+
 def check_factorization(fac, q: int, n: int) -> None:
     p = prime_of(q)
     n0, ell = split_length(p, n)
@@ -187,12 +252,16 @@ def is_dual_containing(lib, code) -> bool:
     )
 
 
-def check_code_pipeline(lib, code, dual, contained, subcode) -> None:
-    """Checks shared by classify and longcode on one code's outputs."""
-    tower, n = code.tower, code.n
+def check_dual(lib, code, dual, contained) -> None:
+    """The alternating dual and the dual-containment verdict of one code."""
     require(dual == code.alternating_dual_matrix(), "dual matrix not repeatable")
     require(len(dual) == code.k, "dual has deg g rows")
     require(contained == is_dual_containing(lib, code), "dual-containment verdict")
+
+
+def check_subcode(lib, code, subcode) -> None:
+    """The largest cyclic subcode of one code, up to its dimension."""
+    tower, n = code.tower, code.n
     for vec in subcode:
         require(len(vec) == n, "subcode vector length")
         require(all(tower.in_subfield(x) for x in vec), "subcode vector not in GF(q)^n")
@@ -215,15 +284,25 @@ SWEEP_CODES = (
 
 
 def _sweep_code(lib, rng, q, n, k, dual_containing):
+    """A seeded code with q^k codewords, of the shape of a fixed reference.
+
+    The sweep's cost depends on the shape (up to 25 % between shapes at
+    (4, 11, 11)), so the seed picks only among divisors of one shape.
+    """
     tower = lib.tower_for_q(q)
     fac = lib.factor_x2n_minus_1(tower, n)
-    candidates = exponent_vectors(fac.degrees, fac.multiplicity, 2 * n - k)
-    rng.shuffle(candidates)
-    for exps in candidates:
-        code = lib.ConjucyclicCode(tower, n, fac.divisor(exps))
-        if not dual_containing or is_dual_containing(lib, code):
-            return code
-    raise CheckFailed(f"no dual-containing divisor code at (q, n, k) = {(q, n, k)}")
+    candidates = [
+        exps
+        for exps in exponent_vectors(fac.degrees, fac.multiplicity, 2 * n - k)
+        if not dual_containing
+        or is_dual_containing(lib, lib.ConjucyclicCode(tower, n, fac.divisor(exps)))
+    ]
+    if not candidates:
+        raise CheckFailed(f"no dual-containing divisor code at (q, n, k) = {(q, n, k)}")
+    in_plus = (0,) * fac.t  # the cyclic subcode plays no part in a sweep
+    picker = ShapePicker(lib, tower, n, fac, in_plus, candidates)
+    (exps,) = picker.pick(rng, max(picker.classes.values(), key=len)[0])
+    return lib.ConjucyclicCode(tower, n, fac.divisor(exps))
 
 
 def _check_distribution(code, dist):
@@ -296,7 +375,7 @@ def prepare_sweep(lib, rng, workers):
 # ---------------------------------------------------------------------------
 
 CLASSIFY_FAMILIES = ((2, 15), (4, 9), (9, 5), (2, 21), (3, 13), (4, 15), (5, 12), (8, 7))
-CLASSIFY_PER_FAMILY = 150
+CLASSIFY_PER_FAMILY = 16
 #: stabilizer_params runs only on dual-containing codes with q^k <= this.
 CLASSIFY_SWEEP_CAP = 1 << 16
 
@@ -322,7 +401,8 @@ def _classify_op(lib, fac, tower, n, exps, in_plus):
     def check(result):
         code, dual, contained, subcode, stab = result
         require(code.k == degree_of(exps, fac.degrees), "deg g != chosen degree")
-        check_code_pipeline(lib, code, dual, contained, subcode)
+        check_dual(lib, code, dual, contained)
+        check_subcode(lib, code, subcode)
         require(
             len(subcode) == n - subcode_degree(exps, fac.degrees, in_plus),
             "cyclic subcode dimension != n - deg(g / gcd(g, x^n + 1))",
@@ -339,10 +419,11 @@ def _classify_op(lib, fac, tower, n, exps, in_plus):
 def prepare_classify(lib, rng, workers):
     """Systematic sample of each family's divisor lattice.
 
-    The lattice is ordered by (deg g, deg of the cyclic-subcode generator),
-    ties in seeded random order, and every (size / 150)-th divisor is taken
-    from a seeded start.  Every seed then gets the same mix of code sizes,
-    which set the cost, while the codes themselves differ.
+    The lattice is ordered by (deg g, deg of the cyclic-subcode generator,
+    shape) and the middle divisor of each of 16 equal slices is a
+    reference; the seed then picks a divisor of the same shape and verdict
+    (see ShapePicker).  Every seed gets the same mix of code sizes, which
+    set the cost, while the codes themselves differ.
     """
     ops = []
     for q, n in CLASSIFY_FAMILIES:
@@ -350,14 +431,18 @@ def prepare_classify(lib, rng, workers):
         fac = lib.factor_x2n_minus_1(tower, n)
         in_plus = factors_of_x_n_plus_1(lib, tower, n, fac)
         lattice = list(itertools.product(range(fac.multiplicity + 1), repeat=fac.t))
-        rng.shuffle(lattice)
+        picker = ShapePicker(lib, tower, n, fac, in_plus, lattice)
         lattice.sort(
-            key=lambda e: (degree_of(e, fac.degrees), subcode_degree(e, fac.degrees, in_plus))
+            key=lambda e: (
+                degree_of(e, fac.degrees),
+                subcode_degree(e, fac.degrees, in_plus),
+                picker.shape_of(e),
+                e,
+            )
         )
         step = len(lattice) / CLASSIFY_PER_FAMILY
-        start = rng.random() * step
         for i in range(CLASSIFY_PER_FAMILY):
-            exps = lattice[int(start + i * step)]
+            (exps,) = picker.pick(rng, lattice[int((i + 0.5) * step)])
             ops.append(_classify_op(lib, fac, tower, n, exps, in_plus))
     return ops, []
 
@@ -366,12 +451,18 @@ def prepare_classify(lib, rng, workers):
 # longcode
 # ---------------------------------------------------------------------------
 
-#: factorizations whose splitting fields are GF(2^23) and GF(3^16).
-LONGCODE_FACTOR = ((2, 47), (3, 17))
+#: factorizations whose splitting fields are GF(2^18), GF(4^9), GF(3^10)
+#: and GF(9^5).
+LONGCODE_FACTOR = ((2, 27), (4, 27), (3, 22), (9, 11))
 #: (q, n, s): factor, one code with deg g = n whose largest cyclic subcode
-#: has dimension n - s, then the elimination-backed calls.  Fixing s as
-#: well as deg g keeps the elimination cost nearly independent of the seed.
-LONGCODE_PIPELINE = ((4, 63, 15), (3, 121, 61), (512, 9, 2))
+#: has dimension n - s, then the elimination-backed calls.  The divisor is
+#: of the most common shape with these degrees (see ShapePicker), so the
+#: elimination cost hardly depends on the seed.
+LONGCODE_PIPELINE = ((2, 51, 16), (4, 35, 12), (5, 21, 9), (512, 9, 2))
+#: codes per pipeline, each its own operation: codes of one shape still
+#: differ in elimination cost by up to 30 %, and three of them vary less
+#: from seed to seed than one.
+LONGCODE_CODES = 3
 
 
 def _factor_op(lib, q, n):
@@ -383,41 +474,57 @@ def _factor_op(lib, q, n):
     )
 
 
-def _pipeline_op(lib, rng, q, n, sub):
+def _pipeline_ops(lib, rng, q, n, sub):
+    """The factorization, then LONGCODE_CODES codes with deg g = n."""
     tower = lib.tower_for_q(q)
     fac = lib.factor_x2n_minus_1(tower, n)
     in_plus = factors_of_x_n_plus_1(lib, tower, n, fac)
-    while True:  # rejection sampling
-        exps = tuple(rng.randint(0, fac.multiplicity) for _ in range(fac.t))
-        if degree_of(exps, fac.degrees) == n and subcode_degree(exps, fac.degrees, in_plus) == sub:
-            break
+    candidates = [
+        e
+        for e in exponent_vectors(fac.degrees, fac.multiplicity, n)
+        if subcode_degree(e, fac.degrees, in_plus) == sub
+    ]
+    picker = ShapePicker(lib, tower, n, fac, in_plus, candidates)
+    # reference: the first divisor of the first most common shape
+    picks = picker.pick(rng, max(picker.classes.values(), key=len)[0], LONGCODE_CODES)
 
-    def run():
-        fac = lib.factor_x2n_minus_1(tower, n)
-        code = lib.ConjucyclicCode(tower, n, fac.divisor(exps))
-        dual = code.alternating_dual_matrix()
-        contained = lib.is_alternating_dual_containing(code)
-        subcode = code.largest_cyclic_subcode()
-        return code, dual, contained, subcode, fac
+    def dual_op(exps):
+        def run():
+            code = lib.ConjucyclicCode(tower, n, fac.divisor(exps))
+            return code, code.alternating_dual_matrix(), lib.is_alternating_dual_containing(code)
 
-    def check(result):
-        code, dual, contained, subcode, fac = result
-        check_factorization(fac, q, n)
-        require(code.k == n, "deg g != n")
-        check_code_pipeline(lib, code, dual, contained, subcode)
-        require(len(subcode) == n - sub, "cyclic subcode dimension")
+        def check(result):
+            require(result[0].k == n, "deg g != n")
+            check_dual(lib, *result)
 
-    return Op(label=f"pipeline-q{q}-n{n}", run=run, check=check, key=_pipeline_key)
+        return Op(label=f"dual-q{q}-n{n}", run=run, check=check, key=_pipeline_key)
+
+    def subcode_op(exps):
+        def run():
+            code = lib.ConjucyclicCode(tower, n, fac.divisor(exps))
+            return code, code.largest_cyclic_subcode()
+
+        def check(result):
+            check_subcode(lib, *result)
+            require(len(result[1]) == n - sub, "cyclic subcode dimension")
+
+        return Op(label=f"subcode-q{q}-n{n}", run=run, check=check, key=_pipeline_key)
+
+    ops = [_factor_op(lib, q, n)]
+    for exps in picks:
+        ops += [dual_op(exps), subcode_op(exps)]
+    return ops
 
 
 def prepare_longcode(lib, rng, workers):
     ops = [_factor_op(lib, q, n) for q, n in LONGCODE_FACTOR]
-    ops += [_pipeline_op(lib, rng, q, n, sub) for q, n, sub in LONGCODE_PIPELINE]
+    for q, n, sub in LONGCODE_PIPELINE:
+        ops += _pipeline_ops(lib, rng, q, n, sub)
     return ops, []
 
 
 WORKLOADS = {
     "sweep": Workload((2, 3, 4), prepare_sweep),
     "classify": Workload((2, 3, 4, 5, 8, 9), prepare_classify),
-    "longcode": Workload((2, 3, 4, 512), prepare_longcode),
+    "longcode": Workload((2, 3, 4, 5, 9, 512), prepare_longcode),
 }
