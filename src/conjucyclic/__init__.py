@@ -23,10 +23,8 @@ from .cyclic import (
     CyclicCode,
     cyclic_shift,
     euclidean_inner,
-    hamming_weight,
     symplectic_inner,
     symplectic_swap,
-    symplectic_weight,
 )
 from .errors import (
     BudgetExceededError,
@@ -56,7 +54,6 @@ from .weights import (
     is_alternating_dual_containing,
     min_weight,
     stabilizer_params,
-    symplectic_weight_distribution,
     weight_distribution,
 )
 
@@ -89,7 +86,6 @@ __all__ = [
     "euclidean_inner",
     "expand",
     "factor_x2n_minus_1",
-    "hamming_weight",
     "is_alternating_dual_containing",
     "is_conjucyclic",
     "largest_cyclic_subcode",
@@ -98,8 +94,6 @@ __all__ = [
     "stabilizer_params",
     "symplectic_inner",
     "symplectic_swap",
-    "symplectic_weight",
-    "symplectic_weight_distribution",
     "tower_for_q",
     "trace_pair",
     "trace_pair_inv",

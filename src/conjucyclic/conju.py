@@ -21,16 +21,18 @@ symplectic form through the expansion, scaled so that
     symplectic(expand(u), expand(v)) == alternating(u, v)
 
 holds identically; for characteristic 2 it coincides with the usual
-trace-Hermitian-style form.  Alternating duals, the largest plain-cyclic
-subcode, and the trace dual (characteristic 2) all come from the q-ary
-side through the expansion.
+trace-Hermitian-style form.  Alternating duals and the trace dual
+(characteristic 2) come from the q-ary side through the expansion.  The
+largest plain-cyclic subcode is read off g alone: it is the length-n
+cyclic code <g / gcd(g, x^n + 1)>, written down in closed form.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .cyclic import CyclicCode, symplectic_swap
+from .cyclic import CyclicCode, cyclic_shift
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
+from .poly import degree, poly_divmod, poly_gcd, poly_mod
 
 
 def _inversion_constants(tower):
@@ -116,36 +118,34 @@ def is_conjucyclic(tower, rows) -> bool:
     )
 
 
-def largest_cyclic_subcode(tower, rows):
-    """Basis of the largest q-ary cyclic code inside the span of the rows.
+def largest_cyclic_subcode(code):
+    """Basis of the largest q-ary cyclic code inside a conjucyclic code.
 
-    The rows must GF(q)-generate a conjucyclic code.  On the q-ary side the
-    subcode is exactly the set of codewords whose two halves agree, so it
-    falls out of one exact kernel computation; contracting back yields
-    vectors whose entries all lie in GF(q).
+    On the mirror side the subcode is the set of words (a, a) =
+    a(x)(1 + x^n) in <g>, that is the length-n cyclic code <g1> with
+    g1 = g / gcd(g, x^n + 1).  Row i of the basis is the word of <g1>
+    equal to 1 at position s + i (mod n) and 0 at the other k1 - 1
+    positions of that block, where d1 = deg g1, k1 = n - d1 and
+    s = (dim - k1) mod n; this is the canonical basis that elimination on
+    the expanded generator rows yields.  Row i is built as
+    x^(d1 + i) - (x^(d1 + i) mod g1), rotated right by s - d1, and scaled
+    by contract((1, 1)), the GF(q) constant that maps (a, a) back to a
+    vector over GF(q^2).
     """
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return []
-    expanded = [expand(tower, r) for r in rows]
-    basis, _ = linalg.rref(tower, expanded)
-    if not basis:
-        return []
-    n = len(rows[0])
-    halves_diff = [
-        tuple(tower.sub(row[i], row[n + i]) for i in range(n)) for row in basis
-    ]
-    coeffs = linalg.left_kernel(tower, halves_diff)
-    out = []
-    for a in coeffs:
-        word = [0] * (2 * n)
-        for c, row in zip(a, basis):
-            if c:
-                word = [tower.add(w, tower.mul(c, x)) for w, x in zip(word, row)]
-        vec = contract(tower, tuple(word))
-        assert all(tower.in_subfield(x) for x in vec)
-        out.append(vec)
-    return out
+    tower, n = code.tower, code.n
+    x_n_plus_1 = (1,) + (0,) * (n - 1) + (1,)
+    g1, _ = poly_divmod(tower, code.g, poly_gcd(tower, code.g, x_n_plus_1))
+    d1 = degree(g1)
+    k1 = n - d1
+    s = (code.card_log_q - k1) % n
+    scale = contract(tower, (1, 1))[0]
+    rows = []
+    for i in range(k1):
+        word = [0] * (d1 + i) + [1] + [0] * (k1 - 1 - i)
+        for j, c in enumerate(poly_mod(tower, word, g1)):
+            word[j] = tower.neg(c)
+        rows.append(tuple(tower.mul(scale, c) for c in cyclic_shift(word, s - d1)))
+    return rows
 
 
 class ConjucyclicCode:
@@ -191,28 +191,6 @@ class ConjucyclicCode:
             contract(self.tower, row) for row in self.cyclic.symplectic_dual_matrix()
         ]
 
-    def alternating_dual_matrix_char2(self):
-        """Characteristic-2 form of the alternating dual matrix.
-
-        Applies the half-swap to the reciprocal-cofactor vector once and
-        then iterates T; row-for-row equal to alternating_dual_matrix
-        because the half-swap and the cyclic shift commute when -1 = 1.
-        """
-        if self.tower.p != 2:
-            raise WrongCharacteristicError(
-                "this dual construction needs characteristic 2"
-            )
-        rows = []
-        if self.k:
-            vec = symplectic_swap(
-                self.tower, self.cyclic.coefficient_vector(self.cyclic.h_star)
-            )
-            row = contract(self.tower, vec)
-            for _ in range(self.k):
-                rows.append(row)
-                row = conjucyclic_shift(self.tower, row)
-        return rows
-
     def trace_dual_matrix(self):
         """Basis of the trace dual {v : Tr(<u, v>_e) = 0 for all u in C}.
 
@@ -230,10 +208,7 @@ class ConjucyclicCode:
 
     def largest_cyclic_subcode(self):
         """Basis of the largest q-ary cyclic code contained in this code."""
-        return largest_cyclic_subcode(self.tower, self.gen_matrix)
-
-    def is_conjucyclic_closed(self) -> bool:
-        return is_conjucyclic(self.tower, self.gen_matrix)
+        return largest_cyclic_subcode(self)
 
     def to_json(self) -> dict:
         return {

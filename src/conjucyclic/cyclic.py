@@ -64,18 +64,6 @@ def symplectic_inner(tower, u, v) -> int:
     return acc
 
 
-def hamming_weight(v) -> int:
-    return sum(1 for x in v if x)
-
-
-def symplectic_weight(v) -> int:
-    """Number of index pairs (j, m+j) that are not both zero."""
-    if len(v) % 2:
-        raise LengthMismatchError("symplectic weight needs even length")
-    m = len(v) // 2
-    return sum(1 for j in range(m) if v[j] or v[m + j])
-
-
 class CyclicCode:
     """The q-ary cyclic code <g(x)> of length 2n.
 

@@ -5,8 +5,8 @@ a fixed primitive modulus f of degree 2m.  Elements are integer codes: the
 base-p digits of the code are the coordinates of the element on the power
 basis 1, beta, ..., beta^(2m-1), little-endian, so code 0 is the zero
 element and code p is beta itself.  Multiplicative structure lives in
-discrete-log tables of size q^2 - 1 (Zech style); addition is digitwise
-mod p on the codes.
+exp/log tables of size q^2 - 1; addition is digitwise mod p on the codes,
+with no Zech-logarithm table.
 
 The subfield GF(q) is carved out of GF(q^2) by the fixed-point test
 x^q == x instead of being built as a separate structure, which keeps

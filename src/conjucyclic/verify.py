@@ -10,11 +10,17 @@ from __future__ import annotations
 import time
 
 from . import refdata
-from .conju import ConjucyclicCode, expand, largest_cyclic_subcode, trace_pair
+from .conju import (
+    ConjucyclicCode,
+    conjucyclic_shift,
+    expand,
+    largest_cyclic_subcode,
+    trace_pair,
+)
 from .conju import _inversion_constants
 from .cyclic import cyclic_shift
 from .field import build_tower, tower_for_q
-from .poly import enumerate_divisors, factor_x2n_minus_1
+from .poly import degree, enumerate_divisors, factor_x2n_minus_1, normalize
 from .weights import is_alternating_dual_containing, weight_distribution
 
 
@@ -68,8 +74,14 @@ def _check_f9_n3_span():
     assert expanded == listed_q
     assert all(cyclic_shift(w) in expanded for w in expanded), "not shift-closed"
 
-    sub = largest_cyclic_subcode(tower, gens)
-    sub_span = _span(tower, sub)
+    # the mirror generator is the minimum-degree monic word of the listing
+    monic_words = [a for a in map(normalize, listed_q) if a and a[-1] == 1]
+    g = min(monic_words, key=degree)
+    assert g == (2, 2, 1, 1), f"mirror generator {g}"
+    code = ConjucyclicCode(tower, 3, g)
+    assert _span(tower, code.gen_matrix) == listed
+
+    sub_span = _span(tower, largest_cyclic_subcode(code))
     listed_sub = {refdata.decode_vector(tower, l) for l in refdata.F9_N3_CYCLIC_SUBCODE}
     assert sub_span == listed_sub
 
@@ -105,9 +117,10 @@ def _check_quaternary_n11_vectors():
     tower = code.tower
     rows = code.cyclic.symplectic_dual_matrix()
     assert rows[0] == refdata.decode_vector(tower, data["h_eps"])
-    char2 = code.alternating_dual_matrix_char2()
-    assert char2[0] == refdata.decode_vector(tower, data["w_h_eps"])
-    assert char2 == code.alternating_dual_matrix()
+    dual = code.alternating_dual_matrix()
+    assert dual[0] == refdata.decode_vector(tower, data["w_h_eps"])
+    for first, second in zip(dual, dual[1:]):
+        assert second == conjucyclic_shift(tower, first), "dual rows are not T-iterates"
 
 
 def _check_ternary_n11_weights(budget, workers):

@@ -1,4 +1,9 @@
-"""Exhaustive weight enumeration and stabilizer-code parameters.
+"""Exhaustive Hamming weight enumeration, dual containment and
+stabilizer-code parameters.
+
+Dual containment is decided on the q-ary mirror by polynomial
+divisibility: the alternating dual lies in the code exactly when g divides
+every row of the mirror's symplectic dual.
 
 Enumeration runs over messages: a code spanned by r generator rows over
 GF(q) has exactly q^r codewords, one per message in GF(q)^r.  Every element
@@ -23,10 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .conju import expand
 from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
-from .poly import poly_mod, normalize
 
 #: Default cap on the number of enumerated codewords.
 DEFAULT_BUDGET = 1 << 28
@@ -148,37 +150,36 @@ def _histogram_chunk(args):
     return counts
 
 
-def _enumerate_counts(tower, rows, width, groups, digits_per_group, budget, workers):
-    """Exact histogram of group weights over the GF(q)-span of the rows.
+def _enumerate_counts(code, budget, workers):
+    """Exact Hamming weight histogram over the GF(q)-span of the generator rows.
 
-    Rows must be GF(q)-independent so that messages and codewords are in
-    bijection (true for every generator matrix built in this package).
+    The rows must be GF(q)-independent so that messages and codewords are
+    in bijection (true for every generator matrix built in this package).
     """
+    tower, rows, n = code.tower, code.gen_matrix, code.n
     r = len(rows)
     if tower.q ** r > budget:
         raise BudgetExceededError(
             f"{tower.q}^{r} codewords exceed the budget of {budget}"
         )
     if r == 0:
-        counts = [0] * (groups + 1)
-        counts[0] = 1
-        return counts
-    multiples = _scalar_multiples(tower, rows, width)
-    ncols = width * tower.ext_degree
+        return [1] + [0] * n
+    multiples = _scalar_multiples(tower, rows, n)
+    ncols = n * tower.ext_degree
     half = r // 2
     inner = _span_digits(tower.p, multiples[:half], ncols)
     outer = _span_digits(tower.p, multiples[half:], ncols)
     workers = max(1, int(workers))
     if workers == 1 or len(outer) < 2 * workers:
-        total = _histogram_chunk((outer, inner, tower.p, groups, digits_per_group))
+        total = _histogram_chunk((outer, inner, tower.p, n, tower.ext_degree))
     else:
         bounds = [len(outer) * i // workers for i in range(workers + 1)]
         jobs = [
-            (outer[lo:hi], inner, tower.p, groups, digits_per_group)
+            (outer[lo:hi], inner, tower.p, n, tower.ext_degree)
             for lo, hi in zip(bounds, bounds[1:])
             if hi > lo
         ]
-        total = np.zeros(groups + 1, dtype=np.int64)
+        total = np.zeros(n + 1, dtype=np.int64)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_histogram_chunk, jobs):
                 total += part
@@ -193,48 +194,8 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     Enumerates all q^(2n - deg g) codewords; raises BudgetExceededError
     first if that count exceeds the budget.
     """
-    counts = _enumerate_counts(
-        code.tower,
-        code.gen_matrix,
-        code.n,
-        groups=code.n,
-        digits_per_group=code.tower.ext_degree,
-        budget=budget,
-        workers=workers,
-    )
+    counts = _enumerate_counts(code, budget, workers)
     return WeightDistribution(counts=counts, q=code.tower.q, dim=code.card_log_q)
-
-
-def symplectic_weight_distribution(
-    tower, rows, budget: int = DEFAULT_BUDGET, workers: int = 1
-):
-    """Symplectic weight histogram of the GF(q)-span of 2n-long q-ary rows.
-
-    Pairs coordinate j with coordinate n + j; used as the q-ary mirror
-    oracle for Hamming distributions on the GF(q^2) side.
-    """
-    rows = [tuple(r) for r in rows]
-    if rows:
-        if len(rows[0]) % 2:
-            raise ValueError("symplectic enumeration needs even-length rows")
-        n = len(rows[0]) // 2
-        # reorder coordinates so each pair (j, n+j) is one digit group
-        rows = [
-            tuple(x for j in range(n) for x in (row[j], row[n + j])) for row in rows
-        ]
-        width = 2 * n
-    else:
-        n, width = 0, 0
-    counts = _enumerate_counts(
-        tower,
-        rows,
-        width,
-        groups=n,
-        digits_per_group=2 * tower.ext_degree,
-        budget=budget,
-        workers=workers,
-    )
-    return WeightDistribution(counts=counts, q=tower.q, dim=len(rows))
 
 
 def min_weight(code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
@@ -249,23 +210,11 @@ def min_weight(code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
 def is_alternating_dual_containing(code) -> bool:
     """Whether the alternating dual is contained in the code.
 
-    Computed twice through independent routes and cross-checked: exact
-    elimination on the expanded generator rows, and polynomial divisibility
-    of the symplectic-dual rows by g on the q-ary mirror side.
+    On the q-ary mirror side this holds exactly when g divides every row
+    of the symplectic dual.
     """
-    tower = code.tower
-    dual_rows_q = code.cyclic.symplectic_dual_matrix()
-    expanded_gen = [expand(tower, r) for r in code.gen_matrix]
-    basis, pivots = linalg.rref(tower, expanded_gen)
-    by_elimination = all(
-        linalg.in_span(tower, basis, pivots, expand(tower, row))
-        for row in code.alternating_dual_matrix()
-    )
-    by_divisibility = all(
-        not poly_mod(tower, normalize(row), code.g) for row in dual_rows_q
-    )
-    assert by_elimination == by_divisibility, "dual-containment routes disagree"
-    return by_elimination
+    mirror = code.cyclic
+    return all(mirror.contains(row) for row in mirror.symplectic_dual_matrix())
 
 
 def stabilizer_params(

@@ -89,3 +89,77 @@ def trace_dual_kernel(tower, generators, n):
     """Same set as trace_dual, through trace_dual_kernel_basis."""
     basis = trace_dual_kernel_basis(tower, generators, n)
     return span(tower, basis, n)
+
+
+def cyclic_subcode_by_elimination(tower, rows):
+    """Largest q-ary cyclic subcode of the span of conjucyclic rows.
+
+    On the q-ary side the subcode is exactly the set of codewords whose two
+    halves agree, so it falls out of one exact kernel computation on the
+    rref of the expanded rows; contracting back yields vectors whose
+    entries all lie in GF(q).
+    """
+    from conjucyclic import contract, expand
+    from conjucyclic import linalg
+
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return []
+    basis, _ = linalg.rref(tower, [expand(tower, r) for r in rows])
+    if not basis:
+        return []
+    n = len(rows[0])
+    halves_diff = [
+        tuple(tower.sub(row[i], row[n + i]) for i in range(n)) for row in basis
+    ]
+    out = []
+    for a in linalg.left_kernel(tower, halves_diff):
+        word = [0] * (2 * n)
+        for c, row in zip(a, basis):
+            if c:
+                word = [tower.add(w, tower.mul(c, x)) for w, x in zip(word, row)]
+        vec = contract(tower, tuple(word))
+        assert all(tower.in_subfield(x) for x in vec)
+        out.append(vec)
+    return out
+
+
+def dual_containing_by_elimination(code):
+    """Whether every expanded alternating-dual row lies in the row space
+    of the expanded generator matrix, by exact elimination."""
+    from conjucyclic import expand
+    from conjucyclic import linalg
+
+    tower = code.tower
+    basis, pivots = linalg.rref(tower, [expand(tower, r) for r in code.gen_matrix])
+    return all(
+        linalg.in_span(tower, basis, pivots, expand(tower, row))
+        for row in code.alternating_dual_matrix()
+    )
+
+
+def alternating_dual_matrix_char2(code):
+    """Characteristic-2 form of the alternating dual matrix.
+
+    Applies the half-swap to the reciprocal-cofactor vector once and then
+    iterates T; row-for-row equal to code.alternating_dual_matrix()
+    because the half-swap and the cyclic shift commute when -1 = 1.
+    """
+    from conjucyclic import (
+        WrongCharacteristicError,
+        conjucyclic_shift,
+        contract,
+        symplectic_swap,
+    )
+
+    tower = code.tower
+    if tower.p != 2:
+        raise WrongCharacteristicError("this dual construction needs characteristic 2")
+    rows = []
+    if code.k:
+        vec = symplectic_swap(tower, code.cyclic.coefficient_vector(code.cyclic.h_star))
+        row = contract(tower, vec)
+        for _ in range(code.k):
+            rows.append(row)
+            row = conjucyclic_shift(tower, row)
+    return rows

@@ -1,8 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
-from conjucyclic import cli
+from conjucyclic import cli, enumerate_divisors, factor_x2n_minus_1, tower_for_q
+
+# sha256 of the concatenated stdout of `code` and `dual`, text then JSON,
+# over every --exps divisor of these (q, n) families in enumeration order;
+# pins the CLI bytes, including the largest cyclic subcode basis.
+CLI_FAMILIES = ((2, 5), (3, 4), (4, 3), (5, 3), (8, 2), (9, 2))
+CLI_DIGEST = "d07cdf34aa49e25a554e3e563e55a712d999c8f776dedf9c3519e1b7dd7fd1a3"
 
 
 def run(capsys, *argv):
@@ -138,3 +145,23 @@ def test_verify_passes(capsys):
     assert len(lines) == 12
     assert all(l.startswith("ok") for l in lines)
     assert "all checks passed" in out
+
+
+def test_code_and_dual_output_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for q, n in CLI_FAMILIES:
+        fac = factor_x2n_minus_1(tower_for_q(q), n)
+        for exps, _ in enumerate_divisors(fac):
+            flag = ",".join(str(e) for e in exps)
+            for command in ("code", "dual"):
+                for fmt in ("text", "json"):
+                    code, out, _ = run(
+                        capsys, command, "--q", str(q), "--n", str(n),
+                        "--exps", flag, "--format", fmt,
+                    )
+                    assert code == 0
+                    digest.update(out.encode())
+                    runs += 1
+    assert runs == 420
+    assert digest.hexdigest() == CLI_DIGEST

@@ -270,10 +270,11 @@ def test_dual_span_equals_contracted_symplectic_dual():
 
 def test_char2_dual_variant_matches(f9):
     for code in all_divisor_codes([(2, 3), (4, 2)]):
-        assert code.alternating_dual_matrix_char2() == code.alternating_dual_matrix()
+        dual = code.alternating_dual_matrix()
+        assert naive.alternating_dual_matrix_char2(code) == dual
     code3 = ConjucyclicCode(f9, 1, (1, 1))
     with pytest.raises(WrongCharacteristicError):
-        code3.alternating_dual_matrix_char2()
+        naive.alternating_dual_matrix_char2(code3)
     with pytest.raises(WrongCharacteristicError):
         code3.trace_dual_matrix()
 
@@ -281,9 +282,10 @@ def test_char2_dual_variant_matches(f9):
 def test_quaternary_reference_char2_vectors(f16, quaternary_code):
     rows = quaternary_code.cyclic.symplectic_dual_matrix()
     assert rows[0] == decode_vector(f16, QUATERNARY_N11["h_eps"])
-    char2 = quaternary_code.alternating_dual_matrix_char2()
-    assert char2[0] == decode_vector(f16, QUATERNARY_N11["w_h_eps"])
-    for first, second in zip(char2, char2[1:]):
+    dual = quaternary_code.alternating_dual_matrix()
+    assert naive.alternating_dual_matrix_char2(quaternary_code) == dual
+    assert dual[0] == decode_vector(f16, QUATERNARY_N11["w_h_eps"])
+    for first, second in zip(dual, dual[1:]):
         assert second == conjucyclic_shift(f16, first)
 
 
@@ -368,9 +370,25 @@ def test_f9_n3_reference_subcode(f9):
     assert len(words) == 27 and words == listed
     expanded = {expand(f9, w) for w in words}
     assert expanded == {decode_vector(f9, line) for line in F9_N3_EXPANDED}
-    sub = largest_cyclic_subcode(f9, gens)
-    sub_words = naive.span(f9, sub, 3)
-    assert sub_words == {decode_vector(f9, line) for line in F9_N3_CYCLIC_SUBCODE}
+    listed_sub = {decode_vector(f9, line) for line in F9_N3_CYCLIC_SUBCODE}
+    oracle = naive.cyclic_subcode_by_elimination(f9, gens)
+    assert naive.span(f9, oracle, 3) == listed_sub
+    # the listed code is the one built from its mirror generator x^3+x^2+2x+2
+    code = ConjucyclicCode(f9, 3, (2, 2, 1, 1))
+    assert naive.span(f9, code.gen_matrix, 3) == listed
+    assert naive.span(f9, largest_cyclic_subcode(code), 3) == listed_sub
+
+
+def test_closed_form_subcode_matches_elimination():
+    # byte-identical to the elimination oracle, rows in the same order
+    grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
+    pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
+    checked = 0
+    for code in all_divisor_codes(pairs):
+        oracle = naive.cyclic_subcode_by_elimination(code.tower, code.gen_matrix)
+        assert largest_cyclic_subcode(code) == oracle
+        checked += 1
+    assert checked > 500
 
 
 def test_subcode_of_single_parity_code_is_everything():

@@ -12,10 +12,8 @@ from conjucyclic import (
     enumerate_divisors,
     euclidean_inner,
     factor_x2n_minus_1,
-    hamming_weight,
     symplectic_inner,
     symplectic_swap,
-    symplectic_weight,
     tower_for_q,
 )
 from conjucyclic import linalg
@@ -167,18 +165,16 @@ def test_inner_products():
 
 
 def test_weights():
-    assert symplectic_weight((0, 0, 0, 0, 0, 0)) == 0
-    assert symplectic_weight((1, 0, 0, 0, 1, 0)) == 2
-    assert hamming_weight((0, 1, 0, 2)) == 2
-    with pytest.raises(LengthMismatchError):
-        symplectic_weight((1, 0, 0))
+    assert naive.symplectic_weight((0, 0, 0, 0, 0, 0)) == 0
+    assert naive.symplectic_weight((1, 0, 0, 0, 1, 0)) == 2
+    assert naive.hamming_weight((0, 1, 0, 2)) == 2
 
 
 def test_listed_mirror_words_have_min_symplectic_weight_2(f9):
     from conjucyclic.refdata import F9_N3_EXPANDED, decode_vector
 
     words = [decode_vector(f9, line) for line in F9_N3_EXPANDED]
-    weights = [symplectic_weight(w) for w in words if any(w)]
+    weights = [naive.symplectic_weight(w) for w in words if any(w)]
     assert min(weights) == 2
     assert all(w >= 2 for w in weights)
 

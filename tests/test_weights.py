@@ -13,7 +13,6 @@ from conjucyclic import (
     is_alternating_dual_containing,
     min_weight,
     stabilizer_params,
-    symplectic_weight_distribution,
     tower_for_q,
     weight_distribution,
 )
@@ -61,20 +60,19 @@ def test_distribution_matches_naive_enumeration():
 
 
 def test_min_weight_matches_symplectic_mirror():
-    # per-code transport: min Hamming weight over GF(q^2) equals the
-    # minimum symplectic weight of the expanded q-ary code, for every
-    # code small enough to cross-check against a naive sweep
+    # per-code transport: the Hamming distribution over GF(q^2) equals the
+    # symplectic distribution of the expanded q-ary code, for every code
+    # small enough to cross-check against a naive sweep
     checked = 0
     sweep = [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]
     for code in all_divisor_codes(sweep):
         if code.card_log_q == 0 or code.tower.q ** code.card_log_q > 3 ** 8:
             continue
-        mirror = symplectic_weight_distribution(
-            code.tower, code.cyclic.generator_matrix()
-        )
-        assert min_weight(code) == mirror.min_weight
         words = naive.span(code.tower, code.cyclic.generator_matrix(), 2 * code.n)
-        assert mirror.counts == naive.weight_histogram(
+        assert min_weight(code) == naive.min_positive_weight(
+            words, naive.symplectic_weight
+        )
+        assert weight_distribution(code).counts == naive.weight_histogram(
             words, code.n, naive.symplectic_weight
         )
         checked += 1
@@ -110,12 +108,15 @@ def test_dual_containing_verdicts(f9, quaternary_code):
 
 
 def test_dual_containing_matches_naive_inclusion():
-    for code in all_divisor_codes([(2, 2), (3, 2), (4, 1), (5, 1)]):
+    grid = [(2, 2), (3, 2), (4, 1), (5, 1), (7, 1), (8, 1), (9, 1)]
+    for code in all_divisor_codes(grid):
         words = naive.span(code.tower, code.gen_matrix, code.n)
         dual_words = naive.span(
             code.tower, code.alternating_dual_matrix(), code.n
         )
-        assert is_alternating_dual_containing(code) == (dual_words <= words)
+        verdict = is_alternating_dual_containing(code)
+        assert verdict == (dual_words <= words)
+        assert verdict == naive.dual_containing_by_elimination(code)
 
 
 def test_stabilizer_params_full_space():
