@@ -14,7 +14,7 @@ class NotPrimeError(ConjucyclicError):
 
 
 class FieldTooLargeError(ConjucyclicError):
-    """The requested field exceeds the table / extension size caps."""
+    """The requested GF(q^2) exceeds the 2^24-element table cap."""
 
 
 class NoPrimitivePolynomialError(ConjucyclicError):

@@ -36,9 +36,6 @@ from .errors import (
 #: Hard cap on q^2 so the exp/log tables stay in memory.
 MAX_FIELD_SIZE = 1 << 24
 
-#: Hard cap on the splitting-field size used during factorization.
-MAX_HOST_FIELD_SIZE = 1 << 32
-
 CONWAY_TABLE_ENV = "CONJUCYCLIC_CONWAY_TABLE"
 
 # Conway polynomials, keyed by field size p^(2m), coefficients
@@ -181,19 +178,6 @@ def _pf_is_primitive(f, p):
         if xe == [1]:
             return False
     return True
-
-
-def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree d over GF(p)."""
-    if d == 1:
-        return (0, 1)
-    for tail in itertools.product(range(p), repeat=d):
-        if tail[0] == 0:
-            continue
-        f = list(tail) + [1]
-        if _pf_is_irreducible(f, p):
-            return tuple(f)
-    raise NoPrimitivePolynomialError(f"no irreducible of degree {d} over GF({p})")
 
 
 def smallest_primitive(p: int, d: int) -> tuple[int, ...]:
@@ -445,109 +429,3 @@ def tower_for_q(q: int) -> FieldTower:
     p, m = prime_power(q)
     return build_tower(p, m)
 
-
-class ExtensionField:
-    """GF(p^d) with direct coefficient-vector arithmetic (no log tables).
-
-    Serves as the splitting host for roots of unity during factorization,
-    where p^d may be far too large for tables.  Element codes are base-p
-    integers exactly like FieldTower's.
-    """
-
-    def __init__(self, p: int, d: int) -> None:
-        if p ** d > MAX_HOST_FIELD_SIZE:
-            raise FieldTooLargeError(
-                f"splitting field GF({p}^{d}) exceeds the 2^32 cap"
-            )
-        self.p = p
-        self.d = d
-        self.order = p ** d
-        self.modulus = smallest_irreducible(p, d)
-
-    def _digits(self, a: int) -> list:
-        p = self.p
-        out = [0] * self.d
-        i = 0
-        while a:
-            out[i] = a % p
-            a //= p
-            i += 1
-        return out
-
-    def _encode(self, digits) -> int:
-        code = 0
-        for c in reversed(digits):
-            code = code * self.p + c
-        return code
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        s, mult = 0, 1
-        while a or b:
-            s += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return s
-
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        s, mult = 0, 1
-        while a or b:
-            s += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return s
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.d - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                shift = k - self.d
-                for j in range(self.d):
-                    prod[shift + j] = (prod[shift + j] - c * mod[j]) % p
-        return self._encode(prod[: self.d])
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def element_of_order(self, n: int) -> int:
-        """Deterministic element of multiplicative order exactly n."""
-        if n == 1:
-            return 1
-        if (self.order - 1) % n != 0:
-            raise ValueError(f"no element of order {n} in GF({self.order})")
-        cofactor = (self.order - 1) // n
-        prime_divs = list(factorize(n))
-        for code in range(2, self.order):
-            candidate = self.pow(code, cofactor)
-            if candidate == 1:
-                continue
-            if all(self.pow(candidate, n // r) != 1 for r in prime_divs):
-                return candidate
-        raise NoPrimitivePolynomialError(
-            f"no element of order {n} found in GF({self.order})"
-        )

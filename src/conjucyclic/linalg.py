@@ -52,10 +52,6 @@ def rref(tower, rows):
     return out, pivots
 
 
-def rank(tower, rows) -> int:
-    return len(rref(tower, rows)[0])
-
-
 def reduce_vector(tower, basis, pivots, vec):
     """Residual of vec after elimination against an rref basis."""
     residual = list(vec)
@@ -97,13 +93,3 @@ def left_kernel(tower, rows):
     transposed = [tuple(r[i] for r in rows) for i in range(len(rows[0]))]
     return right_kernel(tower, transposed, nrows)
 
-
-def same_span(tower, rows_a, rows_b) -> bool:
-    """Mutual membership test: the two row spaces coincide."""
-    basis_a, piv_a = rref(tower, rows_a)
-    basis_b, piv_b = rref(tower, rows_b)
-    if len(basis_a) != len(basis_b):
-        return False
-    return all(in_span(tower, basis_a, piv_a, r) for r in rows_b) and all(
-        in_span(tower, basis_b, piv_b, r) for r in rows_a
-    )

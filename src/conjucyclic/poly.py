@@ -5,21 +5,22 @@ trailing zeros; the zero polynomial is the empty tuple.  Coefficients are
 expected to lie in the subfield GF(q) of the ambient tower, which is where
 all generator polynomials of the cyclic codes of interest live.
 
-Factorization of x^(2n) - 1 is deterministic: write 2n = p^ell * n0 with
-gcd(n0, p) = 1, split x^(n0) - 1 into irreducibles via q-cyclotomic cosets
-mod n0 (each coset contributes prod (x - gamma^j) over a primitive n0-th
-root of unity gamma in the smallest extension GF(q^s) containing one), and
-raise everything to the p^ell-th power.  No randomized splitting is
-involved, so repeated runs agree bit for bit.
+Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
+gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
+d | n0, split each Phi_d into its irreducible factors of degree ord_d(q) by
+Cantor-Zassenhaus equal-degree factorization, and raise everything to the
+p^ell-th power.  The trial polynomials of the randomized split come from a
+generator seeded afresh in every call, and the factors are unique and
+sorted, so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import FieldTooLargeError, NotADivisorError, ZeroConstantTermError
-from .field import ExtensionField
+from .errors import NotADivisorError, ZeroConstantTermError
 
 
 def normalize(coeffs) -> tuple:
@@ -78,12 +79,14 @@ def poly_divmod(tower, a, b) -> tuple:
     if degree(a) < db:
         return (), normalize(a)
     quot = [0] * (len(a) - db)
+    neg_b = [tower.neg(x) for x in b]
     for k in range(len(a) - 1, db - 1, -1):
         c = tower.mul(a[k], lead_inv)
         if c:
             quot[k - db] = c
-            for j, bj in enumerate(b):
-                a[k - db + j] = tower.sub(a[k - db + j], tower.mul(c, bj))
+            for j, nbj in enumerate(neg_b):
+                if nbj:
+                    a[k - db + j] = tower.add(a[k - db + j], tower.mul(c, nbj))
     return normalize(quot), normalize(a)
 
 
@@ -166,24 +169,10 @@ def poly_str(tower, a) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cyclotomic_cosets(q: int, n0: int):
-    """q-cyclotomic cosets mod n0, each sorted, ordered by smallest member."""
-    seen = [False] * n0
-    cosets = []
-    for j in range(n0):
-        if seen[j]:
-            continue
-        coset = []
-        k = j
-        while not seen[k]:
-            seen[k] = True
-            coset.append(k)
-            k = (k * q) % n0
-        cosets.append(tuple(sorted(coset)))
-    return cosets
-
-
 def _multiplicative_order(q: int, n0: int) -> int:
+    """Least r >= 1 with q^r = 1 mod n0, for gcd(q, n0) = 1."""
+    if n0 == 1:
+        return 1
     order, acc = 1, q % n0
     while acc != 1:
         acc = (acc * q) % n0
@@ -191,41 +180,40 @@ def _multiplicative_order(q: int, n0: int) -> int:
     return order
 
 
-def _subfield_pullback(host: ExtensionField, tower) -> dict:
-    """Map codes of the GF(q) copy inside the host field to tower codes."""
-    q = tower.q
-    if tower.m == 1:
-        return {c: c for c in range(q)}
-    # delta = beta^(q+1) generates GF(q)*; find a root of its minimal
-    # polynomial over GF(p) inside the host field.
-    step = (q + 1) % (tower.q2 - 1)
-    delta = tower.exp[step]
-    minpoly = (1,)
-    conj = delta
-    for _ in range(tower.m):
-        minpoly = poly_mul(tower, minpoly, (tower.neg(conj), 1))
-        conj = tower.pow(conj, tower.p)
-    assert conj == delta and all(c < tower.p for c in minpoly)
-    cofactor = (host.order - 1) // (q - 1)
-    image = None
-    for code in range(2, host.order):
-        eta = host.pow(code, cofactor)
-        if eta in (0, 1):
-            continue
-        acc = 0
-        for c in reversed(minpoly):
-            acc = host.add(host.mul(acc, eta), c)
-        if acc == 0:
-            image = eta
-            break
-    assert image is not None, "subfield embedding root not found"
-    pull = {0: 0, 1: 1}
-    host_pow, tower_pow = image, delta
-    for t in range(1, q - 1):
-        pull[host_pow] = tower_pow
-        host_pow = host.mul(host_pow, image)
-        tower_pow = tower.exp[(step * t + step) % (tower.q2 - 1)]
-    return pull
+def _poly_powmod(tower, a, e: int, f) -> tuple:
+    result, base = (1,), a
+    while e:
+        if e & 1:
+            result = poly_mod(tower, poly_mul(tower, result, base), f)
+        base = poly_mod(tower, poly_mul(tower, base, base), f)
+        e >>= 1
+    return result
+
+
+def _split_equal_degree(tower, f, r: int, rng) -> list:
+    """Monic irreducible factors of f, a squarefree product of degree-r ones.
+
+    Cantor-Zassenhaus: for a random a of degree < deg f, the gcd of f with
+    a^((q^r - 1)/2) - 1 (odd p) or with the trace a + a^2 + ... + a^(2^(mr-1))
+    (p = 2) is a proper factor with probability about 1/2.
+    """
+    if degree(f) == r:
+        return [f]
+    while True:
+        a = normalize(rng.choice(tower.subfield) for _ in range(degree(f)))
+        if tower.p == 2:
+            term = probe = a
+            for _ in range(tower.m * r - 1):
+                term = poly_mod(tower, poly_mul(tower, term, term), f)
+                probe = poly_add(tower, probe, term)
+        else:
+            power = _poly_powmod(tower, a, (tower.q ** r - 1) // 2, f)
+            probe = poly_sub(tower, power, (1,))
+        g = poly_gcd(tower, f, probe)
+        if 0 < degree(g) < degree(f):
+            return _split_equal_degree(tower, g, r, rng) + _split_equal_degree(
+                tower, poly_divmod(tower, f, g)[0], r, rng
+            )
 
 
 @dataclass(frozen=True)
@@ -290,29 +278,21 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
     while n0 % p == 0:
         n0 //= p
         ell += 1
-    if n0 == 1:
-        base = [(tower.neg(1), 1)]
-    else:
-        s = _multiplicative_order(tower.q, n0)
-        if tower.q ** s > (1 << 32):
-            raise FieldTooLargeError(
-                f"splitting field GF({tower.q}^{s}) exceeds the 2^32 cap"
-            )
-        host = ExtensionField(p, tower.m * s)
-        gamma = host.element_of_order(n0)
-        pull = _subfield_pullback(host, tower)
-        base = []
-        for coset in cyclotomic_cosets(tower.q, n0):
-            # product of (x - gamma^j) over the coset, in the host field
-            factor = [1]
-            for j in coset:
-                root = host.pow(gamma, j)
-                nxt = [0] * (len(factor) + 1)
-                for i, c in enumerate(factor):
-                    nxt[i + 1] = host.add(nxt[i + 1], c)
-                    nxt[i] = host.sub(nxt[i], host.mul(c, root))
-                factor = nxt
-            base.append(tuple(pull[c] for c in factor))
+    # seeded per call, so every call draws the same trial polynomials and
+    # does the same work
+    rng = random.Random(0)
+    cyclotomic = {}
+    base = []
+    for d in range(1, n0 + 1):
+        if n0 % d:
+            continue
+        # Phi_d = (x^d - 1) / prod of Phi_e over the proper divisors e of d
+        phi = x_pow_minus_one(tower, d)
+        for e, phi_e in cyclotomic.items():
+            if d % e == 0:
+                phi = poly_divmod(tower, phi, phi_e)[0]
+        cyclotomic[d] = phi
+        base += _split_equal_degree(tower, phi, _multiplicative_order(tower.q, d), rng)
     base.sort(key=lambda g: (degree(g), g))
     fac = Factorization(
         tower=tower, n=n, n0=n0, ell=ell, multiplicity=p ** ell, base=tuple(base)

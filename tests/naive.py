@@ -22,6 +22,26 @@ def span(tower, rows, length):
     return words
 
 
+def rank(tower, rows) -> int:
+    """Rank of the rows, by exact elimination."""
+    from conjucyclic import linalg
+
+    return len(linalg.rref(tower, rows)[0])
+
+
+def same_span(tower, rows_a, rows_b) -> bool:
+    """Mutual membership test: the two row spaces coincide."""
+    from conjucyclic import linalg
+
+    basis_a, piv_a = linalg.rref(tower, rows_a)
+    basis_b, piv_b = linalg.rref(tower, rows_b)
+    if len(basis_a) != len(basis_b):
+        return False
+    return all(linalg.in_span(tower, basis_a, piv_a, r) for r in rows_b) and all(
+        linalg.in_span(tower, basis_b, piv_b, r) for r in rows_a
+    )
+
+
 def hamming_weight(vec):
     return sum(1 for x in vec if x)
 

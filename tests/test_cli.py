@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -10,6 +11,12 @@ from conjucyclic import cli, enumerate_divisors, factor_x2n_minus_1, tower_for_q
 # pins the CLI bytes, including the largest cyclic subcode basis.
 CLI_FAMILIES = ((2, 5), (3, 4), (4, 3), (5, 3), (8, 2), (9, 2))
 CLI_DIGEST = "d07cdf34aa49e25a554e3e563e55a712d999c8f776dedf9c3519e1b7dd7fd1a3"
+
+# sha256 of the concatenated stdout of `factor`, text then JSON, for every
+# n <= 12 over these q whose x^(2n) - 1 splits over GF(q^s) with at most
+# 2^18 elements, in (q, n) order; pins the factor lists and their order.
+FACTOR_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 256, 512)
+FACTOR_DIGEST = "5bae363bd4a43a842280ca9de7aed6d6a7204d1c1ee665bdcda0881878ee6354"
 
 
 def run(capsys, *argv):
@@ -165,3 +172,37 @@ def test_code_and_dual_output_bytes_are_pinned(capsys):
                     runs += 1
     assert runs == 420
     assert digest.hexdigest() == CLI_DIGEST
+
+
+def splitting_field_size(q, n):
+    """|GF(q^s)| with s = ord_{n0}(q), n0 the part of 2n prime to q."""
+    p = min(r for r in range(2, q + 1) if q % r == 0)
+    n0 = 2 * n
+    while n0 % p == 0:
+        n0 //= p
+    s, acc = 1, q % n0
+    while n0 > 1 and acc != 1:
+        acc = acc * q % n0
+        s += 1
+    return q ** s
+
+
+def test_factor_output_bytes_are_pinned(capsys, monkeypatch):
+    # build_tower searches for the primitive modulus again on every call
+    # when GF(q^2) is not in the Conway table (about 1 s at q = 512), so the
+    # CLI here gets each tower once
+    monkeypatch.setattr(cli, "tower_for_q", functools.lru_cache(maxsize=None)(tower_for_q))
+    digest = hashlib.sha256()
+    pairs = [
+        (q, n)
+        for q in FACTOR_QS
+        for n in range(1, 13)
+        if splitting_field_size(q, n) <= 1 << 18
+    ]
+    assert len(pairs) == 162
+    for q, n in pairs:
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "factor", "--q", str(q), "--n", str(n), "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == FACTOR_DIGEST

@@ -160,7 +160,7 @@ def test_reference_generator_matrices(data):
     assert code.gen_matrix == decode_matrix(tower, data["gen_matrix"])
     assert code.card_log_q == data["dim"]
     # rows are GF(q)-independent
-    assert linalg.rank(tower, [expand(tower, r) for r in code.gen_matrix]) == data["dim"]
+    assert naive.rank(tower, [expand(tower, r) for r in code.gen_matrix]) == data["dim"]
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_reference_dual_matrices(data):
     dual = code.alternating_dual_matrix()
     assert dual == decode_matrix(tower, data["dual_matrix"])
     assert len(dual) == code.k
-    assert linalg.rank(tower, [expand(tower, r) for r in dual]) == code.k
+    assert naive.rank(tower, [expand(tower, r) for r in dual]) == code.k
 
 
 def test_zero_and_full_codes(f9):
@@ -265,7 +265,7 @@ def test_dual_span_equals_contracted_symplectic_dual():
         tower = code.tower
         lhs = [expand(tower, r) for r in code.alternating_dual_matrix()]
         rhs = code.cyclic.symplectic_dual_matrix()
-        assert linalg.same_span(tower, lhs, rhs)
+        assert naive.same_span(tower, lhs, rhs)
 
 
 def test_char2_dual_variant_matches(f9):
@@ -353,7 +353,7 @@ def test_wider_subfields_round_trip():
             for u in code.gen_matrix:
                 for v in dual:
                     assert alternating_inner(tower, u, v) == 0
-            assert linalg.same_span(
+            assert naive.same_span(
                 tower,
                 [expand(tower, r) for r in dual],
                 code.cyclic.symplectic_dual_matrix(),
@@ -398,7 +398,7 @@ def test_subcode_of_single_parity_code_is_everything():
         code = ConjucyclicCode(tower, n, (1, 1))
         sub = code.largest_cyclic_subcode()
         expanded = [expand(tower, r) for r in sub]
-        assert linalg.rank(tower, expanded) == n
+        assert naive.rank(tower, expanded) == n
         words = naive.span(tower, sub, n)
         assert words == {
             v for v in itertools.product(tower.subfield, repeat=n)

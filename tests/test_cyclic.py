@@ -78,7 +78,7 @@ def test_generator_matrix_first_row(data):
     assert matrix[0] == code.coefficient_vector(code.g)
     for first, second in zip(matrix, matrix[1:]):
         assert second == cyclic_shift(first)
-    assert linalg.rank(tower, matrix) == data["dim"]
+    assert naive.rank(tower, matrix) == data["dim"]
 
 
 def test_degenerate_codes(f9):
@@ -88,7 +88,7 @@ def test_degenerate_codes(f9):
     assert len(zero.symplectic_dual_matrix()) == 4
     full = CyclicCode(f9, 2, (1,))
     assert full.symplectic_dual_matrix() == []
-    assert linalg.rank(f9, full.generator_matrix()) == 4
+    assert naive.rank(f9, full.generator_matrix()) == 4
     with pytest.raises(NotADivisorError):
         CyclicCode(f9, 2, (1, 1, 1))
 
@@ -104,7 +104,7 @@ def test_symplectic_dual_reference_rows(f9):
     assert rows[0] == decode_vector(f9, TERNARY_N11["tau_h_star"])
     assert rows[9] == decode_vector(f9, TERNARY_N11["tau_shift9_h_star"])
     assert len(rows) == code.k == 10
-    assert linalg.rank(f9, rows) == 10
+    assert naive.rank(f9, rows) == 10
 
 
 def test_generator_and_symplectic_dual_are_orthogonal():
@@ -114,7 +114,7 @@ def test_generator_and_symplectic_dual_are_orthogonal():
         for u in gen:
             for v in dual:
                 assert symplectic_inner(code.tower, u, v) == 0
-        assert linalg.rank(code.tower, dual) == code.k
+        assert naive.rank(code.tower, dual) == code.k
         assert code.dim + len(dual) == 2 * code.n
 
 
@@ -135,7 +135,7 @@ def test_symplectic_dual_is_gram_kernel():
         dual = code.symplectic_dual_matrix()
         if not dual:
             assert not kernel or code.dim == 0
-        assert linalg.same_span(tower, kernel, dual)
+        assert naive.same_span(tower, kernel, dual)
 
 
 def test_row_space_is_shift_closed():

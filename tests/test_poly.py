@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from conjucyclic import (
-    FieldTooLargeError,
     NotADivisorError,
     ZeroConstantTermError,
     build_tower,
@@ -13,6 +12,7 @@ from conjucyclic import (
     tower_for_q,
 )
 from conjucyclic.poly import (
+    _multiplicative_order,
     check_divisor,
     degree,
     normalize,
@@ -143,7 +143,10 @@ def test_factors_sorted_canonically():
 
 
 def test_factors_are_monic_irreducible_and_multiply_back():
-    for q, n in [(2, 3), (2, 6), (3, 4), (3, 11), (4, 3), (4, 11), (5, 5), (9, 7)]:
+    for q, n in [
+        (2, 3), (2, 6), (3, 4), (3, 11), (4, 3), (4, 11), (5, 5), (9, 7),
+        (8, 9), (9, 10), (25, 7), (27, 7),
+    ]:
         tower = tower_for_q(q)
         fac = factor_x2n_minus_1(tower, n)
         assert fac.multiplicity == tower.p ** fac.ell
@@ -193,8 +196,8 @@ def test_check_divisor_rejections(f9):
 
 
 def test_large_host_field_path():
-    # q = 9 over GF(3): splitting x^14 - 1 needs GF(3^6) with a genuine
-    # subfield embedding (m = 2)
+    # q = 9 over GF(3): Phi_7 and Phi_14 each split into two cubics
+    # (ord_7(9) = 3) by the odd-characteristic split over GF(p^2)
     tower = tower_for_q(9)
     fac = factor_x2n_minus_1(tower, 7)
     assert fac.n0 == 14
@@ -207,8 +210,8 @@ def test_large_host_field_path():
 
 
 def test_host_field_path_for_cubic_subfield():
-    # q = 8 over GF(2): x^10 - 1 splits through GF(8^4) with an m = 3
-    # subfield embedding
+    # q = 8 over GF(2): x^10 - 1 = ((x - 1) Phi_5)^2, and Phi_5 stays
+    # irreducible because ord_5(8) = 4 = deg Phi_5
     tower = tower_for_q(8)
     fac = factor_x2n_minus_1(tower, 5)
     assert (fac.n0, fac.multiplicity) == (5, 2)
@@ -219,10 +222,38 @@ def test_host_field_path_for_cubic_subfield():
     assert product == x_pow_minus_one(tower, 10)
 
 
-def test_splitting_field_cap():
-    # GF(2^36) would be needed for n = 37; the cap refuses it
-    with pytest.raises(FieldTooLargeError):
-        factor_x2n_minus_1(build_tower(2, 1), 37)
+def test_multiplicative_order():
+    assert _multiplicative_order(3, 1) == 1
+    assert _multiplicative_order(2, 79) == 39
+    assert _multiplicative_order(9, 7) == 3
+    assert _multiplicative_order(4, 3) == 1
+
+
+def cyclotomic_coset_sizes(q, n0):
+    sizes, seen = [], set()
+    for j in range(n0):
+        if j not in seen:
+            coset = {j * q ** i % n0 for i in range(n0)}
+            seen |= coset
+            sizes.append(len(coset))
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("q, n", [(2, 79), (3, 47)])
+def test_long_lengths_split_into_coset_sized_irreducibles(q, n):
+    # Phi_79 over GF(2) splits into two factors of degree 39 (the p = 2
+    # trace split), Phi_47 and Phi_94 over GF(3) into two of degree 23 each
+    # (the odd-p split).  Monic factors that multiply back, one per
+    # q-cyclotomic coset and of the coset's size, are all irreducible.
+    tower = tower_for_q(q)
+    fac = factor_x2n_minus_1(tower, n)
+    assert sorted(fac.degrees) == cyclotomic_coset_sizes(q, fac.n0)
+    product = (1,)
+    for g in fac.base:
+        assert g[-1] == 1
+        assert all(tower.in_subfield(c) for c in g)
+        product = poly_mul(tower, product, poly_pow(tower, g, fac.multiplicity))
+    assert product == x_pow_minus_one(tower, 2 * n)
 
 
 def test_json_shape():
