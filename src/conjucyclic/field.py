@@ -23,6 +23,7 @@ str(p^(2m)) to a low-degree-first coefficient list.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -180,6 +181,7 @@ def _pf_is_primitive(f, p):
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def smallest_primitive(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of degree d."""
     for tail in itertools.product(range(p), repeat=d):

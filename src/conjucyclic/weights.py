@@ -6,24 +6,31 @@ divisibility: the alternating dual lies in the code exactly when g divides
 every row of the mirror's symplectic dual.
 
 Enumeration runs over messages: a code spanned by r generator rows over
-GF(q) has exactly q^r codewords, one per message in GF(q)^r.  Every element
-is stored as its base-p digit vector, so codeword addition is digitwise
-mod p and a coordinate is zero exactly when its digit group is all zero;
-this works uniformly for every prime power q with no table lookups inside
-the hot loop.
+GF(q) has exactly q^r codewords, one per message in GF(q)^r.  A codeword
+is packed into uint64 words: each base-p digit takes a field of c bits
+(c = 1 for p = 2, else the bit length of 2p - 2), a coordinate takes
+2m*c contiguous bits, and 64 // (2m*c) whole coordinates share a word (at
+most 42 bits under the 2^24 table cap, so none straddles two words).
+Addition is XOR for p = 2; for odd p the fields add as integers without
+carrying into each other, and p is subtracted from every field that
+reached p (a SWAR conditional subtract).  A coordinate is zero exactly when
+its bits are, so the weight is the popcount of one mark bit per nonzero
+coordinate; no table lookups run inside the hot loop.
 
 The kernel is a blocked meet-in-the-middle sweep: the generator rows are
 split in half, all GF(q)-combinations of each half are materialized as
-digit matrices, and the histogram accumulates over outer-block + inner-span
-sums in vectorized chunks.  Work partitions across processes by slicing the
-outer span (equivalently, fixing leading message digits); per-worker
-histograms merge by integer addition, so the result is identical for any
-worker count and schedule.
+packed words, and the histogram accumulates over outer-block + inner-span
+sums in vectorized blocks.  Work partitions across a thread pool by slicing
+the outer span (equivalently, fixing leading message digits); numpy's
+bitwise ufuncs release the interpreter lock, and per-thread histograms
+merge by integer addition, so the result is identical for any worker count
+and schedule.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +40,7 @@ from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
 #: Default cap on the number of enumerated codewords.
 DEFAULT_BUDGET = 1 << 28
 
-_CHUNK_ELEMS = 1 << 24
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass
@@ -87,66 +94,81 @@ class StabilizerParams:
         }
 
 
-def _dtype_for(p):
-    # digit sums reach 2(p-1) before reduction; keep them in range
-    return np.uint8 if p <= 128 else np.uint16
+def _layout(tower):
+    """(c, width, per): bits per digit, bits per coordinate, coordinates per word."""
+    c = 1 if tower.p == 2 else (2 * tower.p - 2).bit_length()
+    width = tower.ext_degree * c
+    return c, width, 64 // width
 
 
-def _digit_rows(tower, rows, width):
-    """Stack rows as base-p digit matrices: shape (len(rows), width * 2m)."""
-    dtype = _dtype_for(tower.p)
-    out = np.zeros((len(rows), width * tower.ext_degree), dtype=dtype)
+def _pack(tower, rows, n):
+    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as above."""
+    c, width, per = _layout(tower)
+    out = np.zeros((-(-n // per), len(rows)), dtype=np.uint64)
     for i, row in enumerate(rows):
-        flat = []
-        for x in row:
-            flat.extend(tower.digits(x))
-        out[i] = flat
+        words = [0] * len(out)
+        for j, x in enumerate(row):
+            coord = sum(d << (k * c) for k, d in enumerate(tower.digits(x)))
+            words[j // per] |= coord << (j % per * width)
+        out[:, i] = words
     return out
 
 
-def _scalar_multiples(tower, rows, width):
-    """For each row, the digit matrix of all q subfield multiples of it."""
-    out = []
-    for row in rows:
-        mults = [
-            tuple(tower.mul(k, x) for x in row) for k in tower.subfield
-        ]
-        out.append(_digit_rows(tower, mults, width))
-    return out
+def _kernel(tower):
+    """(add, low, top): packed addition and the nonzero-coordinate masks.
+
+    add(a, b, out, tmp) writes a + b to out and overwrites tmp; the sweep
+    preallocates both, as fresh block-sized temporaries cost page faults.
+    """
+    p, (c, width, per) = tower.p, _layout(tower)
+    top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
+    if p == 2:
+        return (lambda a, b, out, tmp: np.bitwise_xor(a, b, out=out)), ~top, top
+    ones = sum(1 << (i * c) for i in range(per * tower.ext_degree))
+    bias, shift = np.uint64(((1 << (c - 1)) - p) * ones), np.uint64(c - 1)
+    ones, p = np.uint64(ones), np.uint64(p)
+
+    def add(a, b, out, tmp):
+        # a field's top bit after adding 2^(c-1) - p is set iff its sum is >= p
+        np.add(a, b, out=out)
+        np.add(out, bias, out=tmp)
+        tmp >>= shift
+        tmp &= ones
+        tmp *= p
+        out -= tmp
+
+    return add, ~top, top
 
 
-def _span_digits(p, multiples, ncols):
-    """All sums picking one multiple per row: (q^r, D) digit matrix."""
-    if not multiples:
-        return np.zeros((1, ncols), dtype=_dtype_for(p))
-    acc = multiples[0]
-    for mult in multiples[1:]:
-        acc = acc[:, None, :] + mult[None, :, :]
-        if p == 2:
-            acc &= 1
-        else:
-            acc %= p
-        acc = acc.reshape(-1, acc.shape[-1])
+def _span_words(add, multiples, nw):
+    """All sums picking one multiple per row: (nw, q^r) packed words."""
+    acc = np.zeros((nw, 1), dtype=np.uint64)
+    for mult in multiples:
+        shape = (nw, acc.shape[1], mult.shape[1])
+        out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+        add(acc[:, :, None], mult[:, None, :], out, tmp)
+        acc = out.reshape(nw, -1)
     return acc
 
 
-def _histogram_chunk(args):
-    outer, inner, p, groups, digits_per_group = args
-    counts = np.zeros(groups + 1, dtype=np.int64)
-    if outer.shape[1] == 0:
-        counts[0] += len(outer) * len(inner)
-        return counts
-    step = max(1, _CHUNK_ELEMS // max(1, len(inner) * outer.shape[1]))
-    for lo in range(0, len(outer), step):
-        block = outer[lo : lo + step, None, :] + inner[None, :, :]
-        if p == 2:
-            block &= 1
-        else:
-            block %= p
-        nz = block.reshape(-1, groups, digits_per_group).any(axis=2)
-        counts += np.bincount(
-            nz.sum(axis=1, dtype=np.int64), minlength=groups + 1
-        )
+def _histogram(outer, inner, kernel, n):
+    add, low, top = kernel
+    counts = np.zeros(n + 1, dtype=np.int64)
+    step = max(1, min(outer.shape[1], _CHUNK_WORDS // inner.size))
+    x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
+    y, weights = np.empty_like(x), np.empty(x.shape[1:], dtype=np.intp)
+    for lo in range(0, outer.shape[1], step):
+        block = outer[:, lo : lo + step, None]
+        rows = block.shape[1]
+        xs, ys, ws = x[:, :rows], y[:, :rows], weights[:rows]
+        add(block, inner[:, None, :], xs, ys)
+        # top bit of a coordinate: set iff any of its bits is
+        np.bitwise_and(xs, low, out=ys)
+        ys += low
+        ys |= xs
+        ys &= top
+        np.sum(np.bitwise_count(ys), axis=0, out=ws)
+        counts += np.bincount(ws.ravel(), minlength=n + 1)
     return counts
 
 
@@ -164,25 +186,20 @@ def _enumerate_counts(code, budget, workers):
         )
     if r == 0:
         return [1] + [0] * n
-    multiples = _scalar_multiples(tower, rows, n)
-    ncols = n * tower.ext_degree
-    half = r // 2
-    inner = _span_digits(tower.p, multiples[:half], ncols)
-    outer = _span_digits(tower.p, multiples[half:], ncols)
-    workers = max(1, int(workers))
-    if workers == 1 or len(outer) < 2 * workers:
-        total = _histogram_chunk((outer, inner, tower.p, n, tower.ext_degree))
+    multiples = [
+        _pack(tower, [[tower.mul(k, x) for x in row] for k in tower.subfield], n)
+        for row in rows
+    ]
+    kernel, nw = _kernel(tower), len(multiples[0])
+    inner = _span_words(kernel[0], multiples[: r // 2], nw)
+    outer = _span_words(kernel[0], multiples[r // 2 :], nw)
+    workers = min(max(1, int(workers)), os.cpu_count() or 1)
+    if workers == 1 or outer.shape[1] < 2 * workers:
+        total = _histogram(outer, inner, kernel, n)
     else:
-        bounds = [len(outer) * i // workers for i in range(workers + 1)]
-        jobs = [
-            (outer[lo:hi], inner, tower.p, n, tower.ext_degree)
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        total = np.zeros(n + 1, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_histogram_chunk, jobs):
-                total += part
+        parts = np.array_split(outer, workers, axis=1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            total = sum(pool.map(lambda o: _histogram(o, inner, kernel, n), parts))
     counts = [int(c) for c in total]
     assert sum(counts) == tower.q ** r, "histogram does not cover the code"
     return counts

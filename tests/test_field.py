@@ -10,6 +10,7 @@ from conjucyclic import (
     build_tower,
     tower_for_q,
 )
+from conjucyclic import field
 from conjucyclic.field import CONWAY_TABLE_ENV, FieldTower
 
 
@@ -151,6 +152,21 @@ def test_fallback_modulus_is_lex_smallest_primitive():
             continue
         with pytest.raises(NoPrimitivePolynomialError):
             FieldTower(11, 1, list(tail) + [1])
+
+
+def test_modulus_search_runs_once_per_degree(monkeypatch):
+    # 5^6 is not in the Conway table, so the tower needs the fallback search
+    calls = []
+    original = field._pf_is_primitive
+    monkeypatch.setattr(
+        field, "_pf_is_primitive", lambda f, p: calls.append(1) or original(f, p)
+    )
+    field.smallest_primitive.cache_clear()
+    first = build_tower(5, 3)
+    searched = len(calls)
+    assert searched > 0
+    assert build_tower(5, 3) is first
+    assert len(calls) == searched
 
 
 def test_conway_table_env_override(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import naive
@@ -15,6 +17,7 @@ from conjucyclic import (
     stabilizer_params,
     tower_for_q,
     weight_distribution,
+    weights,
 )
 
 
@@ -92,6 +95,47 @@ def test_worker_count_independence(ternary_code):
     base = weight_distribution(ternary_code, workers=1)
     for workers in (2, 4):
         assert weight_distribution(ternary_code, workers=workers).counts == base.counts
+
+
+def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(weights, "ThreadPoolExecutor", SerialPool)
+    counts = weight_distribution(ternary_code, workers=10 ** 6).counts
+    assert recorded or (os.cpu_count() or 1) == 1
+    assert all(w <= (os.cpu_count() or 1) for w in recorded)
+    assert counts == weight_distribution(ternary_code, workers=1).counts
+
+
+def test_multi_word_rows_match_naive_enumeration():
+    # every family needs two uint64 words per codeword; (256, 5) fills bit 63
+    # of the first word and (251, 4) has 9-bit digit fields
+    pairs = [(2, 33), (3, 11), (4, 17), (5, 9), (9, 6), (27, 4), (81, 3), (256, 5), (251, 4)]
+    for q, n in pairs:
+        checked = 0
+        for code in all_divisor_codes([(q, n)]):
+            if not 0 < q ** code.card_log_q <= 3 ** 8:
+                continue
+            words = naive.span(code.tower, code.gen_matrix, code.n)
+            expected = naive.weight_histogram(words, code.n, naive.hamming_weight)
+            assert weight_distribution(code).counts == expected
+            checked += 1
+            if checked == 12:
+                break
+        assert checked > 0
 
 
 def test_budget_enforcement(ternary_code):
