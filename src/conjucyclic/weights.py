@@ -7,15 +7,12 @@ every row of the mirror's symplectic dual.
 
 Enumeration runs over messages: a code spanned by r generator rows over
 GF(q) has exactly q^r codewords, one per message in GF(q)^r.  A codeword
-is packed into uint64 words: each base-p digit takes a field of c bits
-(c = 1 for p = 2, else the bit length of 2p - 2), a coordinate takes
-2m*c contiguous bits, and 64 // (2m*c) whole coordinates share a word (at
-most 42 bits under the 2^24 table cap, so none straddles two words).
-Addition is XOR for p = 2; for odd p the fields add as integers without
-carrying into each other, and p is subtracted from every field that
-reached p (a SWAR conditional subtract).  A coordinate is zero exactly when
-its bits are, so the weight is the popcount of one mark bit per nonzero
-coordinate; no table lookups run inside the hot loop.
+is packed into uint64 words: each base-p digit takes a c-bit field and
+adds as in field.packed_add, a coordinate takes 2m*c contiguous bits, and
+64 // (2m*c) whole coordinates share a word (at most 42 bits under the
+2^24 table cap, so none straddles two words).  A coordinate is zero
+exactly when its bits are, so the weight is the popcount of one mark bit
+per nonzero coordinate; no table lookups run inside the hot loop.
 
 The kernel is a blocked meet-in-the-middle sweep: the generator rows are
 split in half, all GF(q)-combinations of each half are materialized as
@@ -36,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
+from .field import digit_bits, packed_add, packed_span
 
 #: Default cap on the number of enumerated codewords.
 DEFAULT_BUDGET = 1 << 28
@@ -96,7 +94,7 @@ class StabilizerParams:
 
 def _layout(tower):
     """(c, width, per): bits per digit, bits per coordinate, coordinates per word."""
-    c = 1 if tower.p == 2 else (2 * tower.p - 2).bit_length()
+    c = digit_bits(tower.p)
     width = tower.ext_degree * c
     return c, width, 64 // width
 
@@ -115,40 +113,10 @@ def _pack(tower, rows, n):
 
 
 def _kernel(tower):
-    """(add, low, top): packed addition and the nonzero-coordinate masks.
-
-    add(a, b, out, tmp) writes a + b to out and overwrites tmp; the sweep
-    preallocates both, as fresh block-sized temporaries cost page faults.
-    """
-    p, (c, width, per) = tower.p, _layout(tower)
+    """(add, low, top): packed addition and the nonzero-coordinate masks."""
+    c, width, per = _layout(tower)
     top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
-    if p == 2:
-        return (lambda a, b, out, tmp: np.bitwise_xor(a, b, out=out)), ~top, top
-    ones = sum(1 << (i * c) for i in range(per * tower.ext_degree))
-    bias, shift = np.uint64(((1 << (c - 1)) - p) * ones), np.uint64(c - 1)
-    ones, p = np.uint64(ones), np.uint64(p)
-
-    def add(a, b, out, tmp):
-        # a field's top bit after adding 2^(c-1) - p is set iff its sum is >= p
-        np.add(a, b, out=out)
-        np.add(out, bias, out=tmp)
-        tmp >>= shift
-        tmp &= ones
-        tmp *= p
-        out -= tmp
-
-    return add, ~top, top
-
-
-def _span_words(add, multiples, nw):
-    """All sums picking one multiple per row: (nw, q^r) packed words."""
-    acc = np.zeros((nw, 1), dtype=np.uint64)
-    for mult in multiples:
-        shape = (nw, acc.shape[1], mult.shape[1])
-        out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-        add(acc[:, :, None], mult[:, None, :], out, tmp)
-        acc = out.reshape(nw, -1)
-    return acc
+    return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
 
 
 def _histogram(outer, inner, kernel, n):
@@ -191,8 +159,8 @@ def _enumerate_counts(code, budget, workers):
         for row in rows
     ]
     kernel, nw = _kernel(tower), len(multiples[0])
-    inner = _span_words(kernel[0], multiples[: r // 2], nw)
-    outer = _span_words(kernel[0], multiples[r // 2 :], nw)
+    inner = packed_span(kernel[0], multiples[: r // 2], nw)
+    outer = packed_span(kernel[0], multiples[r // 2 :], nw)
     workers = min(max(1, int(workers)), os.cpu_count() or 1)
     if workers == 1 or outer.shape[1] < 2 * workers:
         total = _histogram(outer, inner, kernel, n)

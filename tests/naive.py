@@ -183,3 +183,54 @@ def alternating_dual_matrix_char2(code):
             rows.append(row)
             row = conjucyclic_shift(tower, row)
     return rows
+
+
+def smallest_primitive(p, d):
+    """Lexicographically smallest monic primitive polynomial of degree d,
+    scanning every tail (low-degree-first) with a nonzero constant term."""
+    from conjucyclic import NoPrimitivePolynomialError
+    from conjucyclic.field import _pf_is_primitive
+
+    for tail in itertools.product(range(p), repeat=d):
+        if tail[0] == 0:
+            continue
+        f = list(tail) + [1]
+        if _pf_is_primitive(f, p):
+            return tuple(f)
+    raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {d} over GF({p})")
+
+
+def tower_tables(p, d, modulus):
+    """(exp, log) of GF(p)[x]/(modulus) by stepping a shift register.
+
+    exp[i] is the code of x^i (base-p digits of its power-basis
+    coordinates, little-endian) for i < p^d - 1; log is its inverse with
+    log[0] = -1.  Raises NoPrimitivePolynomialError unless x generates the
+    multiplicative group.
+    """
+    from conjucyclic import NoPrimitivePolynomialError
+
+    n = p ** d
+    exp = [0] * (n - 1)
+    log = [-1] * n
+    cur = [0] * d
+    cur[0] = 1
+    for i in range(n - 1):
+        code = 0
+        for j in range(d - 1, -1, -1):
+            code = code * p + cur[j]
+        if log[code] != -1:
+            raise NoPrimitivePolynomialError(f"modulus {modulus} over GF({p}) is not primitive")
+        exp[i] = code
+        log[code] = i
+        # multiply by x, reducing x^d = -modulus[:d]
+        carry = cur[d - 1]
+        for j in range(d - 1, 0, -1):
+            cur[j] = cur[j - 1]
+        cur[0] = 0
+        if carry:
+            for j in range(d):
+                cur[j] = (cur[j] - carry * modulus[j]) % p
+    if any(cur[j] != (1 if j == 0 else 0) for j in range(d)):
+        raise NoPrimitivePolynomialError(f"modulus {modulus} over GF({p}) is not primitive")
+    return exp, log

@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
+import naive
 from conjucyclic import (
     FieldTooLargeError,
     NoPrimitivePolynomialError,
@@ -11,7 +13,7 @@ from conjucyclic import (
     tower_for_q,
 )
 from conjucyclic import field
-from conjucyclic.field import CONWAY_TABLE_ENV, FieldTower
+from conjucyclic.field import CONWAY_POLYNOMIALS, CONWAY_TABLE_ENV, FieldTower
 
 
 def brute_order(tower, a):
@@ -167,6 +169,60 @@ def test_modulus_search_runs_once_per_degree(monkeypatch):
     assert searched > 0
     assert build_tower(5, 3) is first
     assert len(calls) == searched
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_modulus_search_matches_unfiltered_scan(p):
+    # the search skips constant terms whose norm cannot generate GF(p)*
+    d = 2
+    while p ** d <= 6561:
+        assert field.smallest_primitive(p, d) == naive.smallest_primitive(p, d)
+        d += 1
+
+
+def _small_fields():
+    """Every (p, m) with q^2 = p^(2m) <= 2^16: the Conway table and beyond."""
+    for p in filter(field.is_prime, range(2, 257)):
+        m = 1
+        while p ** (2 * m) <= 1 << 16:
+            yield p, m
+            m += 1
+
+
+@pytest.mark.parametrize("p,m", list(_small_fields()))
+def test_tables_match_shift_register(p, m):
+    size = p ** (2 * m)
+    modulus = CONWAY_POLYNOMIALS.get(size) or field.smallest_primitive(p, 2 * m)
+    t = FieldTower(p, m, modulus)
+    exp, log = naive.tower_tables(p, 2 * m, modulus)
+    assert t.exp == exp
+    assert t.log == log
+
+
+@pytest.mark.parametrize(
+    "m,modulus",
+    [
+        (2, (1, 1, 1, 1, 1)),  # irreducible, x has order 5 in GF(16)*
+        (1, (1, 0, 1)),  # (x + 1)^2
+        (1, (0, 1, 1)),  # f(0) = 0
+    ],
+)
+def test_both_builders_reject_non_primitive_moduli(m, modulus):
+    with pytest.raises(NoPrimitivePolynomialError, match="not primitive"):
+        FieldTower(2, m, modulus)
+    with pytest.raises(NoPrimitivePolynomialError, match="not primitive"):
+        naive.tower_tables(2, 2 * m, modulus)
+
+
+def test_tower_tables_at_q2_2_20():
+    t = tower_for_q(1024)
+    assert t.q2 == 1 << 20
+    assert sorted(t.exp) == list(range(1, t.q2))
+    assert all(t.log[e] == i for i, e in enumerate(t.exp))
+    assert t.mul(t.exp[-1], t.beta) == 1
+    rng = random.Random(0)
+    for a in (rng.randrange(t.q2) for _ in range(1000)):
+        assert t.conjugate(t.conjugate(a)) == a
 
 
 def test_conway_table_env_override(tmp_path, monkeypatch):
