@@ -74,7 +74,11 @@ def _add_common(parser, needs_g: bool):
 
 def _add_enum_flags(parser):
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    parser.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="cap on enumerated words: q^min(k, 2n-k), the smaller of the code "
+        "and its alternating dual (default 2^28)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +228,7 @@ def _cmd_quantum(args) -> int:
     }
     lines = [
         "dual-containing: true",
-        f"stabilizer code: {params} (pure)",
+        f"stabilizer code: {params} ({'pure' if params.pure else 'impure'})",
         f"elapsed: {elapsed_ms} ms",
     ]
     _emit(args, payload, lines)

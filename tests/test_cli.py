@@ -18,6 +18,12 @@ CLI_DIGEST = "d07cdf34aa49e25a554e3e563e55a712d999c8f776dedf9c3519e1b7dd7fd1a3"
 FACTOR_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 256, 512)
 FACTOR_DIGEST = "5bae363bd4a43a842280ca9de7aed6d6a7204d1c1ee665bdcda0881878ee6354"
 
+# sha256 of the exit code and JSON stdout (elapsedMs removed) of `weights`
+# and `quantum` over every --exps divisor of these (q, n) families in
+# enumeration order; pins the distributions and the stabilizer parameters.
+WEIGHTS_FAMILIES = ((2, 5), (3, 4), (4, 3), (5, 3))
+WEIGHTS_DIGEST = "bd6585e02a6a0de8ca4bcde192279ec5d5fce3fd77c8f542b2ddee10ee64c31b"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -96,6 +102,15 @@ def test_quantum_command(capsys):
         "q": 3,
         "pure": True,
     }
+
+
+def test_quantum_text_reports_impurity(capsys):
+    # every weight-3 codeword of this [[9,1,3]]_4 code lies in the stabilizer
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--n", "9", "--g", "1,0,7,0,0,0,6,0,1")
+    assert code == 0
+    assert "stabilizer code: [[9,1,3]]_4 (impure)" in out
+    code, blob, _ = run_json(capsys, "quantum", "--q", "4", "--n", "9", "--g", "1,0,7,0,0,0,6,0,1")
+    assert blob["stabilizer"]["pure"] is False
 
 
 def test_zero_code_report(capsys):
@@ -206,3 +221,25 @@ def test_factor_output_bytes_are_pinned(capsys, monkeypatch):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == FACTOR_DIGEST
+
+
+def test_weights_and_quantum_output_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for q, n in WEIGHTS_FAMILIES:
+        fac = factor_x2n_minus_1(tower_for_q(q), n)
+        for exps, _ in enumerate_divisors(fac):
+            flag = ",".join(str(e) for e in exps)
+            for command in ("weights", "quantum"):
+                code, out, _ = run(
+                    capsys, command, "--q", str(q), "--n", str(n),
+                    "--exps", flag, "--format", "json",
+                )
+                digest.update(f"{code}\n".encode())
+                if out:
+                    blob = json.loads(out)
+                    del blob["elapsedMs"]
+                    digest.update(json.dumps(blob, sort_keys=True).encode())
+                runs += 1
+    assert runs == 168
+    assert digest.hexdigest() == WEIGHTS_DIGEST

@@ -19,6 +19,7 @@ from conjucyclic import (
     weight_distribution,
     weights,
 )
+from conjucyclic.refdata import QUATERNARY_N11
 
 
 def all_divisor_codes(pairs):
@@ -139,10 +140,80 @@ def test_multi_word_rows_match_naive_enumeration():
 
 
 def test_budget_enforcement(ternary_code):
+    # the budget caps the smaller side: the ternary n = 11 code has 3^12
+    # words and its alternating dual 3^10
     with pytest.raises(BudgetExceededError):
-        weight_distribution(ternary_code, budget=3 ** 11)
+        weight_distribution(ternary_code, budget=3 ** 10 - 1)
+    assert min_weight(ternary_code, budget=3 ** 10) == 5
     with pytest.raises(BudgetExceededError):
         min_weight(ternary_code, budget=10)
+
+
+def direct_counts(code):
+    """Histograms of the code and of its alternating dual, both enumerated."""
+    tower, n = code.tower, code.n
+    return (
+        weights._span_counts(tower, code.gen_matrix, n, 1),
+        weights._span_counts(tower, code.alternating_dual_matrix(), n, 1),
+    )
+
+
+def test_macwilliams_matches_direct_enumeration():
+    # every divisor code with q in {2, 3, 4, 5}, n <= 6 and at most 2^18
+    # words on its larger side: both distributions, and the purity verdict,
+    # against enumeration of both sides, and against naive spans where
+    # q^k <= 3^8 (all 189 dual-containing codes here are pure; the impure
+    # witnesses are below)
+    checked = naive_checked = 0
+    pairs = [(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)]
+    for code in all_divisor_codes(pairs):
+        q, n, k = code.tower.q, code.n, code.card_log_q
+        if q ** max(k, 2 * n - k) > 1 << 18:
+            continue
+        a, b = direct_counts(code)
+        dist = weight_distribution(code)
+        assert (dist.counts, dist.dual_counts) == (a, b)
+        containing = is_alternating_dual_containing(code)
+        if containing:
+            d = next((w for w in range(1, n + 1) if a[w] > b[w]), None)
+            pure = d is None or not any(b[1:d])
+            assert stabilizer_params(code).pure == pure
+        if q ** k <= 3 ** 8:
+            words = naive.span(code.tower, code.gen_matrix, n)
+            assert a == naive.weight_histogram(words, n, naive.hamming_weight)
+            naive_checked += 1
+        checked += 1
+    assert (checked, naive_checked) == (618, 446)
+
+
+def test_macwilliams_matches_direct_enumeration_on_goldens(ternary_code, quaternary_code):
+    for code in (ternary_code, quaternary_code):
+        dist = weight_distribution(code)
+        assert (dist.counts, dist.dual_counts) == direct_counts(code)
+    assert weight_distribution(quaternary_code).counts == QUATERNARY_N11["weight_distribution"]
+
+
+def test_impure_witnesses():
+    # q = 4, n = 9: all 45 weight-3 codewords lie in the alternating dual
+    # and the lightest word outside it has weight 4; q = 2, n = 14: all 7
+    # weight-2 codewords do, and the lightest word outside has weight 3
+    for q, n, g, d_lower, count in (
+        (4, 9, (1, 0, 7, 0, 0, 0, 6, 0, 1), 3, 45),
+        (2, 14, (1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1), 2, 7),
+    ):
+        code = ConjucyclicCode(tower_for_q(q), n, g)
+        params = stabilizer_params(code)
+        assert params.pure is False
+        assert params.d_lower == d_lower
+        dual_words = naive.span(code.tower, code.alternating_dual_matrix(), n)
+        dual_hist = naive.weight_histogram(dual_words, n, naive.hamming_weight)
+        a = weight_distribution(code).counts
+        assert a[d_lower] == dual_hist[d_lower] == count
+        assert a[d_lower + 1] > dual_hist[d_lower + 1]
+    # the 2^15-word binary code is small enough to check by set difference
+    words = naive.span(code.tower, code.gen_matrix, n)
+    assert dual_words < words
+    assert min(naive.hamming_weight(w) for w in words - dual_words) == 3
 
 
 def test_dual_containing_verdicts(f9, quaternary_code):
