@@ -30,7 +30,7 @@ cyclic code <g / gcd(g, x^n + 1)>, written down in closed form.
 from __future__ import annotations
 
 from . import linalg
-from .cyclic import CyclicCode, cyclic_shift
+from .cyclic import CyclicCode, cyclic_shift, shift_iterates
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
 from .poly import degree, poly_divmod, poly_gcd, poly_mod
 
@@ -167,13 +167,11 @@ class ConjucyclicCode:
         self.cyclic = CyclicCode(tower, n, g)
         self.g = self.cyclic.g
         self.card_log_q = self.cyclic.dim
-        rows = []
-        if self.card_log_q:
-            row = contract(tower, self.cyclic.coefficient_vector(self.g))
-            for _ in range(self.card_log_q):
-                rows.append(row)
-                row = conjucyclic_shift(tower, row)
-        self.gen_matrix = rows
+        self.gen_matrix = shift_iterates(
+            contract(tower, self.cyclic.coefficient_vector(self.g)),
+            self.card_log_q,
+            lambda row: conjucyclic_shift(tower, row),
+        )
 
     @property
     def k(self) -> int:

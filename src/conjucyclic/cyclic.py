@@ -30,6 +30,15 @@ def cyclic_shift(v, steps: int = 1):
     return tuple(v[n - steps:]) + tuple(v[: n - steps])
 
 
+def shift_iterates(row, count: int, shift=cyclic_shift) -> list:
+    """The count rows row, shift(row), shift(shift(row)), ...; [] for count 0."""
+    rows = []
+    for _ in range(count):
+        rows.append(row)
+        row = shift(row)
+    return rows
+
+
 def symplectic_swap(tower, v):
     """Multiply by the block matrix [[0, I], [-I, 0]]: (-v_R, v_L).
 
@@ -96,25 +105,11 @@ class CyclicCode:
 
         Empty for the zero code g = x^(2n) - 1.
         """
-        if self.dim == 0:
-            return []
-        row = self.coefficient_vector(self.g)
-        rows = []
-        for _ in range(self.dim):
-            rows.append(row)
-            row = cyclic_shift(row)
-        return rows
+        return shift_iterates(self.coefficient_vector(self.g), self.dim)
 
     def euclidean_dual_matrix(self):
         """k x 2n generator matrix of the Euclidean dual, shifts of h*."""
-        if self.k == 0:
-            return []
-        row = self.coefficient_vector(self.h_star)
-        rows = []
-        for _ in range(self.k):
-            rows.append(row)
-            row = cyclic_shift(row)
-        return rows
+        return shift_iterates(self.coefficient_vector(self.h_star), self.k)
 
     def symplectic_dual_matrix(self):
         """k x 2n generator matrix of the symplectic dual.

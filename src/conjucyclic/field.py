@@ -19,9 +19,12 @@ The modulus is canonical so that constructions are reproducible bit for
 bit: a built-in table of Conway polynomials covers p^(2m) in
 {4, 9, 16, 25, 49, 64, 81, 256}; anything else falls back to the
 lexicographically smallest primitive polynomial, comparing coefficient
-tuples low-degree-first.  The built-in table can be overridden through the
-CONJUCYCLIC_CONWAY_TABLE environment variable, naming a JSON file that maps
-str(p^(2m)) to a low-degree-first coefficient list.
+tuples low-degree-first.  The search runs on poly.py's arithmetic over
+PrimeField(p) and accepts f when x has order p^d - 1 modulo f.  The
+built-in table can be overridden through the CONJUCYCLIC_CONWAY_TABLE
+environment variable, naming a JSON file that maps str(p^(2m)) to a
+low-degree-first coefficient list.  Sizes above the 2^24 cap are refused
+before any primality test.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .errors import (
     NoPrimitivePolynomialError,
     NotPrimeError,
 )
+from .poly import poly_mod, poly_powmod
 
 #: Hard cap on q^2 so the exp/log tables stay in memory.  Measured build
 #: time, resident and peak RSS: q = 4096 (the cap) 3.9 s, 0.82 / 1.07 GB;
@@ -61,21 +65,6 @@ CONWAY_POLYNOMIALS = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> dict:
     """Prime factorization by trial division, {prime: exponent}."""
     out = {}
@@ -90,6 +79,10 @@ def factorize(n: int) -> dict:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """Split q = p^m, raising NotPrimeError if q is not a prime power."""
     if q < 2:
@@ -101,92 +94,40 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-# ---------------------------------------------------------------------------
-# Dense polynomial helpers over the prime field GF(p).  Polynomials are
-# lists of ints in [0, p), low degree first, no trailing zeros.
-# ---------------------------------------------------------------------------
+class PrimeField:
+    """GF(p) on the ints 0 .. p - 1, with the arithmetic poly.py asks of a tower."""
 
-def _pf_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    def __init__(self, p: int) -> None:
+        self.p = p
 
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-def _pf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
 
 
-def _pf_mod(a, f, p):
-    a = list(a)
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) >= len(f):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(f)
-        if c:
-            for j, fj in enumerate(f):
-                a[shift + j] = (a[shift + j] - c * fj) % p
-        a.pop()
-        _pf_trim(a)
-        if not a:
-            break
-    return a
+def is_primitive(f, p: int) -> bool:
+    """f, monic of degree d over GF(p), is irreducible and x generates GF(p^d)*.
 
-
-def _pf_powmod(base, e, f, p):
-    result = [1]
-    base = _pf_mod(list(base), f, p)
-    while e:
-        if e & 1:
-            result = _pf_mod(_pf_mul(result, base, p), f, p)
-        base = _pf_mod(_pf_mul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _pf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pf_mod(a, b, p)
-    return a
-
-
-def _pf_is_irreducible(f, p):
-    """Rabin test: f of degree d is irreducible over GF(p)."""
-    d = len(f) - 1
-    if d < 1 or (f[0] == 0 and d > 1):
-        return False
-    x = [0, 1]
-    xq = _pf_powmod(x, p ** d, f, p)
-    diff = _pf_trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)])
-    if diff:
-        return False
-    for r in factorize(d):
-        xe = _pf_powmod(x, p ** (d // r), f, p)
-        diff = _pf_trim([(a - b) % p for a, b in itertools.zip_longest(xe, x, fillvalue=0)])
-        g = _pf_gcd(f, diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _pf_is_primitive(f, p):
-    """f irreducible of degree d and x generates GF(p^d)*."""
-    d = len(f) - 1
-    if not _pf_is_irreducible(f, p):
+    Decided by the order of x alone (Lidl-Niederreiter, ch. 3): if x is a
+    unit with x^(p^d) = x and x^((p^d - 1)/r) != 1 for every prime r | p^d - 1,
+    then x has order p^d - 1, so all p^d - 1 nonzero residues mod f are
+    units, GF(p)[x]/(f) is a field and f is irreducible.  A separate
+    irreducibility test (Rabin's) would reject nothing more.
+    """
+    gf, f, d = PrimeField(p), tuple(f), len(f) - 1
+    x = poly_mod(gf, (0, 1), f)
+    if f[0] == 0 or poly_powmod(gf, x, p ** d, f) != x:  # f(0) = 0: x is no unit
         return False
     order = p ** d - 1
-    for r in factorize(order):
-        xe = _pf_powmod([0, 1], order // r, f, p)
-        if xe == [1]:
-            return False
-    return True
+    return all(poly_powmod(gf, x, order // r, f) != (1,) for r in factorize(order))
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +141,7 @@ def smallest_primitive(p: int, d: int) -> tuple[int, ...]:
         norm = (-1) ** d * f0 % p
         if all(pow(norm, (p - 1) // r, p) != 1 for r in factorize(p - 1)):
             for rest in itertools.product(range(p), repeat=d - 1):
-                if _pf_is_primitive([f0, *rest, 1], p):
+                if is_primitive((f0, *rest, 1), p):
                     return (f0, *rest, 1)
     raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {d} over GF({p})")
 
@@ -479,13 +420,12 @@ def build_tower(p: int, m: int) -> FieldTower:
     """
     if m < 1:
         raise ValueError(f"extension degree m must be >= 1, got {m}")
+    # the size check comes first: it is instant, the primality test is not
+    if 2 * m > 24 or p ** (2 * m) > MAX_FIELD_SIZE:
+        raise FieldTooLargeError(f"GF({p}^{2 * m}) exceeds the table cap of 2^24 elements")
     if not is_prime(p):
         raise NotPrimeError(f"characteristic {p} is not prime")
     size = p ** (2 * m)
-    if size > MAX_FIELD_SIZE:
-        raise FieldTooLargeError(
-            f"GF({size}) exceeds the table cap of 2^24 elements"
-        )
     table = _load_conway_table()
     modulus = table.get(size)
     if modulus is None:
@@ -500,6 +440,8 @@ def build_tower(p: int, m: int) -> FieldTower:
 
 def tower_for_q(q: int) -> FieldTower:
     """Canonical tower for a prime-power subfield size q."""
+    if q >= 2 and q * q > MAX_FIELD_SIZE:  # before the trial division in prime_power
+        raise FieldTooLargeError(f"GF({q}^2) exceeds the table cap of 2^24 elements")
     p, m = prime_power(q)
     return build_tower(p, m)
 

@@ -3,7 +3,9 @@
 A polynomial is a tuple of element codes, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Coefficients are
 expected to lie in the subfield GF(q) of the ambient tower, which is where
-all generator polynomials of the cyclic codes of interest live.
+all generator polynomials of the cyclic codes of interest live.  The
+arithmetic asks of `tower` only add, neg, mul and inv, so field.PrimeField
+serves for polynomials over GF(p).
 
 Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
@@ -12,6 +14,11 @@ Cantor-Zassenhaus equal-degree factorization, and raise everything to the
 p^ell-th power.  The trial polynomials of the randomized split come from a
 generator seeded afresh in every call, and the factors are unique and
 sorted, so repeated runs agree bit for bit.
+
+Every divisor comes from one table, Factorization.powers, holding each
+factor's powers up to the multiplicity: Factorization.divisor,
+enumerate_divisors and the self-check x^(2n) - 1 = divisor((p^ell, ...))
+all multiply its entries.
 """
 
 from __future__ import annotations
@@ -180,7 +187,8 @@ def _multiplicative_order(q: int, n0: int) -> int:
     return order
 
 
-def _poly_powmod(tower, a, e: int, f) -> tuple:
+def poly_powmod(tower, a, e: int, f) -> tuple:
+    """a^e mod f by square and multiply; a must already be reduced mod f."""
     result, base = (1,), a
     while e:
         if e & 1:
@@ -207,7 +215,7 @@ def _split_equal_degree(tower, f, r: int, rng) -> list:
                 term = poly_mod(tower, poly_mul(tower, term, term), f)
                 probe = poly_add(tower, probe, term)
         else:
-            power = _poly_powmod(tower, a, (tower.q ** r - 1) // 2, f)
+            power = poly_powmod(tower, a, (tower.q ** r - 1) // 2, f)
             probe = poly_sub(tower, power, (1,))
         g = poly_gcd(tower, f, probe)
         if 0 < degree(g) < degree(f):
@@ -227,9 +235,19 @@ class Factorization:
     multiplicity: int
     base: tuple
     degrees: tuple = dataclass_field(init=False)
+    #: powers[i][e] = base[i]^e for 0 <= e <= multiplicity; every divisor
+    #: is a product of one entry per row.
+    powers: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(degree(g) for g in self.base))
+        rows = []
+        for g in self.base:
+            row = [(1,)]
+            for _ in range(self.multiplicity):
+                row.append(poly_mul(self.tower, row[-1], g))
+            rows.append(tuple(row))
+        object.__setattr__(self, "powers", tuple(rows))
 
     @property
     def t(self) -> int:
@@ -249,9 +267,9 @@ class Factorization:
                 f"exponents must be {self.t} values in [0, {self.multiplicity}]"
             )
         out = (1,)
-        for g, e in zip(self.base, exponents):
+        for row, e in zip(self.powers, exponents):
             if e:
-                out = poly_mul(self.tower, out, poly_pow(self.tower, g, e))
+                out = poly_mul(self.tower, out, row[e])
         return out
 
     def to_json(self) -> dict:
@@ -297,25 +315,15 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
     fac = Factorization(
         tower=tower, n=n, n0=n0, ell=ell, multiplicity=p ** ell, base=tuple(base)
     )
-    product = (1,)
-    for g in fac.base:
-        product = poly_mul(tower, product, poly_pow(tower, g, fac.multiplicity))
-    assert product == x_pow_minus_one(tower, two_n), "factorization self-check failed"
+    full = fac.divisor((fac.multiplicity,) * fac.t)
+    assert full == x_pow_minus_one(tower, two_n), "factorization self-check failed"
     return fac
 
 
 def enumerate_divisors(fac: Factorization):
     """Yield every (exponents, divisor) pair, exponent tuples in lex order."""
-    cache = [
-        [poly_pow(fac.tower, g, e) for e in range(fac.multiplicity + 1)]
-        for g in fac.base
-    ]
     for exponents in itertools.product(range(fac.multiplicity + 1), repeat=fac.t):
-        out = (1,)
-        for powers, e in zip(cache, exponents):
-            if e:
-                out = poly_mul(fac.tower, out, powers[e])
-        yield exponents, out
+        yield exponents, fac.divisor(exponents)
 
 
 def check_divisor(tower, n: int, g) -> tuple:

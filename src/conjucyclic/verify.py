@@ -21,7 +21,7 @@ from .conju import _inversion_constants
 from .cyclic import cyclic_shift
 from .field import build_tower, tower_for_q
 from .poly import degree, enumerate_divisors, factor_x2n_minus_1, normalize
-from .weights import is_alternating_dual_containing, weight_distribution
+from .weights import stabilizer_params, weight_distribution
 
 
 def _span(tower, rows):
@@ -133,33 +133,24 @@ def _check_ternary_n11_weights(budget, workers):
     assert dist.counts[5] > 0
 
 
-def _quaternary_distribution(budget, workers, cache):
-    if "dist" not in cache:
-        code = _build_reference_code(refdata.QUATERNARY_N11)
-        cache["dist"] = weight_distribution(code, budget=budget, workers=workers)
-    return cache["dist"]
-
-
-def _check_quaternary_n11_weights(budget, workers, cache):
+def _check_quaternary_n11_weights(budget, workers):
     data = refdata.QUATERNARY_N11
-    dist = _quaternary_distribution(budget, workers, cache)
+    code = _build_reference_code(data)
+    dist = weight_distribution(code, budget=budget, workers=workers)
     assert dist.counts == data["weight_distribution"], f"distribution {dist.counts}"
     assert dist.min_weight == data["min_weight"]
 
 
-def _check_quaternary_n11_stabilizer(budget, workers, cache):
-    data = refdata.QUATERNARY_N11
-    code = _build_reference_code(data)
-    assert is_alternating_dual_containing(code)
-    dist = _quaternary_distribution(budget, workers, cache)
-    n, k, d, q = data["stabilizer"]
-    assert (code.n, code.card_log_q - code.n, dist.min_weight) == (n, k, d)
-    assert code.tower.q == q
+def _check_quaternary_n11_stabilizer(budget, workers):
+    code = _build_reference_code(refdata.QUATERNARY_N11)
+    params = stabilizer_params(code, budget=budget, workers=workers)
+    n, k, d, q = refdata.QUATERNARY_N11["stabilizer"]
+    assert str(params) == f"[[{n},{k},{d}]]_{q}", f"parameters {params}"
+    assert params.pure, "not pure"
 
 
 def run_checks(budget: int, workers: int, out=None) -> int:
     """Run all known-answer checks; print one line each; return fail count."""
-    cache: dict = {}
     checks = [
         ("f9-trace-pair-table", _check_f9_trace_pair_table),
         ("f9-inversion-constants", _check_f9_inversion_constants),
@@ -176,11 +167,11 @@ def run_checks(budget: int, workers: int, out=None) -> int:
         ),
         (
             "quaternary-n11-distribution",
-            lambda: _check_quaternary_n11_weights(budget, workers, cache),
+            lambda: _check_quaternary_n11_weights(budget, workers),
         ),
         (
             "quaternary-n11-stabilizer",
-            lambda: _check_quaternary_n11_stabilizer(budget, workers, cache),
+            lambda: _check_quaternary_n11_stabilizer(budget, workers),
         ),
     ]
     failures = 0

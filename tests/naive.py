@@ -189,13 +189,13 @@ def smallest_primitive(p, d):
     """Lexicographically smallest monic primitive polynomial of degree d,
     scanning every tail (low-degree-first) with a nonzero constant term."""
     from conjucyclic import NoPrimitivePolynomialError
-    from conjucyclic.field import _pf_is_primitive
+    from conjucyclic.field import is_primitive
 
     for tail in itertools.product(range(p), repeat=d):
         if tail[0] == 0:
             continue
         f = list(tail) + [1]
-        if _pf_is_primitive(f, p):
+        if is_primitive(f, p):
             return tuple(f)
     raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {d} over GF({p})")
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -122,8 +123,9 @@ def test_zero_code_report(capsys):
 
 def test_exit_codes(capsys):
     # not a prime power
-    code, _, err = run(capsys, "factor", "--q", "6", "--n", "2")
-    assert code == cli.EXIT_DOMAIN_ERROR and "prime" in err
+    for q in ("1", "6"):
+        code, _, err = run(capsys, "factor", "--q", q, "--n", "2")
+        assert code == cli.EXIT_DOMAIN_ERROR and "not a prime power" in err
     # not a divisor
     code, _, err = run(capsys, "code", "--q", "3", "--n", "2", "--g", "1,1,1")
     assert code == cli.EXIT_NOT_A_DIVISOR
@@ -144,6 +146,14 @@ def test_exit_codes(capsys):
     # n must be positive
     code, _, err = run(capsys, "factor", "--q", "3", "--n", "0")
     assert code == cli.EXIT_DOMAIN_ERROR
+
+
+def test_field_above_the_cap_fails_fast(capsys):
+    # 2^61 - 1 is prime: trial division would run for minutes, the size check is instant
+    start = time.perf_counter()
+    code, _, err = run(capsys, "factor", "--q", str(2**61 - 1), "--n", "1")
+    assert code == cli.EXIT_DOMAIN_ERROR and "table cap" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_usage_error_exits_2(capsys):

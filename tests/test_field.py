@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -139,6 +140,10 @@ def test_build_errors():
         tower_for_q(6)
     with pytest.raises(FieldTooLargeError):
         build_tower(2, 13)
+    with pytest.raises(FieldTooLargeError):
+        build_tower(2**61 - 1, 1)  # prime, but refused before any primality test
+    with pytest.raises(FieldTooLargeError):
+        tower_for_q(2**61 - 1)
     with pytest.raises(ValueError):
         build_tower(3, 0)
 
@@ -159,9 +164,9 @@ def test_fallback_modulus_is_lex_smallest_primitive():
 def test_modulus_search_runs_once_per_degree(monkeypatch):
     # 5^6 is not in the Conway table, so the tower needs the fallback search
     calls = []
-    original = field._pf_is_primitive
+    original = field.is_primitive
     monkeypatch.setattr(
-        field, "_pf_is_primitive", lambda f, p: calls.append(1) or original(f, p)
+        field, "is_primitive", lambda f, p: calls.append(1) or original(f, p)
     )
     field.smallest_primitive.cache_clear()
     first = build_tower(5, 3)
@@ -178,6 +183,47 @@ def test_modulus_search_matches_unfiltered_scan(p):
     while p ** d <= 6561:
         assert field.smallest_primitive(p, d) == naive.smallest_primitive(p, d)
         d += 1
+
+
+def test_primitivity_matches_shift_register():
+    # every monic f with f(0) != 0, degree d >= 2 and p^d <= 729; the shift
+    # register refuses exactly the moduli whose x does not generate GF(p^d)*
+    checked = 0
+    for p in filter(field.is_prime, range(2, 28)):
+        d = 2
+        while p ** d <= 729:
+            for f0 in range(1, p):
+                for rest in itertools.product(range(p), repeat=d - 1):
+                    f = (f0, *rest, 1)
+                    try:
+                        naive.tower_tables(p, d, f)
+                    except NoPrimitivePolynomialError:
+                        expected = False
+                    else:
+                        expected = True
+                    assert field.is_primitive(f, p) == expected, (p, f)
+                    checked += 1
+            d += 1
+    assert checked == 3578
+
+
+# sha256 over repr((p, 2m, modulus)) of every tower with p^(2m) <= 2^24
+# outside the Conway table, in (p, m) order; pins the fallback search.
+MODULI_DIGEST = "35587e63f8180a612b7626460647a4729a81c85bf9ac138d38b7611848edcb15"
+
+
+def test_moduli_to_the_cap_are_pinned():
+    digest = hashlib.sha256()
+    towers = 0
+    for p in filter(field.is_prime, range(2, 1 << 12)):
+        m = 1
+        while p ** (2 * m) <= field.MAX_FIELD_SIZE:
+            if p ** (2 * m) not in CONWAY_POLYNOMIALS:
+                digest.update(repr((p, 2 * m, field.smallest_primitive(p, 2 * m))).encode())
+                towers += 1
+            m += 1
+    assert towers == 596
+    assert digest.hexdigest() == MODULI_DIGEST
 
 
 def _small_fields():
