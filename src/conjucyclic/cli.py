@@ -76,8 +76,9 @@ def _add_enum_flags(parser):
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="cap on enumerated words: q^min(k, 2n-k), the smaller of the code "
-        "and its alternating dual (default 2^28)",
+        help="cap on the words of the enumerated side: q^min(k, 2n-k), the "
+        "smaller of the code and its alternating dual (default 2^28); the "
+        "sweep visits about 1/(q-1) of them",
     )
 
 

@@ -16,22 +16,30 @@ and every division by the enumerated side's size is asserted exact.  The
 budget caps the enumerated side: q^min(k, 2n - k) words.
 
 Enumeration runs over messages: a side spanned by r GF(q)-independent
-rows has exactly q^r words, one per message in GF(q)^r.  A word is packed
-into uint64 words: each base-p digit takes a c-bit field and adds as in
-field.packed_add, a coordinate takes 2m*c contiguous bits, and
-64 // (2m*c) whole coordinates share a word (at most 42 bits under the
+rows has exactly q^r words, one per message in GF(q)^r.  Scaling a word by
+a nonzero lambda in GF(q) keeps its weight, so the nonzero words fall into
+(q^r - 1)/(q - 1) classes of q - 1 words of equal weight, one class per
+GF(q)-projective point, and the sweep visits about one word per class.  A
+word is packed into uint64 words: each base-p digit takes a c-bit field
+and adds as in field.packed_add, a coordinate takes 2m*c contiguous bits,
+and 64 // (2m*c) whole coordinates share a word (at most 42 bits under the
 2^24 table cap, so none straddles two words).  A coordinate is zero
 exactly when its bits are, so the weight is the popcount of one mark bit
 per nonzero coordinate; no table lookups run inside the hot loop.
 
 The kernel is a blocked meet-in-the-middle sweep: the rows are split in
-half, all GF(q)-combinations of each half are materialized as packed
-words, and the histogram accumulates over outer-block + inner-span sums in
-vectorized blocks.  Work partitions across a thread pool by slicing the
-outer span (equivalently, fixing leading message digits); numpy's bitwise
-ufuncs release the interpreter lock, and per-thread histograms merge by
-integer addition, so the result is identical for any worker count and
-schedule.
+half, and the inner half's full span and the outer half's zero word and
+projective representatives (the messages whose first nonzero digit is 1)
+are materialized as packed words.  The histogram H accumulates over every
+outer-word + inner-word sum in vectorized blocks, and Z, the histogram of
+the outer = 0 slice (the inner span itself), comes from the inner span's
+own marks.  A sum with a nonzero outer representative stands for its
+q - 1 nonzero multiples, so A = (q - 1)(H - Z) + Z.  The kernel visits
+(q^r_out - 1)/(q - 1) q^r_in + q^r_in words, about 1/(q - 1) of the q^r.
+Work partitions across a thread pool by slicing the outer words
+(equivalently, fixing leading message digits); numpy's bitwise ufuncs
+release the interpreter lock, and per-thread histograms merge by integer
+addition, so the result is identical for any worker count and schedule.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ import numpy as np
 from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
 from .field import digit_bits, packed_add, packed_span
 
-#: Default cap on the number of enumerated words, q^min(k, 2n - k).
+#: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
+#: sweep visits about 1/(q - 1) of them, one per projective point.
 DEFAULT_BUDGET = 1 << 28
 
 _CHUNK_WORDS = 1 << 16
@@ -122,14 +131,15 @@ def _layout(tower):
 def _pack(tower, rows, n):
     """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as above."""
     c, width, per = _layout(tower)
-    out = np.zeros((-(-n // per), len(rows)), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        words = [0] * len(out)
-        for j, x in enumerate(row):
-            coord = sum(d << (k * c) for k, d in enumerate(tower.digits(x)))
-            words[j // per] |= coord << (j % per * width)
-        out[:, i] = words
-    return out
+    nw = -(-n // per)
+    codes = np.zeros((len(rows), nw * per), dtype=np.uint64)
+    codes[:, :n] = rows
+    coords = np.zeros_like(codes)
+    for k in range(tower.ext_degree):  # base-p digit k to bit k * c
+        coords |= codes // tower.p ** k % tower.p << np.uint64(k * c)
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
+    words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
+    return np.ascontiguousarray(words.T)
 
 
 def _kernel(tower):
@@ -139,8 +149,17 @@ def _kernel(tower):
     return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
 
 
+def _marks(x, out, kernel):
+    """out = the top bit of each coordinate of x, set iff any of its bits is."""
+    _, low, top = kernel
+    np.bitwise_and(x, low, out=out)
+    out += low
+    out |= x
+    out &= top
+
+
 def _histogram(outer, inner, kernel, n):
-    add, low, top = kernel
+    add = kernel[0]
     counts = np.zeros(n + 1, dtype=np.int64)
     step = max(1, min(outer.shape[1], _CHUNK_WORDS // inner.size))
     x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
@@ -150,14 +169,37 @@ def _histogram(outer, inner, kernel, n):
         rows = block.shape[1]
         xs, ys, ws = x[:, :rows], y[:, :rows], weights[:rows]
         add(block, inner[:, None, :], xs, ys)
-        # top bit of a coordinate: set iff any of its bits is
-        np.bitwise_and(xs, low, out=ys)
-        ys += low
-        ys |= xs
-        ys &= top
+        _marks(xs, ys, kernel)
         np.sum(np.bitwise_count(ys), axis=0, out=ws)
         counts += np.bincount(ws.ravel(), minlength=n + 1)
     return counts
+
+
+def _projective_span(add, multiples, nw):
+    """Zero, then one word per GF(q)-projective point of the span.
+
+    The representatives are the messages whose first nonzero digit is 1:
+    row j plus the span of the rows after it, for each j.  Column 1 of each
+    multiples array is the row itself (tower.subfield is sorted, so codes 0
+    and 1 come first).  The span of the trailing rows grows one row at a
+    time and each block of representatives is written in place, so the
+    result, (nw, 1 + (q^r - 1)/(q - 1)) words, is never copied.
+    """
+    q, r = multiples[0].shape[1], len(multiples)
+    out = np.zeros((nw, 1 + (q ** r - 1) // (q - 1)), dtype=np.uint64)
+    tmp = np.empty(nw * q ** (r - 1), dtype=np.uint64)  # the adds' scratch
+    span, lo = out[:, :1], 1  # the span of no rows: the zero word
+    for j in reversed(range(r)):
+        size = span.shape[1]
+        part, scratch = out[:, lo : lo + size], tmp[: nw * size].reshape(nw, size)
+        add(span, multiples[j][:, 1:2], part, scratch)
+        lo += size
+        if j:
+            shape = (nw, q, size)
+            new, scratch = np.empty(shape, dtype=np.uint64), tmp[: nw * q * size]
+            add(multiples[j][:, :, None], span[:, None, :], new, scratch.reshape(shape))
+            span = new.reshape(nw, -1)
+    return out
 
 
 def _span_counts(tower, rows, n, workers):
@@ -165,18 +207,18 @@ def _span_counts(tower, rows, n, workers):
 
     The rows must be GF(q)-independent so that messages and words are in
     bijection (true for every generator and dual matrix built in this
-    package).
+    package).  The outer half runs over zero and one representative per
+    projective point, so A = (q - 1)(H - Z) + Z as in the module docstring.
     """
-    r = len(rows)
+    r, q = len(rows), tower.q
     if r == 0:
         return [1] + [0] * n
-    multiples = [
-        _pack(tower, [[tower.mul(k, x) for x in row] for k in tower.subfield], n)
-        for row in rows
-    ]
+    scaled = [[tower.mul(k, x) for x in row] for row in rows for k in tower.subfield]
+    packed = _pack(tower, scaled, n)
+    multiples = [packed[:, j * q : (j + 1) * q] for j in range(r)]
     kernel, nw = _kernel(tower), len(multiples[0])
     inner = packed_span(kernel[0], multiples[: r // 2], nw)
-    outer = packed_span(kernel[0], multiples[r // 2 :], nw)
+    outer = _projective_span(kernel[0], multiples[r // 2 :], nw)
     workers = min(max(1, int(workers)), os.cpu_count() or 1)
     if workers == 1 or outer.shape[1] < 2 * workers:
         total = _histogram(outer, inner, kernel, n)
@@ -184,8 +226,11 @@ def _span_counts(tower, rows, n, workers):
         parts = np.array_split(outer, workers, axis=1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             total = sum(pool.map(lambda o: _histogram(o, inner, kernel, n), parts))
-    counts = [int(c) for c in total]
-    assert sum(counts) == tower.q ** r, "histogram does not cover the span"
+    marks = np.empty_like(inner)
+    _marks(inner, marks, kernel)
+    zero = np.bincount(np.bitwise_count(marks).sum(axis=0), minlength=n + 1)
+    counts = [int(c) for c in (q - 1) * (total - zero) + zero]
+    assert sum(counts) == q ** r, "histogram does not cover the span"
     return counts
 
 

@@ -139,6 +139,40 @@ def test_multi_word_rows_match_naive_enumeration():
         assert checked > 0
 
 
+def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
+    # the kernel visits the inner span against zero and one representative
+    # per projective point of the outer half, (q^r_out - 1)/(q - 1) q^r_in +
+    # q^r_in words for a side of q^r words; at r = 1 the inner span is the
+    # zero word.  Scaling by q - 1 makes every A_w (w > 0) of the enumerated
+    # side a multiple of q - 1 by construction, so the naive spans are the
+    # check on the counts themselves
+    histogram, visited = weights._histogram, []
+
+    def recording(outer, inner, kernel, n):
+        visited.append(outer.shape[1] * inner.shape[1])
+        return histogram(outer, inner, kernel, n)
+
+    monkeypatch.setattr(weights, "_histogram", recording)
+    grid = (2, 3, 4, 5, 7, 8, 9)
+    seen = set()
+    for code in all_divisor_codes([(q, n) for q in grid for n in (1, 2)]):
+        tower, q, n = code.tower, code.tower.q, code.n
+        sides = (("code", code.gen_matrix), ("dual", code.alternating_dual_matrix()))
+        for side, rows in sides:
+            r = len(rows)
+            if not 1 <= r <= 3:
+                continue
+            words = naive.span(tower, rows, n)
+            expected = naive.weight_histogram(words, n, naive.hamming_weight)
+            r_in, r_out = r // 2, r - r // 2
+            for workers in (1, 2, 10 ** 6):
+                visited.clear()
+                assert weights._span_counts(tower, rows, n, workers) == expected
+                assert sum(visited) == (q ** r_out - 1) // (q - 1) * q ** r_in + q ** r_in
+            seen.add((q, side, r))
+    assert seen == {(q, side, r) for q in grid for side in ("code", "dual") for r in (1, 2, 3)}
+
+
 def test_budget_enforcement(ternary_code):
     # the budget caps the smaller side: the ternary n = 11 code has 3^12
     # words and its alternating dual 3^10
