@@ -37,16 +37,9 @@ from .poly import degree, poly_divmod, poly_gcd, poly_mod
 
 def _inversion_constants(tower):
     """(A, B) with alpha = A * Tr(beta*alpha) - B * Tr(beta^q * alpha)."""
-    cached = getattr(tower, "_trace_pair_constants", None)
-    if cached is None:
-        q, modulus = tower.q, tower.q2 - 1
-        beta = tower.beta
-        denom = tower.sub(beta, tower.exp[(2 * q - 1) % modulus])
-        a = tower.inv(denom)
-        b = tower.mul(tower.exp[(q - 1) % modulus], a)
-        cached = (a, b)
-        tower._trace_pair_constants = cached
-    return cached
+    q, modulus = tower.q, tower.q2 - 1
+    a = tower.inv(tower.sub(tower.beta, tower.exp[(2 * q - 1) % modulus]))
+    return a, tower.mul(tower.exp[(q - 1) % modulus], a)
 
 
 def trace_pair(tower, alpha: int) -> tuple:
@@ -79,7 +72,11 @@ def contract(tower, vec) -> tuple:
     if len(vec) % 2:
         raise OddLengthError("contract needs an even-length q-ary vector")
     n = len(vec) // 2
-    return tuple(trace_pair_inv(tower, vec[i], vec[n + i]) for i in range(n))
+    a, b = _inversion_constants(tower)
+    return tuple(
+        tower.sub(tower.mul(a, first), tower.mul(b, second))
+        for first, second in zip(vec[:n], vec[n:])
+    )
 
 
 def conjucyclic_shift(tower, vec) -> tuple:

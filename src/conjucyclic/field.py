@@ -15,24 +15,20 @@ The subfield GF(q) is carved out of GF(q^2) by the fixed-point test
 x^q == x instead of being built as a separate structure, which keeps
 conjugation and trace trivially consistent with subfield membership.
 
-The modulus is canonical so that constructions are reproducible bit for
-bit: a built-in table of Conway polynomials covers p^(2m) in
-{4, 9, 16, 25, 49, 64, 81, 256}; anything else falls back to the
+The canonical tower is a pure function of (p, m), so that constructions
+are reproducible bit for bit: a built-in table of Conway polynomials covers
+p^(2m) in {4, 9, 16, 25, 49, 64, 81, 256}; anything else falls back to the
 lexicographically smallest primitive polynomial, comparing coefficient
 tuples low-degree-first.  The search runs on poly.py's arithmetic over
-PrimeField(p) and accepts f when x has order p^d - 1 modulo f.  The
-built-in table can be overridden through the CONJUCYCLIC_CONWAY_TABLE
-environment variable, naming a JSON file that maps str(p^(2m)) to a
-low-degree-first coefficient list.  Sizes above the 2^24 cap are refused
-before any primality test.
+PrimeField(p) and accepts f when x has order p^d - 1 modulo f.  Other
+moduli are passed to FieldTower(p, m, modulus) directly.  Sizes above the
+2^24 cap are refused before any primality test.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
-import os
 
 import numpy as np
 
@@ -48,8 +44,6 @@ from .poly import poly_mod, poly_powmod
 #: q = 2048 0.8 s, 0.23 / 0.29 GB; q = 3^7 1.6 s, 0.26 / 0.34 GB (one core
 #: of a 2-core Xeon, Python 3.11, numpy 2.4).
 MAX_FIELD_SIZE = 1 << 24
-
-CONWAY_TABLE_ENV = "CONJUCYCLIC_CONWAY_TABLE"
 
 # Conway polynomials, keyed by field size p^(2m), coefficients
 # low-degree-first including the leading 1.
@@ -130,7 +124,6 @@ def is_primitive(f, p: int) -> bool:
     return all(poly_powmod(gf, x, order // r, f) != (1,) for r in factorize(order))
 
 
-@functools.lru_cache(maxsize=None)
 def smallest_primitive(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of degree d.
 
@@ -144,17 +137,6 @@ def smallest_primitive(p: int, d: int) -> tuple[int, ...]:
                 if is_primitive((f0, *rest, 1), p):
                     return (f0, *rest, 1)
     raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {d} over GF({p})")
-
-
-def _load_conway_table() -> dict:
-    table = dict(CONWAY_POLYNOMIALS)
-    path = os.environ.get(CONWAY_TABLE_ENV)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            override = json.load(fh)
-        for key, coeffs in override.items():
-            table[int(key)] = tuple(int(c) for c in coeffs)
-    return table
 
 
 # Packed digit vectors: each base-p digit takes a field of c bits in a uint64
@@ -216,6 +198,8 @@ class FieldTower:
         modulus: primitive modulus of GF(q^2) over GF(p), low-degree-first.
         beta: code of the primitive element (residue class of the variable).
         exp, log: discrete log tables; exp[i] is the code of beta^i.
+        subfield: sorted codes of the q elements of GF(q), which are 0 and
+            the powers of beta^(q+1).
     """
 
     def __init__(self, p: int, m: int, modulus) -> None:
@@ -231,7 +215,7 @@ class FieldTower:
             )
         self._build_tables()
         self.beta = self.exp[1]
-        self._subfield = None
+        self.subfield = tuple(sorted([0] + self.exp[:: self.q + 1]))
 
     # -- construction -------------------------------------------------
 
@@ -351,17 +335,6 @@ class FieldTower:
     def in_subfield(self, a: int) -> bool:
         return self.conjugate(a) == a
 
-    @property
-    def subfield(self) -> tuple:
-        """Sorted codes of the q elements of GF(q); cached."""
-        if self._subfield is None:
-            codes = {0}
-            step = self.q + 1
-            for k in range(self.q - 1):
-                codes.add(self.exp[(k * step) % (self.q2 - 1)])
-            self._subfield = tuple(sorted(codes))
-        return self._subfield
-
     # -- encoding helpers ----------------------------------------------
 
     def digits(self, a: int) -> tuple:
@@ -397,26 +370,16 @@ class FieldTower:
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "FieldTower":
-        tower = build_tower(int(obj["p"]), int(obj["m"]))
-        if list(tower.modulus) != [c % tower.p for c in obj["modulus"]]:
-            tower = FieldTower(int(obj["p"]), int(obj["m"]), obj["modulus"])
-        return tower
-
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, m={self.m}, modulus={self.modulus})"
 
 
-_TOWER_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def build_tower(p: int, m: int, /) -> FieldTower:
+    """Construct the canonical tower GF(p^m) <= GF(p^(2m)), cached per (p, m).
 
-
-def build_tower(p: int, m: int) -> FieldTower:
-    """Construct the canonical tower GF(p^m) <= GF(p^(2m)).
-
-    The modulus comes from the Conway table (or its environment override)
-    when present, else from the lexicographically smallest primitive
-    polynomial search.  Results are cached per (p, m, modulus).
+    The modulus comes from the Conway table when present, else from the
+    lexicographically smallest primitive polynomial search.
     """
     if m < 1:
         raise ValueError(f"extension degree m must be >= 1, got {m}")
@@ -425,17 +388,8 @@ def build_tower(p: int, m: int) -> FieldTower:
         raise FieldTooLargeError(f"GF({p}^{2 * m}) exceeds the table cap of 2^24 elements")
     if not is_prime(p):
         raise NotPrimeError(f"characteristic {p} is not prime")
-    size = p ** (2 * m)
-    table = _load_conway_table()
-    modulus = table.get(size)
-    if modulus is None:
-        modulus = smallest_primitive(p, 2 * m)
-    key = (p, m, tuple(modulus))
-    tower = _TOWER_CACHE.get(key)
-    if tower is None:
-        tower = FieldTower(p, m, modulus)
-        _TOWER_CACHE[key] = tower
-    return tower
+    modulus = CONWAY_POLYNOMIALS.get(p ** (2 * m)) or smallest_primitive(p, 2 * m)
+    return FieldTower(p, m, modulus)
 
 
 def tower_for_q(q: int) -> FieldTower:

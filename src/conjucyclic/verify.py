@@ -2,7 +2,8 @@
 
 Runs every known-answer check from refdata against a fresh build and
 reports one line per check.  All comparisons are exact; the only knobs are
-the enumeration budget and worker count for the two length-11 sweeps.
+the enumeration budget and worker count, which the three length-11 weight
+checks (minimum weight, distribution, stabilizer) take.
 """
 
 from __future__ import annotations

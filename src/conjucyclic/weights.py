@@ -60,7 +60,7 @@ DEFAULT_BUDGET = 1 << 28
 _CHUNK_WORDS = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightDistribution:
     """Exact weight histogram: counts[w] codewords of weight w.
 

@@ -1,11 +1,10 @@
-import functools
 import hashlib
 import json
 import time
 
 import pytest
 
-from conjucyclic import cli, enumerate_divisors, factor_x2n_minus_1, tower_for_q
+from conjucyclic import build_tower, cli, enumerate_divisors, factor_x2n_minus_1, tower_for_q
 
 # sha256 of the concatenated stdout of `code` and `dual`, text then JSON,
 # over every --exps divisor of these (q, n) families in enumeration order;
@@ -212,11 +211,7 @@ def splitting_field_size(q, n):
     return q ** s
 
 
-def test_factor_output_bytes_are_pinned(capsys, monkeypatch):
-    # build_tower searches for the primitive modulus again on every call
-    # when GF(q^2) is not in the Conway table (about 1 s at q = 512), so the
-    # CLI here gets each tower once
-    monkeypatch.setattr(cli, "tower_for_q", functools.lru_cache(maxsize=None)(tower_for_q))
+def test_factor_output_bytes_are_pinned(capsys):
     digest = hashlib.sha256()
     pairs = [
         (q, n)
@@ -253,3 +248,26 @@ def test_weights_and_quantum_output_bytes_are_pinned(capsys):
                 runs += 1
     assert runs == 168
     assert digest.hexdigest() == WEIGHTS_DIGEST
+
+
+def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_path):
+    def outputs():
+        out = []
+        for q in (3, 25):
+            _, blob, _ = run_json(capsys, "factor", "--q", str(q), "--n", "2")
+            exps = ",".join(["1"] + ["0"] * (len(blob["factors"]) - 1))
+            for argv in (("factor",), ("code", "--exps", exps)):
+                code, text, _ = run(
+                    capsys, *argv, "--q", str(q), "--n", "2", "--format", "json"
+                )
+                assert code == 0
+                out.append(text)
+        return out
+
+    canonical = outputs()
+    # other primitive moduli of GF(9) and GF(625), once read from this variable
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"9": [2, 1, 1], "625": [2, 0, 2, 4, 1]}))
+    monkeypatch.setenv("CONJUCYCLIC_CONWAY_TABLE", str(path))
+    build_tower.cache_clear()
+    assert outputs() == canonical

@@ -7,14 +7,19 @@ import pytest
 
 import naive
 from conjucyclic import (
+    ConjucyclicCode,
     FieldTooLargeError,
     NoPrimitivePolynomialError,
     NotPrimeError,
     build_tower,
+    contract,
+    expand,
+    largest_cyclic_subcode,
     tower_for_q,
+    weight_distribution,
 )
 from conjucyclic import field
-from conjucyclic.field import CONWAY_POLYNOMIALS, CONWAY_TABLE_ENV, FieldTower
+from conjucyclic.field import CONWAY_POLYNOMIALS, FieldTower
 
 
 def brute_order(tower, a):
@@ -168,7 +173,7 @@ def test_modulus_search_runs_once_per_degree(monkeypatch):
     monkeypatch.setattr(
         field, "is_primitive", lambda f, p: calls.append(1) or original(f, p)
     )
-    field.smallest_primitive.cache_clear()
+    field.build_tower.cache_clear()
     first = build_tower(5, 3)
     searched = len(calls)
     assert searched > 0
@@ -271,23 +276,29 @@ def test_tower_tables_at_q2_2_20():
         assert t.conjugate(t.conjugate(a)) == a
 
 
-def test_conway_table_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps({"9": [2, 1, 1]}))
-    monkeypatch.setenv(CONWAY_TABLE_ENV, str(path))
-    t = build_tower(3, 1)
-    assert t.modulus == (2, 1, 1)
-    assert brute_order(t, t.beta) == 8
-    monkeypatch.delenv(CONWAY_TABLE_ENV)
-    assert build_tower(3, 1).modulus == (2, 2, 1)
-
-
 def test_json_round_trip():
     t = build_tower(2, 2)
     blob = json.dumps(t.to_json())
-    again = FieldTower.from_json(json.loads(blob))
+    again = FieldTower(**json.loads(blob))
     assert again.modulus == t.modulus
     assert (again.p, again.m) == (t.p, t.m)
+    assert again.exp == t.exp
+
+
+def test_canonical_tower_is_cached_per_p_m():
+    assert tower_for_q(3) is build_tower(3, 1)
+    assert tower_for_q(4) is build_tower(2, 2)
+
+
+def test_tower_gains_no_state_after_construction():
+    t = FieldTower(3, 1, (2, 2, 1))  # not the cached canonical object
+    keys = set(vars(t))
+    code = ConjucyclicCode(t, 4, (2, 0, 1))  # x^2 + 2 divides x^8 - 1
+    for row in code.gen_matrix:
+        assert contract(t, expand(t, row)) == row
+    largest_cyclic_subcode(code)
+    weight_distribution(code)
+    assert set(vars(t)) == keys
 
 
 def test_element_display_and_parse():

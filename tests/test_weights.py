@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -299,3 +300,9 @@ def test_distribution_json(ternary_code):
     assert blob["card"] == "3^12"
     assert blob["minWeight"] == 5
     assert blob["counts"][0] == 1 and len(blob["counts"]) == 12
+
+
+def test_distribution_is_frozen(f9):
+    dist = weight_distribution(ConjucyclicCode(f9, 2, (2, 0, 1)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.counts = [1]
