@@ -11,8 +11,9 @@ Subcommands:
 The generator polynomial is given either as --g with comma-separated
 coefficient codes (low degree first) or as --exps with one exponent per
 canonical irreducible factor, in the order printed by `factor`.  Output is
-human text by default; --format json emits one deterministic JSON object
-(keys sorted) suitable for round-tripping.
+human text by default; --format json emits one JSON object (keys sorted)
+suitable for round-tripping, deterministic except for the wall-clock
+elapsedMs that weights and quantum add.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 not a
 divisor, 4 enumeration budget exceeded, 5 not dual-containing, 6 other

@@ -54,17 +54,13 @@ def trace_pair(tower, alpha: int) -> tuple:
 
 def trace_pair_inv(tower, first: int, second: int) -> int:
     """Recover alpha from its trace pair."""
-    a, b = _inversion_constants(tower)
-    return tower.sub(tower.mul(a, first), tower.mul(b, second))
+    return contract(tower, (first, second))[0]
 
 
 def expand(tower, vec) -> tuple:
     """GF(q^2)^n -> GF(q)^{2n}: first trace-pair components, then second."""
-    beta = tower.beta
-    beta_q = tower.conjugate(beta)
-    firsts = tuple(tower.trace(tower.mul(beta, x)) for x in vec)
-    seconds = tuple(tower.trace(tower.mul(beta_q, x)) for x in vec)
-    return firsts + seconds
+    pairs = [trace_pair(tower, x) for x in vec]
+    return tuple(first for first, _ in pairs) + tuple(second for _, second in pairs)
 
 
 def contract(tower, vec) -> tuple:

@@ -21,8 +21,9 @@ p^(2m) in {4, 9, 16, 25, 49, 64, 81, 256}; anything else falls back to the
 lexicographically smallest primitive polynomial, comparing coefficient
 tuples low-degree-first.  The search runs on poly.py's arithmetic over
 PrimeField(p) and accepts f when x has order p^d - 1 modulo f.  Other
-moduli are passed to FieldTower(p, m, modulus) directly.  Sizes above the
-2^24 cap are refused before any primality test.
+moduli are passed to FieldTower(p, m, modulus) directly.  Both routes
+refuse m < 1, then sizes above the 2^24 cap before any primality test or
+table, then a composite p.
 """
 
 from __future__ import annotations
@@ -185,6 +186,17 @@ def packed_span(add, multiples, nw):
     return acc
 
 
+def _check_tower(p: int, m: int) -> None:
+    """Refuse m < 1, GF(p^(2m)) above the 2^24 cap and a composite p."""
+    if m < 1:
+        raise ValueError(f"extension degree m must be >= 1, got {m}")
+    # the size check comes first: it is instant, the primality test is not
+    if 2 * m > 24 or p ** (2 * m) > MAX_FIELD_SIZE:
+        raise FieldTooLargeError(f"GF({p}^{2 * m}) exceeds the table cap of 2^24 elements")
+    if not is_prime(p):
+        raise NotPrimeError(f"characteristic {p} is not prime")
+
+
 class FieldTower:
     """The pair (GF(q), GF(q^2)) with a fixed primitive element beta.
 
@@ -203,6 +215,7 @@ class FieldTower:
     """
 
     def __init__(self, p: int, m: int, modulus) -> None:
+        _check_tower(p, m)
         self.p = p
         self.m = m
         self.q = p ** m
@@ -381,13 +394,7 @@ def build_tower(p: int, m: int, /) -> FieldTower:
     The modulus comes from the Conway table when present, else from the
     lexicographically smallest primitive polynomial search.
     """
-    if m < 1:
-        raise ValueError(f"extension degree m must be >= 1, got {m}")
-    # the size check comes first: it is instant, the primality test is not
-    if 2 * m > 24 or p ** (2 * m) > MAX_FIELD_SIZE:
-        raise FieldTooLargeError(f"GF({p}^{2 * m}) exceeds the table cap of 2^24 elements")
-    if not is_prime(p):
-        raise NotPrimeError(f"characteristic {p} is not prime")
+    _check_tower(p, m)
     modulus = CONWAY_POLYNOMIALS.get(p ** (2 * m)) or smallest_primitive(p, 2 * m)
     return FieldTower(p, m, modulus)
 

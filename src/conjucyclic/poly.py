@@ -116,24 +116,6 @@ def poly_gcd(tower, a, b) -> tuple:
     return monic(tower, a)
 
 
-def poly_pow(tower, a, e: int) -> tuple:
-    result = (1,)
-    base = normalize(a)
-    while e:
-        if e & 1:
-            result = poly_mul(tower, result, base)
-        base = poly_mul(tower, base, base)
-        e >>= 1
-    return result
-
-
-def poly_eval(tower, a, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = tower.add(tower.mul(acc, x), c)
-    return acc
-
-
 def x_pow_minus_one(tower, n: int) -> tuple:
     """x^n - 1 as a coefficient tuple."""
     out = [0] * (n + 1)

@@ -28,13 +28,13 @@ exactly when its bits are, so the weight is the popcount of one mark bit
 per nonzero coordinate; no table lookups run inside the hot loop.
 
 The kernel is a blocked meet-in-the-middle sweep: the rows are split in
-half, and the inner half's full span and the outer half's zero word and
-projective representatives (the messages whose first nonzero digit is 1)
-are materialized as packed words.  The histogram H accumulates over every
-outer-word + inner-word sum in vectorized blocks, and Z, the histogram of
-the outer = 0 slice (the inner span itself), comes from the inner span's
-own marks.  A sum with a nonzero outer representative stands for its
-q - 1 nonzero multiples, so A = (q - 1)(H - Z) + Z.  The kernel visits
+half, and the inner half's full span and the outer half's projective
+representatives (the messages whose first nonzero digit is 1) are built
+as packed words by field.packed_span.  One histogram routine counts the
+weights of every outer-word + inner-word sum in vectorized blocks: H over
+the representatives, and Z over the zero word alone (the inner span
+itself).  A sum with an outer representative stands for its q - 1 nonzero
+multiples, so A = (q - 1) H + Z.  The kernel visits
 (q^r_out - 1)/(q - 1) q^r_in + q^r_in words, about 1/(q - 1) of the q^r.
 Work partitions across a thread pool by slicing the outer words
 (equivalently, fixing leading message digits); numpy's bitwise ufuncs
@@ -149,17 +149,9 @@ def _kernel(tower):
     return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
 
 
-def _marks(x, out, kernel):
-    """out = the top bit of each coordinate of x, set iff any of its bits is."""
-    _, low, top = kernel
-    np.bitwise_and(x, low, out=out)
-    out += low
-    out |= x
-    out &= top
-
-
 def _histogram(outer, inner, kernel, n):
-    add = kernel[0]
+    """Weight histogram of every outer-word + inner-word sum."""
+    add, low, top = kernel
     counts = np.zeros(n + 1, dtype=np.int64)
     step = max(1, min(outer.shape[1], _CHUNK_WORDS // inner.size))
     x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
@@ -169,37 +161,31 @@ def _histogram(outer, inner, kernel, n):
         rows = block.shape[1]
         xs, ys, ws = x[:, :rows], y[:, :rows], weights[:rows]
         add(block, inner[:, None, :], xs, ys)
-        _marks(xs, ys, kernel)
+        # mark the top bit of each coordinate iff any of its bits is set
+        np.bitwise_and(xs, low, out=ys)
+        ys += low
+        ys |= xs
+        ys &= top
         np.sum(np.bitwise_count(ys), axis=0, out=ws)
         counts += np.bincount(ws.ravel(), minlength=n + 1)
     return counts
 
 
 def _projective_span(add, multiples, nw):
-    """Zero, then one word per GF(q)-projective point of the span.
+    """One word per GF(q)-projective point of the span, zero excluded.
 
     The representatives are the messages whose first nonzero digit is 1:
     row j plus the span of the rows after it, for each j.  Column 1 of each
     multiples array is the row itself (tower.subfield is sorted, so codes 0
     and 1 come first).  The span of the trailing rows grows one row at a
-    time and each block of representatives is written in place, so the
-    result, (nw, 1 + (q^r - 1)/(q - 1)) words, is never copied.
+    time; the result has (nw, (q^r - 1)/(q - 1)) words.
     """
-    q, r = multiples[0].shape[1], len(multiples)
-    out = np.zeros((nw, 1 + (q ** r - 1) // (q - 1)), dtype=np.uint64)
-    tmp = np.empty(nw * q ** (r - 1), dtype=np.uint64)  # the adds' scratch
-    span, lo = out[:, :1], 1  # the span of no rows: the zero word
-    for j in reversed(range(r)):
-        size = span.shape[1]
-        part, scratch = out[:, lo : lo + size], tmp[: nw * size].reshape(nw, size)
-        add(span, multiples[j][:, 1:2], part, scratch)
-        lo += size
+    reps, tail = [], []  # tail: [the span of the rows after j], none at first
+    for j in reversed(range(len(multiples))):
+        reps.append(packed_span(add, [multiples[j][:, 1:2], *tail], nw))
         if j:
-            shape = (nw, q, size)
-            new, scratch = np.empty(shape, dtype=np.uint64), tmp[: nw * q * size]
-            add(multiples[j][:, :, None], span[:, None, :], new, scratch.reshape(shape))
-            span = new.reshape(nw, -1)
-    return out
+            tail = [packed_span(add, [multiples[j], *tail], nw)]
+    return np.concatenate(reps, axis=1)
 
 
 def _span_counts(tower, rows, n, workers):
@@ -207,8 +193,9 @@ def _span_counts(tower, rows, n, workers):
 
     The rows must be GF(q)-independent so that messages and words are in
     bijection (true for every generator and dual matrix built in this
-    package).  The outer half runs over zero and one representative per
-    projective point, so A = (q - 1)(H - Z) + Z as in the module docstring.
+    package).  The outer half runs over one representative per projective
+    point and Z over the zero word, so A = (q - 1) H + Z as in the module
+    docstring.
     """
     r, q = len(rows), tower.q
     if r == 0:
@@ -220,16 +207,14 @@ def _span_counts(tower, rows, n, workers):
     inner = packed_span(kernel[0], multiples[: r // 2], nw)
     outer = _projective_span(kernel[0], multiples[r // 2 :], nw)
     workers = min(max(1, int(workers)), os.cpu_count() or 1)
-    if workers == 1 or outer.shape[1] < 2 * workers:
+    if workers == 1:
         total = _histogram(outer, inner, kernel, n)
     else:
         parts = np.array_split(outer, workers, axis=1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             total = sum(pool.map(lambda o: _histogram(o, inner, kernel, n), parts))
-    marks = np.empty_like(inner)
-    _marks(inner, marks, kernel)
-    zero = np.bincount(np.bitwise_count(marks).sum(axis=0), minlength=n + 1)
-    counts = [int(c) for c in (q - 1) * (total - zero) + zero]
+    zero = _histogram(np.zeros((nw, 1), dtype=np.uint64), inner, kernel, n)
+    counts = [int(c) for c in (q - 1) * total + zero]
     assert sum(counts) == q ** r, "histogram does not cover the span"
     return counts
 

@@ -234,3 +234,25 @@ def tower_tables(p, d, modulus):
     if any(cur[j] != (1 if j == 0 else 0) for j in range(d)):
         raise NoPrimitivePolynomialError(f"modulus {modulus} over GF({p}) is not primitive")
     return exp, log
+
+
+def poly_pow(tower, a, e: int) -> tuple:
+    """a^e by square-and-multiply on poly.py's multiplication."""
+    from conjucyclic.poly import normalize, poly_mul
+
+    result = (1,)
+    base = normalize(a)
+    while e:
+        if e & 1:
+            result = poly_mul(tower, result, base)
+        base = poly_mul(tower, base, base)
+        e >>= 1
+    return result
+
+
+def poly_eval(tower, a, x: int) -> int:
+    """a(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = tower.add(tower.mul(acc, x), c)
+    return acc

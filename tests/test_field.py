@@ -138,7 +138,7 @@ def test_digit_round_trip():
     assert t.digits(t.beta) == (0, 1, 0, 0)
 
 
-def test_build_errors():
+def test_build_errors(monkeypatch):
     with pytest.raises(NotPrimeError):
         build_tower(4, 1)
     with pytest.raises(NotPrimeError):
@@ -151,6 +151,18 @@ def test_build_errors():
         tower_for_q(2**61 - 1)
     with pytest.raises(ValueError):
         build_tower(3, 0)
+    # a modulus given directly passes the same checks
+    with pytest.raises(ValueError):
+        FieldTower(2, 0, (1,))
+    with pytest.raises(NotPrimeError):
+        FieldTower(4, 1, (1, 1, 1))
+
+    def no_tables(self):
+        raise AssertionError("tables built for a field above the cap")
+
+    monkeypatch.setattr(FieldTower, "_build_tables", no_tables)
+    with pytest.raises(FieldTooLargeError):
+        FieldTower(2, 13, (1,) + (0,) * 25 + (1,))
 
 
 def test_fallback_modulus_is_lex_smallest_primitive():

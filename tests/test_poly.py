@@ -17,14 +17,13 @@ from conjucyclic.poly import (
     degree,
     normalize,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_mod,
     poly_mul,
-    poly_pow,
     x_pow_minus_one,
 )
 from conjucyclic.refdata import QUATERNARY_N11, TERNARY_N11, decode_vector
+from naive import poly_eval, poly_pow
 
 
 def is_irreducible(tower, g):
