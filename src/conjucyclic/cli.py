@@ -5,7 +5,7 @@ Subcommands:
     code     build a conjucyclic code: generator and dual matrices
     weights  exact weight distribution and minimum weight
     dual     alternating dual matrix and dual-containment verdict
-    quantum  derived stabilizer-code parameters [[n, k-n, >=d]]_q
+    quantum  derived stabilizer-code parameters [[n, k-n, d]]_q, k = 2n - deg g
     verify   run the built-in known-answer checks
 
 The generator polynomial is given either as --g with comma-separated

@@ -21,16 +21,15 @@ symplectic form through the expansion, scaled so that
     symplectic(expand(u), expand(v)) == alternating(u, v)
 
 holds identically; for characteristic 2 it coincides with the usual
-trace-Hermitian-style form.  Alternating duals and the trace dual
-(characteristic 2) come from the q-ary side through the expansion.  The
-largest plain-cyclic subcode is read off g alone: it is the length-n
-cyclic code <g / gcd(g, x^n + 1)>, written down in closed form.
+trace-Hermitian-style form.  The alternating dual is the orbit of one
+contracted row under a negated shift T-, and the largest plain-cyclic
+subcode is the length-n cyclic code <g / gcd(g, x^n + 1)>, in closed form.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .cyclic import CyclicCode, cyclic_shift, shift_iterates
+from .cyclic import CyclicCode, cyclic_shift, shift_iterates, symplectic_swap
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
 from .poly import degree, poly_divmod, poly_gcd, poly_mod
 
@@ -46,10 +45,7 @@ def trace_pair(tower, alpha: int) -> tuple:
     """(Tr(beta * alpha), Tr(beta^q * alpha)): a GF(q)-linear bijection
     of GF(q^2) onto GF(q)^2."""
     beta = tower.beta
-    return (
-        tower.trace(tower.mul(beta, alpha)),
-        tower.trace(tower.mul(tower.conjugate(beta), alpha)),
-    )
+    return tuple(tower.trace(tower.mul(b, alpha)) for b in (beta, tower.conjugate(beta)))
 
 
 def trace_pair_inv(tower, first: int, second: int) -> int:
@@ -168,19 +164,26 @@ class ConjucyclicCode:
 
     @property
     def k(self) -> int:
-        """deg g; the alternating dual has this many generator rows."""
+        """deg g (not the dimension 2n - deg g): the alternating dual's rows."""
         return self.cyclic.k
 
     def alternating_dual_matrix(self):
-        """Additive generator matrix of the alternating dual.
+        """Additive generator matrix of the alternating dual, of size q^(deg g).
 
-        Row i is the contraction of the i-th symplectic-dual row of the
-        mirror code; the GF(q)-span is the full alternating dual, of size
-        q^(deg g).
+        Row i is the contraction of the mirror's symplectic-dual row
+        tau(x^i h*), built as the T- iterates of row 0 = contract(tau(h*)),
+        where T-(c) = (-conj(c_{n-1}), c_0, ..., c_{n-2}).  Shifting v by x
+        and then applying tau gives tau(v) shifted cyclically with the
+        entries landing at positions 0 and n negated; contract turns that
+        twisted shift into T-.  So the dual is closed under T-, and under T
+        in general only in characteristic 2, where T- = T.
         """
-        return [
-            contract(self.tower, row) for row in self.cyclic.symplectic_dual_matrix()
-        ]
+        tower, mirror = self.tower, self.cyclic
+        h_star = mirror.coefficient_vector(mirror.h_star)
+        first = contract(tower, symplectic_swap(tower, h_star))
+        return shift_iterates(
+            first, self.k, lambda row: (tower.neg(tower.conjugate(row[-1])),) + row[:-1]
+        )
 
     def trace_dual_matrix(self):
         """Basis of the trace dual {v : Tr(<u, v>_e) = 0 for all u in C}.
@@ -192,10 +195,8 @@ class ConjucyclicCode:
         """
         if self.tower.p != 2:
             raise WrongCharacteristicError("the trace dual needs characteristic 2")
-        return [
-            tuple(self.tower.conjugate(x) for x in row)
-            for row in self.alternating_dual_matrix()
-        ]
+        conj = self.tower.conjugate
+        return [tuple(map(conj, row)) for row in self.alternating_dual_matrix()]
 
     def largest_cyclic_subcode(self):
         """Basis of the largest q-ary cyclic code contained in this code."""

@@ -60,17 +60,9 @@ def euclidean_inner(tower, u, v) -> int:
 
 
 def symplectic_inner(tower, u, v) -> int:
-    """sum_j (u_j v_{m+j} - u_{m+j} v_j) on vectors of even length 2m."""
-    if len(u) != len(v):
-        raise LengthMismatchError(f"lengths {len(u)} != {len(v)}")
-    if len(u) % 2:
-        raise LengthMismatchError("symplectic inner product needs even length")
-    m = len(u) // 2
-    acc = 0
-    for j in range(m):
-        acc = tower.add(acc, tower.mul(u[j], v[m + j]))
-        acc = tower.sub(acc, tower.mul(u[m + j], v[j]))
-    return acc
+    """sum_j (u_j v_{m+j} - u_{m+j} v_j) on vectors of even length 2m:
+    the Euclidean product of the half-swapped u with v."""
+    return euclidean_inner(tower, symplectic_swap(tower, u), v)
 
 
 class CyclicCode:

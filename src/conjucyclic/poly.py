@@ -51,14 +51,6 @@ def poly_add(tower, a, b) -> tuple:
     return normalize(out)
 
 
-def poly_neg(tower, a) -> tuple:
-    return tuple(tower.neg(c) for c in a)
-
-
-def poly_sub(tower, a, b) -> tuple:
-    return poly_add(tower, a, poly_neg(tower, b))
-
-
 def poly_mul(tower, a, b) -> tuple:
     if not a or not b:
         return ()
@@ -69,12 +61,6 @@ def poly_mul(tower, a, b) -> tuple:
                 if bj:
                     out[i + j] = tower.add(out[i + j], tower.mul(ai, bj))
     return normalize(out)
-
-
-def poly_scale(tower, c, a) -> tuple:
-    if c == 0:
-        return ()
-    return normalize([tower.mul(c, x) for x in a])
 
 
 def poly_divmod(tower, a, b) -> tuple:
@@ -106,7 +92,8 @@ def monic(tower, a) -> tuple:
         return ()
     if a[-1] == 1:
         return normalize(a)
-    return poly_scale(tower, tower.inv(a[-1]), a)
+    inv = tower.inv(a[-1])
+    return normalize([tower.mul(inv, x) for x in a])
 
 
 def poly_gcd(tower, a, b) -> tuple:
@@ -198,7 +185,7 @@ def _split_equal_degree(tower, f, r: int, rng) -> list:
                 probe = poly_add(tower, probe, term)
         else:
             power = poly_powmod(tower, a, (tower.q ** r - 1) // 2, f)
-            probe = poly_sub(tower, power, (1,))
+            probe = poly_add(tower, power, (tower.neg(1),))
         g = poly_gcd(tower, f, probe)
         if 0 < degree(g) < degree(f):
             return _split_equal_degree(tower, g, r, rng) + _split_equal_degree(

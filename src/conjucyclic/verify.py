@@ -150,7 +150,7 @@ def _check_quaternary_n11_stabilizer(budget, workers):
     assert params.pure, "not pure"
 
 
-def run_checks(budget: int, workers: int, out=None) -> int:
+def run_checks(budget: int, workers: int) -> int:
     """Run all known-answer checks; print one line each; return fail count."""
     checks = [
         ("f9-trace-pair-table", _check_f9_trace_pair_table),
@@ -182,8 +182,8 @@ def run_checks(budget: int, workers: int, out=None) -> int:
             check()
         except Exception as exc:  # report and keep going
             failures += 1
-            print(f"FAIL {name}: {exc}", file=out)
+            print(f"FAIL {name}: {exc}")
         else:
             elapsed = time.perf_counter() - start
-            print(f"ok   {name} ({elapsed:.2f}s)", file=out)
+            print(f"ok   {name} ({elapsed:.2f}s)")
     return failures

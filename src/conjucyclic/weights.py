@@ -1,18 +1,20 @@
 """Exhaustive Hamming weight enumeration, dual containment and
 stabilizer-code parameters.
 
-Dual containment is decided on the q-ary mirror by polynomial
-divisibility: the alternating dual lies in the code exactly when g divides
-every row of the mirror's symplectic dual.
+Dual containment is one polynomial division on the q-ary mirror: the
+alternating dual lies in the code exactly when g divides the first row
+tau(h*) of the mirror's symplectic dual; for odd q, exactly when g divides
+x^n - 1 or x^n + 1.
 
-A code C with k = 2n - deg g and its alternating dual C^perp (2n - k
-dimensions) determine each other's weight distributions: the expansion
-carries the alternating form to the symplectic form and Hamming weight
-over GF(q^2) to symplectic weight, so with Q = q^2 the MacWilliams
-identity W_C(x, y) = |C^perp|^-1 W_{C^perp}(x + (Q - 1) y, x - y) holds
-exactly.  Only the strictly smaller side is enumerated (C itself on a tie
-k = n); the other side's histogram is expanded from it in Python integers,
-and every division by the enumerated side's size is asserted exact.  The
+A code C of dimension k = 2n - deg g (card_log_q; ConjucyclicCode.k is
+deg g) and its alternating dual C^perp (2n - k dimensions) determine each
+other's weight distributions: the expansion carries the alternating form
+to the symplectic form and Hamming weight over GF(q^2) to symplectic
+weight, so with Q = q^2 the MacWilliams identity
+W_C(x, y) = |C^perp|^-1 W_{C^perp}(x + (Q - 1) y, x - y) holds exactly.
+Only the strictly smaller side is enumerated (C itself on a tie k = n);
+the other side's histogram is expanded from it in Python integers, and
+every division by the enumerated side's size is asserted exact.  The
 budget caps the enumerated side: q^min(k, 2n - k) words.
 
 Enumeration runs over messages: a side spanned by r GF(q)-independent
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclic import symplectic_swap
 from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
 from .field import digit_bits, packed_add, packed_span
 
@@ -80,10 +83,7 @@ class WeightDistribution:
     @property
     def min_weight(self):
         """Smallest positive weight present, or None for the zero code."""
-        for w, c in enumerate(self.counts):
-            if w > 0 and c:
-                return w
-        return None
+        return next((w for w, c in enumerate(self.counts) if w and c), None)
 
     def to_json(self) -> dict:
         return {
@@ -95,26 +95,30 @@ class WeightDistribution:
 
 @dataclass(frozen=True)
 class StabilizerParams:
-    """Parameters [[n, k_logical, >= d_lower]]_q of the derived stabilizer code.
+    """Parameters [[n, k_logical, d]]_q of the derived stabilizer code.
 
-    d_lower is the minimum weight of the code C.  pure tells whether the
-    stabilizer C^perp has no nonzero word lighter than the code's distance
-    min{w > 0 : A_w > B_w}; then that distance equals d_lower.
+    k_logical = dim - n for the code's dimension dim = 2n - deg g (its
+    card_log_q; ConjucyclicCode.k is deg g).  d is the exact distance, the
+    least weight of a word of C outside C^perp (see stabilizer_params);
+    d_lower is the minimum weight of C, a lower bound on d.  pure tells
+    whether C^perp has no nonzero word lighter than d; then d = d_lower.
     """
 
     n: int
     k_logical: int
+    d: int
     d_lower: int
     q: int
     pure: bool
 
     def __str__(self) -> str:
-        return f"[[{self.n},{self.k_logical},{self.d_lower}]]_{self.q}"
+        return f"[[{self.n},{self.k_logical},{self.d}]]_{self.q}"
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "kLogical": self.k_logical,
+            "d": self.d,
             "dLower": self.d_lower,
             "q": self.q,
             "pure": self.pure,
@@ -230,12 +234,8 @@ def _macwilliams(counts, size, q2):
         total = [a + (q2 - 1) * b for a, b in zip(total + [0], [0] + total)]
         power = [a - b for a, b in zip(power + [0], [0] + power)]
         total = [t + c * v for t, v in zip(total, power)]
-    out = []
-    for t in total:
-        w, rem = divmod(t, size)
-        assert rem == 0, "MacWilliams transform is not integral"
-        out.append(w)
-    return out
+    assert all(t % size == 0 for t in total), "MacWilliams transform is not integral"
+    return [t // size for t in total]
 
 
 def _enumerate_counts(code, budget, workers):
@@ -284,23 +284,32 @@ def min_weight(code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
 
 
 def is_alternating_dual_containing(code) -> bool:
-    """Whether the alternating dual is contained in the code.
+    """Whether the alternating dual is contained in the code: g | tau(h*).
 
-    On the q-ary mirror side this holds exactly when g divides every row
-    of the symplectic dual.
+    The mirror's symplectic dual has the rows tau(x^i h*), and with sigma
+    negating the upper half, tau(v) = x^n sigma(v) mod x^(2n) - 1.  For
+    p = 2, sigma is the identity and every row is a ring multiple of the
+    first, r = tau(h*).  For odd p, split by CRT over the coprime x^n - 1
+    and x^n + 1, g = g- g+ and h = h- h+ with g- h- = x^n - 1: sigma swaps
+    the two components, so all rows lie in <g> exactly when g- = 1 or
+    g+ = 1, that is when g divides x^n + 1 or x^n - 1.  The one test g | r
+    forces this: if g- != 1 != g+, then g- divides r mod x^n - 1, which is
+    h+* (h-* mod g+*) up to a unit (* the monic reciprocal), so g- divides
+    h-* mod g+*, nonzero of degree below deg g+; likewise deg g+ < deg g-.
     """
     mirror = code.cyclic
-    return all(mirror.contains(row) for row in mirror.symplectic_dual_matrix())
+    first = symplectic_swap(code.tower, mirror.coefficient_vector(mirror.h_star))
+    return mirror.contains(first)
 
 
 def stabilizer_params(
     code, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> StabilizerParams:
-    """Derive [[n, k - n, >= min weight]]_q and purity from a dual-containing code.
+    """Derive [[n, dim - n, d]]_q and purity from a dual-containing code.
 
-    With A and B the histograms of C and C^perp, the code is pure when
-    B_w = 0 for every 0 < w < min{w > 0 : A_w > B_w}; k = n (C = C^perp)
-    is pure by convention.
+    With A and B the histograms of C and C^perp, d = min{w > 0 : A_w > B_w}
+    for dim > n; dim = n (C = C^perp, so A = B) takes d = d_lower.  The code
+    is pure when B_w = 0 for every 0 < w < d, so always when dim = n.
     """
     if not is_alternating_dual_containing(code):
         raise NotDualContainingError(
@@ -310,10 +319,8 @@ def stabilizer_params(
     assert k >= n, "dual-containing code smaller than q^n"
     dist = weight_distribution(code, budget=budget, workers=workers)
     a, b = dist.counts, dist.dual_counts
-    pure = True
-    if k > n:
-        d = next(w for w in range(1, n + 1) if a[w] > b[w])
-        pure = not any(b[1:d])
+    d = next(w for w in range(1, n + 1) if a[w] > b[w]) if k > n else dist.min_weight
+    pure = not any(b[1:d])
     return StabilizerParams(
-        n=n, k_logical=k - n, d_lower=dist.min_weight, q=code.tower.q, pure=pure
+        n=n, k_logical=k - n, d=d, d_lower=dist.min_weight, q=code.tower.q, pure=pure
     )

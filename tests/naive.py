@@ -158,6 +158,20 @@ def dual_containing_by_elimination(code):
     )
 
 
+def alternating_dual_by_contraction(code):
+    """The alternating dual matrix row by row: the contraction of every
+    symplectic-dual row of the q-ary mirror."""
+    from conjucyclic import contract
+
+    return [contract(code.tower, row) for row in code.cyclic.symplectic_dual_matrix()]
+
+
+def dual_containing_all_rows(code):
+    """Whether g divides every row of the mirror's symplectic dual."""
+    mirror = code.cyclic
+    return all(mirror.contains(row) for row in mirror.symplectic_dual_matrix())
+
+
 def alternating_dual_matrix_char2(code):
     """Characteristic-2 form of the alternating dual matrix.
 

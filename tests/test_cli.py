@@ -22,7 +22,7 @@ FACTOR_DIGEST = "5bae363bd4a43a842280ca9de7aed6d6a7204d1c1ee665bdcda0881878ee635
 # and `quantum` over every --exps divisor of these (q, n) families in
 # enumeration order; pins the distributions and the stabilizer parameters.
 WEIGHTS_FAMILIES = ((2, 5), (3, 4), (4, 3), (5, 3))
-WEIGHTS_DIGEST = "bd6585e02a6a0de8ca4bcde192279ec5d5fce3fd77c8f542b2ddee10ee64c31b"
+WEIGHTS_DIGEST = "c8646eb0233d24d1084af27ed28dffd825cfd390763ada84236b515a2970e8da"
 
 
 def run(capsys, *argv):
@@ -98,6 +98,7 @@ def test_quantum_command(capsys):
     assert blob["stabilizer"] == {
         "n": 2,
         "kLogical": 2,
+        "d": 1,
         "dLower": 1,
         "q": 3,
         "pure": True,
@@ -105,10 +106,11 @@ def test_quantum_command(capsys):
 
 
 def test_quantum_text_reports_impurity(capsys):
-    # every weight-3 codeword of this [[9,1,3]]_4 code lies in the stabilizer
+    # every weight-3 codeword of this code lies in the stabilizer, so its
+    # distance 4 exceeds its minimum weight 3
     code, out, _ = run(capsys, "quantum", "--q", "4", "--n", "9", "--g", "1,0,7,0,0,0,6,0,1")
     assert code == 0
-    assert "stabilizer code: [[9,1,3]]_4 (impure)" in out
+    assert "stabilizer code: [[9,1,4]]_4 (impure)" in out
     code, blob, _ = run_json(capsys, "quantum", "--q", "4", "--n", "9", "--g", "1,0,7,0,0,0,6,0,1")
     assert blob["stabilizer"]["pure"] is False
 

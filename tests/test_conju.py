@@ -279,6 +279,18 @@ def test_char2_dual_variant_matches(f9):
         code3.trace_dual_matrix()
 
 
+def test_dual_orbit_matches_contraction_of_every_row():
+    # odd and even q, and p | n at (2, 6), (3, 6), (5, 5), (9, 3): the
+    # T- orbit of the first contracted row is the contraction of every
+    # symplectic-dual row of the mirror, row for row
+    grid = [(2, 6), (3, 6), (4, 3), (5, 5), (7, 2), (9, 3), (25, 2)]
+    seen = set()
+    for code in all_divisor_codes(grid):
+        assert code.alternating_dual_matrix() == naive.alternating_dual_by_contraction(code)
+        seen.add(code.tower.q)
+    assert seen == {q for q, _ in grid}
+
+
 def test_quaternary_reference_char2_vectors(f16, quaternary_code):
     rows = quaternary_code.cyclic.symplectic_dual_matrix()
     assert rows[0] == decode_vector(f16, QUATERNARY_N11["h_eps"])

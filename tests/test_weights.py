@@ -1,6 +1,7 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 import naive
@@ -20,6 +21,7 @@ from conjucyclic import (
     weight_distribution,
     weights,
 )
+from conjucyclic.poly import poly_mod, x_pow_minus_one
 from conjucyclic.refdata import QUATERNARY_N11
 
 
@@ -193,13 +195,45 @@ def direct_counts(code):
     )
 
 
+def table_span(tower, rows, n):
+    """(keys, weights) of every word in the GF(q)-span of the rows.
+
+    Builds the span by lookups in the full GF(q^2) addition table, one row
+    at a time; a word's key is its base-q^2 integer.
+    """
+    add = np.array([[tower.add(a, b) for b in range(tower.q2)] for a in range(tower.q2)])
+    words = np.zeros((1, n), dtype=np.int64)
+    for row in rows:
+        multiples = np.array([[tower.mul(c, x) for x in row] for c in tower.subfield])
+        words = add[words[:, None, :], multiples[None, :, :]].reshape(-1, n)
+    keys = words @ tower.q2 ** np.arange(n, dtype=np.int64)
+    assert np.all(np.diff(np.sort(keys)))  # q^len(rows) distinct words
+    return keys, np.count_nonzero(words, axis=1)
+
+
+def direct_stabilizer_distance(code):
+    """(d, pure) of a dual-containing code from both enumerated spans.
+
+    d is the least weight of a word of C outside C^perp, or the minimum
+    weight of C when C = C^perp; pure when no nonzero word of C^perp is
+    lighter than d.
+    """
+    tower, n = code.tower, code.n
+    keys, weights_c = table_span(tower, code.gen_matrix, n)
+    dual_keys, weights_d = table_span(tower, code.alternating_dual_matrix(), n)
+    outside = weights_c[~np.isin(keys, dual_keys)]
+    d = int(outside.min() if outside.size else weights_c[weights_c > 0].min())
+    return d, not np.any((weights_d > 0) & (weights_d < d))
+
+
 def test_macwilliams_matches_direct_enumeration():
     # every divisor code with q in {2, 3, 4, 5}, n <= 6 and at most 2^18
-    # words on its larger side: both distributions, and the purity verdict,
-    # against enumeration of both sides, and against naive spans where
-    # q^k <= 3^8 (all 189 dual-containing codes here are pure; the impure
-    # witnesses are below)
-    checked = naive_checked = 0
+    # words on its larger side: both distributions against enumeration of
+    # both sides, and against naive spans where q^k <= 3^8; on the 189
+    # dual-containing codes, the distance d and the purity verdict against
+    # the set difference C \ C^perp (all are pure; the impure witnesses are
+    # below)
+    checked = naive_checked = containing = 0
     pairs = [(q, n) for q in (2, 3, 4, 5) for n in range(1, 7)]
     for code in all_divisor_codes(pairs):
         q, n, k = code.tower.q, code.n, code.card_log_q
@@ -208,17 +242,17 @@ def test_macwilliams_matches_direct_enumeration():
         a, b = direct_counts(code)
         dist = weight_distribution(code)
         assert (dist.counts, dist.dual_counts) == (a, b)
-        containing = is_alternating_dual_containing(code)
-        if containing:
-            d = next((w for w in range(1, n + 1) if a[w] > b[w]), None)
-            pure = d is None or not any(b[1:d])
-            assert stabilizer_params(code).pure == pure
+        if is_alternating_dual_containing(code):
+            params = stabilizer_params(code)
+            assert (params.d, params.pure) == direct_stabilizer_distance(code)
+            assert params.d_lower == dist.min_weight
+            containing += 1
         if q ** k <= 3 ** 8:
             words = naive.span(code.tower, code.gen_matrix, n)
             assert a == naive.weight_histogram(words, n, naive.hamming_weight)
             naive_checked += 1
         checked += 1
-    assert (checked, naive_checked) == (618, 446)
+    assert (checked, naive_checked, containing) == (618, 446, 189)
 
 
 def test_macwilliams_matches_direct_enumeration_on_goldens(ternary_code, quaternary_code):
@@ -230,8 +264,9 @@ def test_macwilliams_matches_direct_enumeration_on_goldens(ternary_code, quatern
 
 def test_impure_witnesses():
     # q = 4, n = 9: all 45 weight-3 codewords lie in the alternating dual
-    # and the lightest word outside it has weight 4; q = 2, n = 14: all 7
-    # weight-2 codewords do, and the lightest word outside has weight 3
+    # and the lightest word outside it has weight 4, the distance d; q = 2,
+    # n = 14: all 7 weight-2 codewords do, and the lightest outside has
+    # weight 3
     for q, n, g, d_lower, count in (
         (4, 9, (1, 0, 7, 0, 0, 0, 6, 0, 1), 3, 45),
         (2, 14, (1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1), 2, 7),
@@ -239,7 +274,8 @@ def test_impure_witnesses():
         code = ConjucyclicCode(tower_for_q(q), n, g)
         params = stabilizer_params(code)
         assert params.pure is False
-        assert params.d_lower == d_lower
+        assert (params.d_lower, params.d) == (d_lower, d_lower + 1)
+        assert str(params) == f"[[{n},{params.k_logical},{d_lower + 1}]]_{q}"
         dual_words = naive.span(code.tower, code.alternating_dual_matrix(), n)
         dual_hist = naive.weight_histogram(dual_words, n, naive.hamming_weight)
         a = weight_distribution(code).counts
@@ -248,7 +284,7 @@ def test_impure_witnesses():
     # the 2^15-word binary code is small enough to check by set difference
     words = naive.span(code.tower, code.gen_matrix, n)
     assert dual_words < words
-    assert min(naive.hamming_weight(w) for w in words - dual_words) == 3
+    assert min(naive.hamming_weight(w) for w in words - dual_words) == params.d == 3
 
 
 def test_dual_containing_verdicts(f9, quaternary_code):
@@ -267,6 +303,24 @@ def test_dual_containing_matches_naive_inclusion():
         verdict = is_alternating_dual_containing(code)
         assert verdict == (dual_words <= words)
         assert verdict == naive.dual_containing_by_elimination(code)
+
+
+def test_dual_containing_is_one_division():
+    # the one test g | tau(h*) against g dividing every symplectic-dual row,
+    # and for odd q against g | x^n - 1 or g | x^n + 1, which does not use
+    # the half-swap; odd and even q, and p | n at (2, 6), (3, 6), (5, 5), (9, 3)
+    grid = [(2, 6), (3, 6), (4, 3), (5, 5), (7, 2), (9, 3), (25, 2)]
+    verdicts = set()
+    for code in all_divisor_codes(grid):
+        tower, n, g = code.tower, code.n, code.g
+        verdict = is_alternating_dual_containing(code)
+        assert verdict == naive.dual_containing_all_rows(code)
+        if tower.p != 2:
+            minus = x_pow_minus_one(tower, n)
+            plus = (1,) + (0,) * (n - 1) + (1,)
+            assert verdict == (not poly_mod(tower, minus, g) or not poly_mod(tower, plus, g))
+        verdicts.add((tower.p == 2, verdict))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_stabilizer_params_full_space():
