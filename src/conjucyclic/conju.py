@@ -31,7 +31,7 @@ from __future__ import annotations
 from . import linalg
 from .cyclic import CyclicCode, cyclic_shift, shift_iterates, symplectic_swap
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
-from .poly import degree, poly_divmod, poly_gcd, poly_mod
+from .poly import degree, poly_divmod, poly_gcd, x_power_remainders
 
 
 def _inversion_constants(tower):
@@ -119,7 +119,8 @@ def largest_cyclic_subcode(code):
     the expanded generator rows yields.  Row i is built as
     x^(d1 + i) - (x^(d1 + i) mod g1), rotated right by s - d1, and scaled
     by contract((1, 1)), the GF(q) constant that maps (a, a) back to a
-    vector over GF(q^2).
+    vector over GF(q^2).  The remainders come from one sequence,
+    x^(d1 + i + 1) mod g1 = x * (x^(d1 + i) mod g1) mod g1.
     """
     tower, n = code.tower, code.n
     x_n_plus_1 = (1,) + (0,) * (n - 1) + (1,)
@@ -129,9 +130,9 @@ def largest_cyclic_subcode(code):
     s = (code.card_log_q - k1) % n
     scale = contract(tower, (1, 1))[0]
     rows = []
-    for i in range(k1):
+    for i, rem in enumerate(x_power_remainders(tower, g1, d1, k1)):
         word = [0] * (d1 + i) + [1] + [0] * (k1 - 1 - i)
-        for j, c in enumerate(poly_mod(tower, word, g1)):
+        for j, c in enumerate(rem):
             word[j] = tower.neg(c)
         rows.append(tuple(tower.mul(scale, c) for c in cyclic_shift(word, s - d1)))
     return rows

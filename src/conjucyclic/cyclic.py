@@ -115,11 +115,14 @@ class CyclicCode:
         ]
 
     def contains(self, vec) -> bool:
-        """Membership via polynomial division: g divides the word's polynomial."""
+        """Membership: every entry lies in GF(q) and g divides the word's
+        polynomial."""
         if len(vec) != 2 * self.n:
             raise LengthMismatchError(
                 f"codewords have length {2 * self.n}, got {len(vec)}"
             )
+        if not all(map(self.tower.in_subfield, vec)):
+            return False
         return not poly_mod(self.tower, normalize(vec), self.g)
 
     def __repr__(self) -> str:

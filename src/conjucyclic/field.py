@@ -9,7 +9,8 @@ exp/log tables of size q^2 - 1, Python lists sharing one int object per
 value, built with numpy by doubling: beta^L .. beta^(2L-1) are beta^0 ..
 beta^(L-1) times beta^L, a GF(p)-linear map on packed digits applied as
 2^8-entry lookups per digit group (q^2 = 2^24: 3.9 s, 1.07 GB peak RSS).
-Addition is digitwise mod p on the codes, with no Zech-logarithm table.
+Element addition is digitwise mod p on the codes; polynomials over GF(q)
+use the tower's Zech table of GF(q) instead (poly.ZechLogs, q - 1 entries).
 
 The subfield GF(q) is carved out of GF(q^2) by the fixed-point test
 x^q == x instead of being built as a separate structure, which keeps
@@ -38,7 +39,7 @@ from .errors import (
     NoPrimitivePolynomialError,
     NotPrimeError,
 )
-from .poly import poly_mod, poly_powmod
+from .poly import ZechLogs, poly_mod, poly_powmod
 
 #: Hard cap on q^2 so the exp/log tables stay in memory.  Measured build
 #: time, resident and peak RSS: q = 4096 (the cap) 3.9 s, 0.82 / 1.07 GB;
@@ -90,22 +91,27 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 class PrimeField:
-    """GF(p) on the ints 0 .. p - 1, with the arithmetic poly.py asks of a tower."""
+    """GF(p) on the ints 0 .. p - 1, with the Zech table poly.py asks of a field."""
 
     def __init__(self, p: int) -> None:
         self.p = p
+        self.zech = _prime_zech(p)
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
+@functools.lru_cache(maxsize=16)
+def _prime_zech(p: int) -> ZechLogs:
+    """Logs of GF(p) to its least primitive root.  The cache holds the last
+    few p, so a modulus search builds its table once without a table
+    staying behind for every prime searched."""
+    gamma = next(
+        g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1))
+    )
+    powers, size = np.ones(p - 1, dtype=np.int64), 1
+    while size < p - 1:  # gamma^size .. gamma^(2 size - 1) by doubling
+        step = min(size, p - 1 - size)
+        powers[size : size + step] = powers[:step] * pow(gamma, size, p) % p
+        size += step
+    return ZechLogs(p, powers.tolist(), ((powers + 1) % p).tolist())
 
 
 def is_primitive(f, p: int) -> bool:
@@ -212,6 +218,7 @@ class FieldTower:
         exp, log: discrete log tables; exp[i] is the code of beta^i.
         subfield: sorted codes of the q elements of GF(q), which are 0 and
             the powers of beta^(q+1).
+        zech: GF(q) as logs to beta^(q+1), the arithmetic of poly.py.
     """
 
     def __init__(self, p: int, m: int, modulus) -> None:
@@ -228,7 +235,9 @@ class FieldTower:
             )
         self._build_tables()
         self.beta = self.exp[1]
-        self.subfield = tuple(sorted([0] + self.exp[:: self.q + 1]))
+        gammas = self.exp[:: self.q + 1]
+        self.subfield = tuple(sorted([0] + gammas))
+        self.zech = ZechLogs(p, gammas, [self.add(1, c) for c in gammas])
 
     # -- construction -------------------------------------------------
 

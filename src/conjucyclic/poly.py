@@ -1,11 +1,14 @@
 """Polynomials over GF(q) and the factorization of x^(2n) - 1.
 
 A polynomial is a tuple of element codes, low degree first, with no
-trailing zeros; the zero polynomial is the empty tuple.  Coefficients are
-expected to lie in the subfield GF(q) of the ambient tower, which is where
-all generator polynomials of the cyclic codes of interest live.  The
-arithmetic asks of `tower` only add, neg, mul and inv, so field.PrimeField
-serves for polynomials over GF(p).
+trailing zeros; the zero polynomial is the empty tuple.  Coefficients must
+lie in the subfield GF(q) of the ambient tower, where all generator
+polynomials of the cyclic codes of interest live: the arithmetic runs on
+their logs to a generator gamma of GF(q)*, and a coefficient outside GF(q)
+(its tower log no multiple of q + 1) raises ValueError.  It asks of a
+field only `zech`, a ZechLogs table of GF(q): FieldTower's has
+gamma = beta^(q+1), and field.PrimeField(p)'s, for the modulus search, a
+primitive root mod p.  Codes become logs on entry and codes on exit.
 
 Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
@@ -30,6 +33,121 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import NotADivisorError, ZeroConstantTermError
 
 
+class ZechLogs:
+    """GF(q)[x] on logs to a generator gamma of GF(q)*, q - 1 = q1.
+
+    A log list holds, low degree first, the log in [0, q1) of each nonzero
+    coefficient and -1 for each zero one, with no trailing -1.  Products
+    add logs; sums use Zech's logarithm Z(k) = log(1 + gamma^k)
+    (Lidl-Niederreiter, sec. 10.1): gamma^a + gamma^b = gamma^(b + Z(a - b)).
+    Inside a product or division a log may stand unreduced in [0, 3 q1)
+    and any negative value is zero: `zech` repeats Z three times, so no
+    index a - b needs reducing, and holds -2 q1 where 1 + gamma^k = 0.
+    code[i] is the code of gamma^i, code[-1] = 0, log inverts code, and
+    minus_one is log(-1).
+    """
+
+    def __init__(self, p: int, powers, one_plus) -> None:
+        """powers: codes of gamma^k, one_plus: codes of 1 + gamma^k, k < q1."""
+        self.p, self.q1, self.code = p, len(powers), list(powers) + [0]
+        self.log = dict(zip(powers, range(self.q1)))
+        self.log[0] = -1
+        self.minus_one = self.q1 // 2 if p > 2 else 0
+        zech = [self.log[c] for c in one_plus]
+        zech[self.minus_one] = -2 * self.q1
+        self.zech = zech * 3
+
+    def to_logs(self, a) -> list:
+        try:
+            return self.reduce([self.log[c] for c in a])
+        except KeyError as err:
+            raise ValueError(f"coefficient {err.args[0]} is not in GF({self.q1 + 1})") from None
+
+    def to_codes(self, a) -> tuple:
+        code = self.code
+        return tuple([code[c] for c in a])
+
+    def reduce(self, a) -> list:
+        """Logs into [0, q1), zeros to -1, trailing zeros dropped."""
+        q1 = self.q1
+        out = [c % q1 if c >= 0 else -1 for c in a]
+        while out and out[-1] < 0:
+            out.pop()
+        return out
+
+    def add_scaled(self, out, shift: int, c: int, terms) -> None:
+        """out[shift + j] += gamma^(c + t) for each (j, t) in terms, in place:
+        the one inner loop of every sum, product and division."""
+        zech = self.zech
+        for j, t in terms:
+            k, t = shift + j, c + t
+            o = out[k]
+            out[k] = t + zech[o - t] if o >= 0 else t
+
+    def add(self, a, b) -> list:
+        out = list(a) + [-1] * (len(b) - len(a))
+        self.add_scaled(out, 0, 0, [(j, c) for j, c in enumerate(b) if c >= 0])
+        return self.reduce(out)
+
+    def product(self, a, b) -> list:
+        """a * b, unreduced."""
+        out = [-1] * max(len(a) + len(b) - 1, 0)
+        terms = [(j, c) for j, c in enumerate(b) if c >= 0]
+        for i, c in enumerate(a):
+            if c >= 0:
+                self.add_scaled(out, i, c, terms)
+        return out
+
+    def square(self, a) -> list:
+        """a * a, unreduced; for p = 2 the Frobenius map, sum a_i^2 x^(2i)."""
+        if self.p != 2:
+            return self.product(a, a)
+        out = [-1] * (2 * len(a) - 1)
+        out[::2] = [2 * c % self.q1 if c >= 0 else -1 for c in a]
+        return out
+
+    def divisor(self, b) -> tuple:
+        """b ready for division: deg b, log(1 / lead) and, for each nonzero
+        b_j below the lead, (j, log(-b_j / lead))."""
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead_inv = -b[-1] % self.q1
+        shift = self.minus_one + lead_inv
+        return len(b) - 1, lead_inv, [(j, (t + shift) % self.q1) for j, t in enumerate(b[:-1]) if t >= 0]
+
+    def divide(self, a, divisor) -> tuple:
+        """Unreduced quotient and remainder of a (unreduced, overwritten)."""
+        db, lead_inv, terms = divisor
+        quot = [-1] * max(len(a) - db, 0)
+        for k in range(len(a) - 1, db - 1, -1):
+            if a[k] >= 0:
+                c = a[k] % self.q1
+                quot[k - db] = c + lead_inv
+                self.add_scaled(a, k - db, c, terms)
+        return quot, self.reduce(a[:db])
+
+    def divmod(self, a, b) -> tuple:
+        quot, rem = self.divide(list(a), self.divisor(b))
+        return self.reduce(quot), rem
+
+    def gcd(self, a, b) -> list:
+        """Monic gcd."""
+        while b:
+            a, b = b, self.divide(list(a), self.divisor(b))[1]
+        return [(c - a[-1]) % self.q1 if c >= 0 else -1 for c in a]
+
+    def powmod(self, a, e: int, f) -> list:
+        """a^e mod f by square and multiply; a must already be reduced mod f."""
+        f, result = self.divisor(f), [0]
+        while e:
+            if e & 1:
+                result = self.divide(self.product(result, a), f)[1]
+            e >>= 1
+            if e:
+                a = self.divide(self.square(a), f)[1]
+        return result
+
+
 def normalize(coeffs) -> tuple:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -42,73 +160,38 @@ def degree(a) -> int:
     return len(a) - 1
 
 
-def poly_add(tower, a, b) -> tuple:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = tower.add(out[i], c)
-    return normalize(out)
-
-
 def poly_mul(tower, a, b) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = tower.add(out[i + j], tower.mul(ai, bj))
-    return normalize(out)
+    z = tower.zech
+    return z.to_codes(z.reduce(z.product(z.to_logs(a), z.to_logs(b))))
 
 
 def poly_divmod(tower, a, b) -> tuple:
     """Quotient and remainder with deg r < deg b."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lead_inv = degree(b), tower.inv(b[-1])
-    if degree(a) < db:
-        return (), normalize(a)
-    quot = [0] * (len(a) - db)
-    neg_b = [tower.neg(x) for x in b]
-    for k in range(len(a) - 1, db - 1, -1):
-        c = tower.mul(a[k], lead_inv)
-        if c:
-            quot[k - db] = c
-            for j, nbj in enumerate(neg_b):
-                if nbj:
-                    a[k - db + j] = tower.add(a[k - db + j], tower.mul(c, nbj))
-    return normalize(quot), normalize(a)
+    z = tower.zech
+    quot, rem = z.divmod(z.to_logs(a), z.to_logs(b))
+    return z.to_codes(quot), z.to_codes(rem)
 
 
 def poly_mod(tower, a, b) -> tuple:
     return poly_divmod(tower, a, b)[1]
 
 
-def monic(tower, a) -> tuple:
-    if not a:
-        return ()
-    if a[-1] == 1:
-        return normalize(a)
-    inv = tower.inv(a[-1])
-    return normalize([tower.mul(inv, x) for x in a])
-
-
 def poly_gcd(tower, a, b) -> tuple:
-    a, b = normalize(a), normalize(b)
-    while b:
-        a, b = b, poly_mod(tower, a, b)
-    return monic(tower, a)
+    """Monic gcd; the empty tuple when both are zero."""
+    z = tower.zech
+    return z.to_codes(z.gcd(z.to_logs(a), z.to_logs(b)))
+
+
+def poly_powmod(tower, a, e: int, f) -> tuple:
+    """a^e mod f by square and multiply; a must already be reduced mod f."""
+    z = tower.zech
+    return z.to_codes(z.powmod(z.to_logs(a), e, z.to_logs(f)))
 
 
 def x_pow_minus_one(tower, n: int) -> tuple:
     """x^n - 1 as a coefficient tuple."""
-    out = [0] * (n + 1)
-    out[0] = tower.neg(1)
-    out[n] = 1
-    return tuple(out)
+    z = tower.zech
+    return (z.code[z.minus_one],) + (0,) * (n - 1) + (1,)
 
 
 def monic_reciprocal(tower, h) -> tuple:
@@ -120,7 +203,20 @@ def monic_reciprocal(tower, h) -> tuple:
     h = normalize(h)
     if not h or h[0] == 0:
         raise ZeroConstantTermError("reciprocal needs a nonzero constant term")
-    return monic(tower, tuple(reversed(h)))
+    z = tower.zech
+    return z.to_codes(z.gcd(z.to_logs(h)[::-1], []))  # gcd(h*, 0) = monic h*
+
+
+def x_power_remainders(tower, g, start: int, count: int) -> list:
+    """x^(start + i) mod g for 0 <= i < count: one long division for the
+    first, then each is x times the one before, less a multiple of g."""
+    z = tower.zech
+    g, r, out = z.divisor(z.to_logs(g)), [-1] * start + [0], []
+    for _ in range(count):
+        r = z.divide(r, g)[1]
+        out.append(z.to_codes(r))
+        r = [-1] + r
+    return out
 
 
 def poly_str(tower, a) -> str:
@@ -156,40 +252,32 @@ def _multiplicative_order(q: int, n0: int) -> int:
     return order
 
 
-def poly_powmod(tower, a, e: int, f) -> tuple:
-    """a^e mod f by square and multiply; a must already be reduced mod f."""
-    result, base = (1,), a
-    while e:
-        if e & 1:
-            result = poly_mod(tower, poly_mul(tower, result, base), f)
-        base = poly_mod(tower, poly_mul(tower, base, base), f)
-        e >>= 1
-    return result
-
-
 def _split_equal_degree(tower, f, r: int, rng) -> list:
-    """Monic irreducible factors of f, a squarefree product of degree-r ones.
+    """Monic irreducible factors of the log list f, a squarefree product of
+    degree-r ones.
 
     Cantor-Zassenhaus: for a random a of degree < deg f, the gcd of f with
     a^((q^r - 1)/2) - 1 (odd p) or with the trace a + a^2 + ... + a^(2^(mr-1))
     (p = 2) is a proper factor with probability about 1/2.
     """
-    if degree(f) == r:
+    z = tower.zech
+    if len(f) - 1 == r:
         return [f]
+    divisor = z.divisor(f)
     while True:
-        a = normalize(rng.choice(tower.subfield) for _ in range(degree(f)))
+        a = z.reduce([z.log[rng.choice(tower.subfield)] for _ in range(len(f) - 1)])
         if tower.p == 2:
             term = probe = a
             for _ in range(tower.m * r - 1):
-                term = poly_mod(tower, poly_mul(tower, term, term), f)
-                probe = poly_add(tower, probe, term)
+                term = z.divide(z.square(term), divisor)[1]
+                probe = z.add(probe, term)
         else:
-            power = poly_powmod(tower, a, (tower.q ** r - 1) // 2, f)
-            probe = poly_add(tower, power, (tower.neg(1),))
-        g = poly_gcd(tower, f, probe)
-        if 0 < degree(g) < degree(f):
+            power = z.powmod(a, (tower.q ** r - 1) // 2, f)
+            probe = z.add(power, [z.minus_one])
+        g = z.gcd(f, probe)
+        if 0 < len(g) - 1 < len(f) - 1:
             return _split_equal_degree(tower, g, r, rng) + _split_equal_degree(
-                tower, poly_divmod(tower, f, g)[0], r, rng
+                tower, z.divmod(f, g)[0], r, rng
             )
 
 
@@ -204,17 +292,18 @@ class Factorization:
     multiplicity: int
     base: tuple
     degrees: tuple = dataclass_field(init=False)
-    #: powers[i][e] = base[i]^e for 0 <= e <= multiplicity; every divisor
-    #: is a product of one entry per row.
+    #: powers[i][e] is the log list of base[i]^e for 0 <= e <= multiplicity;
+    #: every divisor is a product of one entry per row.
     powers: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(degree(g) for g in self.base))
+        object.__setattr__(self, "degrees", tuple([degree(g) for g in self.base]))
+        z = self.tower.zech
         rows = []
         for g in self.base:
-            row = [(1,)]
+            g, row = z.to_logs(g), [[0]]
             for _ in range(self.multiplicity):
-                row.append(poly_mul(self.tower, row[-1], g))
+                row.append(z.reduce(z.product(row[-1], g)))
             rows.append(tuple(row))
         object.__setattr__(self, "powers", tuple(rows))
 
@@ -228,18 +317,18 @@ class Factorization:
 
     def divisor(self, exponents) -> tuple:
         """Expand the divisor prod base[i]^exponents[i]."""
-        exponents = tuple(int(e) for e in exponents)
+        exponents = tuple([int(e) for e in exponents])
         if len(exponents) != self.t or any(
             e < 0 or e > self.multiplicity for e in exponents
         ):
             raise ValueError(
                 f"exponents must be {self.t} values in [0, {self.multiplicity}]"
             )
-        out = (1,)
+        z, out = self.tower.zech, [0]
         for row, e in zip(self.powers, exponents):
             if e:
-                out = poly_mul(self.tower, out, row[e])
-        return out
+                out = z.reduce(z.product(out, row[e]))
+        return z.to_codes(out)
 
     def to_json(self) -> dict:
         return {
@@ -259,7 +348,7 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    p = tower.p
+    p, z = tower.p, tower.zech
     two_n = 2 * n
     n0, ell = two_n, 0
     while n0 % p == 0:
@@ -274,13 +363,13 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
         if n0 % d:
             continue
         # Phi_d = (x^d - 1) / prod of Phi_e over the proper divisors e of d
-        phi = x_pow_minus_one(tower, d)
+        phi = z.to_logs(x_pow_minus_one(tower, d))
         for e, phi_e in cyclotomic.items():
             if d % e == 0:
-                phi = poly_divmod(tower, phi, phi_e)[0]
+                phi = z.divmod(phi, phi_e)[0]
         cyclotomic[d] = phi
         base += _split_equal_degree(tower, phi, _multiplicative_order(tower.q, d), rng)
-    base.sort(key=lambda g: (degree(g), g))
+    base = sorted([z.to_codes(g) for g in base], key=lambda g: (degree(g), g))
     fac = Factorization(
         tower=tower, n=n, n0=n0, ell=ell, multiplicity=p ** ell, base=tuple(base)
     )
@@ -296,10 +385,12 @@ def enumerate_divisors(fac: Factorization):
 
 
 def check_divisor(tower, n: int, g) -> tuple:
-    """Validate that g divides x^(2n) - 1; return (monic g, cofactor h)."""
-    g = monic(tower, normalize(g))
+    """Validate that g divides x^(2n) - 1; return (monic g, cofactor h).
+    g is made monic first, so a GF(q^2) multiple of a GF(q) divisor passes."""
+    g = normalize(g)
     if not g:
         raise NotADivisorError("the zero polynomial is not a divisor")
+    g = tuple([tower.div(c, g[-1]) for c in g])
     for c in g:
         if not tower.in_subfield(c):
             raise NotADivisorError(

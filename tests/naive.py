@@ -250,18 +250,124 @@ def tower_tables(p, d, modulus):
     return exp, log
 
 
-def poly_pow(tower, a, e: int) -> tuple:
-    """a^e by square-and-multiply on poly.py's multiplication."""
-    from conjucyclic.poly import normalize, poly_mul
+class PrimeScalars:
+    """GF(p) on the ints 0 .. p - 1, one scalar operation per call."""
 
+    def __init__(self, p: int) -> None:
+        self.p = p
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+
+def _trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_mul(field, a, b) -> tuple:
+    """Schoolbook product, one field add and mul per coefficient pair."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return _trim(out)
+
+
+def poly_divmod(field, a, b) -> tuple:
+    """Schoolbook long division: quotient and remainder, deg r < deg b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    db, lead_inv = len(b) - 1, field.inv(b[-1])
+    if len(a) - 1 < db:
+        return (), _trim(a)
+    quot = [0] * (len(a) - db)
+    neg_b = [field.neg(x) for x in b]
+    for k in range(len(a) - 1, db - 1, -1):
+        c = field.mul(a[k], lead_inv)
+        if c:
+            quot[k - db] = c
+            for j, nbj in enumerate(neg_b):
+                if nbj:
+                    a[k - db + j] = field.add(a[k - db + j], field.mul(c, nbj))
+    return _trim(quot), _trim(a)
+
+
+def monic(field, a) -> tuple:
+    if not a:
+        return ()
+    inv = field.inv(a[-1])
+    return tuple(field.mul(inv, x) for x in a)
+
+
+def poly_gcd(field, a, b) -> tuple:
+    """Monic gcd by Euclid on the schoolbook division."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return monic(field, a)
+
+
+def poly_powmod(field, a, e: int, f) -> tuple:
+    """a^e mod f, reducing after every one of e schoolbook products."""
+    result = poly_divmod(field, (1,), f)[1]
+    for _ in range(e):
+        result = poly_divmod(field, poly_mul(field, result, a), f)[1]
+    return result
+
+
+def monic_reciprocal(field, h) -> tuple:
+    return monic(field, tuple(reversed(_trim(h))))
+
+
+def poly_pow(tower, a, e: int) -> tuple:
+    """a^e by square-and-multiply on the schoolbook product."""
     result = (1,)
-    base = normalize(a)
+    base = _trim(a)
     while e:
         if e & 1:
             result = poly_mul(tower, result, base)
         base = poly_mul(tower, base, base)
         e >>= 1
     return result
+
+
+def largest_cyclic_subcode_by_division(code):
+    """Closed-form cyclic subcode basis with one long division per row:
+    row i is x^(d1+i) - (x^(d1+i) mod g1), rotated right by s - d1 and
+    scaled by contract((1, 1))."""
+    from conjucyclic import contract, cyclic_shift
+
+    tower, n = code.tower, code.n
+    x_n_plus_1 = (1,) + (0,) * (n - 1) + (1,)
+    g1 = poly_divmod(tower, code.g, poly_gcd(tower, code.g, x_n_plus_1))[0]
+    d1 = len(g1) - 1
+    k1 = n - d1
+    s = (code.card_log_q - k1) % n
+    scale = contract(tower, (1, 1))[0]
+    rows = []
+    for i in range(k1):
+        word = [0] * (d1 + i) + [1] + [0] * (k1 - 1 - i)
+        for j, c in enumerate(poly_divmod(tower, tuple(word), g1)[1]):
+            word[j] = tower.neg(c)
+        rows.append(tuple(tower.mul(scale, c) for c in cyclic_shift(word, s - d1)))
+    return rows
 
 
 def poly_eval(tower, a, x: int) -> int:

@@ -403,6 +403,18 @@ def test_closed_form_subcode_matches_elimination():
     assert checked > 500
 
 
+def test_subcode_remainder_sequence_matches_one_division_per_row():
+    # the closed form's remainder sequence against k1 schoolbook divisions,
+    # byte for byte, on every divisor code of the small property grid
+    grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
+    pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
+    checked = 0
+    for code in all_divisor_codes(pairs):
+        assert largest_cyclic_subcode(code) == naive.largest_cyclic_subcode_by_division(code)
+        checked += 1
+    assert checked == 544
+
+
 def test_subcode_of_single_parity_code_is_everything():
     # mirror <x+1> in characteristic 2: the subcode fills GF(q)^n
     for q, n in [(2, 2), (2, 3), (4, 2)]:

@@ -185,3 +185,14 @@ def test_membership_by_division(f9):
     for v in words:
         assert code.contains(v)
     assert not code.contains((1, 0, 0, 0))
+
+
+def test_membership_refuses_words_outside_the_subfield():
+    # beta * (6, 1, 0, 0, 0, 0) is a GF(q^2) multiple of the generator
+    # vector, but no word of the q-ary code: its entries leave GF(4)
+    tower = tower_for_q(4)
+    code = CyclicCode(tower, 3, (6, 1))
+    word = tuple(tower.mul(tower.beta, c) for c in code.coefficient_vector(code.g))
+    assert word == (12, 2, 0, 0, 0, 0)
+    assert not code.contains(word)
+    assert code.contains(code.coefficient_vector(code.g))

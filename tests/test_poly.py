@@ -1,6 +1,12 @@
+import hashlib
 import itertools
+import json
+import random
+import sys
 
 import pytest
+
+import naive
 
 from conjucyclic import (
     NotADivisorError,
@@ -11,6 +17,7 @@ from conjucyclic import (
     monic_reciprocal,
     tower_for_q,
 )
+from conjucyclic.field import PrimeField, factorize, is_prime
 from conjucyclic.poly import (
     _multiplicative_order,
     check_divisor,
@@ -20,6 +27,7 @@ from conjucyclic.poly import (
     poly_gcd,
     poly_mod,
     poly_mul,
+    poly_powmod,
     x_pow_minus_one,
 )
 from conjucyclic.refdata import QUATERNARY_N11, TERNARY_N11, decode_vector
@@ -260,3 +268,83 @@ def test_json_shape():
     blob = fac.to_json()
     assert set(blob) == {"n0", "ell", "t", "multiplicity", "factors"}
     assert blob["t"] == len(blob["factors"])
+
+
+# sha256 of json.dumps(Factorization.to_json(), sort_keys=True) over these
+# (q, n), concatenated in order; pins factor lists beyond the n <= 12 of
+# the CLI's FACTOR_DIGEST, at splitting fields up to GF(3^100).
+LARGE_FACTOR_PAIRS = ((3, 121), (3, 200), (4, 255), (7, 100), (49, 38), (512, 9))
+LARGE_FACTOR_DIGEST = "19e923a5f81faf0e6453e2e1e8f0a03f0f1a4c9bad20bb163640bb97cc830a74"
+
+
+def test_larger_factorizations_are_pinned():
+    digest = hashlib.sha256()
+    for q, n in LARGE_FACTOR_PAIRS:
+        fac = factor_x2n_minus_1(tower_for_q(q), n)
+        digest.update(json.dumps(fac.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == LARGE_FACTOR_DIGEST
+
+
+def test_factorization_leaves_no_allocations_behind():
+    # result tuples built from generator expressions strand blocks on
+    # CPython's per-length tuple free lists; list-built ones do not
+    tower = tower_for_q(9)
+    for _ in range(3):
+        factor_x2n_minus_1(tower, 11)
+    before = sys.getallocatedblocks()
+    for _ in range(50):
+        factor_x2n_minus_1(tower, 11)
+    assert sys.getallocatedblocks() - before < 1000
+
+
+def _oracle_fields():
+    """(library field, scalar oracle, coefficient values) for every q with
+    q^2 <= 2^12 and for GF(p), p < 64, on the ints."""
+    for q in range(2, 65):
+        if len(factorize(q)) == 1:
+            tower = tower_for_q(q)
+            yield pytest.param(tower, tower, tower.subfield, id=f"tower-{q}")
+    for p in filter(is_prime, range(2, 64)):
+        yield pytest.param(PrimeField(p), naive.PrimeScalars(p), tuple(range(p)), id=f"prime-{p}")
+
+
+def _random_poly(rng, values, deg):
+    return normalize([rng.choice(values) for _ in range(deg)] + [rng.choice(values[1:])])
+
+
+@pytest.mark.parametrize("gf, oracle, values", _oracle_fields())
+def test_arithmetic_matches_schoolbook_oracle(gf, oracle, values):
+    rng = random.Random(len(values) * gf.p)
+    for _ in range(12):
+        a = _random_poly(rng, values, rng.randrange(0, 14))
+        b = _random_poly(rng, values, rng.randrange(0, 8))
+        zero_padded = a + (0,) * rng.randrange(3)
+        assert poly_mul(gf, zero_padded, b) == naive.poly_mul(oracle, a, b)
+        assert poly_divmod(gf, zero_padded, b) == naive.poly_divmod(oracle, a, b)
+        assert poly_mod(gf, a, b) == naive.poly_divmod(oracle, a, b)[1]
+        assert poly_gcd(gf, a, b) == naive.poly_gcd(oracle, a, b)
+        common = _random_poly(rng, values, rng.randrange(1, 4))
+        assert poly_gcd(gf, poly_mul(gf, a, common), poly_mul(gf, b, common)) == (
+            naive.poly_gcd(oracle, naive.poly_mul(oracle, a, common), naive.poly_mul(oracle, b, common))
+        )
+        if degree(b) >= 1:
+            base = naive.poly_divmod(oracle, a, b)[1]
+            e = rng.randrange(0, 20)
+            assert poly_powmod(gf, base, e, b) == naive.poly_powmod(oracle, base, e, b)
+        h = normalize((rng.choice(values[1:]),) + a)
+        assert monic_reciprocal(gf, h) == naive.monic_reciprocal(oracle, h)
+    assert poly_mul(gf, (), values[1:2]) == () and poly_gcd(gf, (), ()) == ()
+
+
+def test_coefficients_outside_the_subfield_are_refused():
+    tower = tower_for_q(4)
+    assert not tower.in_subfield(tower.beta)
+    for call in (
+        lambda: poly_mul(tower, (1, tower.beta), (1, 1)),
+        lambda: poly_divmod(tower, (1, 0, 1), (tower.beta, 1)),
+        lambda: poly_gcd(tower, (tower.beta,), (1, 1)),
+        lambda: poly_powmod(tower, (tower.beta,), 3, (1, 1, 1)),
+        lambda: monic_reciprocal(tower, (1, tower.beta)),
+    ):
+        with pytest.raises(ValueError, match="not in GF"):
+            call()
