@@ -17,6 +17,19 @@ the other side's histogram is expanded from it in Python integers, and
 every division by the enumerated side's size is asserted exact.  The
 budget caps the enumerated side: q^min(k, 2n - k) words.
 
+Both sides are closed under a shift that moves the coordinates cyclically:
+C under T and C^perp under T- (conju).  Each shift maps every entry
+through a bijection that fixes 0, so it acts transitively on the
+coordinates and keeps the weight.  The sweep therefore covers only the
+shortened side, the words with c_0 = 0: GF(q)-elimination on the two
+trace-pair components of coordinate 0 leaves a basis of r - e rows, e in
+{1, 2} (e = 0 would make a nonzero side vanish everywhere).  Counting the
+pairs (word, zero coordinate) twice gives A_w (n - w) = n S_w, with S_w
+the shortened side's words of weight w, the same at every coordinate by
+transitivity; so A_w = n S_w / (n - w) for w < n, each division asserted
+exact, and A_n is what remains of q^r.  This is exact, and the sweep is
+q^e times smaller.
+
 Enumeration runs over messages: a side spanned by r GF(q)-independent
 rows has exactly q^r words, one per message in GF(q)^r.  Scaling a word by
 a nonzero lambda in GF(q) keeps its weight, so the nonzero words fall into
@@ -36,12 +49,14 @@ as packed words by field.packed_span.  One histogram routine counts the
 weights of every outer-word + inner-word sum in vectorized blocks: H over
 the representatives, and Z over the zero word alone (the inner span
 itself).  A sum with an outer representative stands for its q - 1 nonzero
-multiples, so A = (q - 1) H + Z.  The kernel visits
-(q^r_out - 1)/(q - 1) q^r_in + q^r_in words, about 1/(q - 1) of the q^r.
-Work partitions across a thread pool by slicing the outer words
-(equivalently, fixing leading message digits); numpy's bitwise ufuncs
-release the interpreter lock, and per-thread histograms merge by integer
-addition, so the result is identical for any worker count and schedule.
+multiples, so A = (q - 1) H + Z.  On the r' = r - e shortened rows the
+kernel visits (q^r'_out - 1)/(q - 1) q^r'_in + q^r'_in words, about
+q^(r - e)/(q - 1) of the enumerated side's q^r.  Work partitions across a
+thread pool, at most one thread per CPU this process may use and per
+outer block, by slicing the outer words (equivalently, fixing leading
+message digits); numpy's bitwise ufuncs release the interpreter lock, and
+per-thread histograms merge by integer addition, so the result is
+identical for any worker count and schedule.
 """
 
 from __future__ import annotations
@@ -52,12 +67,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conju import trace_pair
 from .cyclic import symplectic_swap
 from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
 from .field import digit_bits, packed_add, packed_span
 
 #: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
-#: sweep visits about 1/(q - 1) of them, one per projective point.
+#: sweep visits about 1/(q^e (q - 1)) of them, e in {1, 2}.
 DEFAULT_BUDGET = 1 << 28
 
 _CHUNK_WORDS = 1 << 16
@@ -137,13 +153,24 @@ def _pack(tower, rows, n):
     c, width, per = _layout(tower)
     nw = -(-n // per)
     codes = np.zeros((len(rows), nw * per), dtype=np.uint64)
-    codes[:, :n] = rows
+    codes[:, :n] = np.reshape(rows, (-1, n))
     coords = np.zeros_like(codes)
     for k in range(tower.ext_degree):  # base-p digit k to bit k * c
         coords |= codes // tower.p ** k % tower.p << np.uint64(k * c)
     shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
     words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
     return np.ascontiguousarray(words.T)
+
+
+def _multiples(tower, rows, n):
+    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
+
+    tower.subfield is sorted, so column 0 is the zero word and column 1 the
+    row itself.
+    """
+    scaled = [[tower.mul(k, x) for x in row] for row in rows for k in tower.subfield]
+    packed = _pack(tower, scaled, n)
+    return packed.reshape(len(packed), len(rows), tower.q)
 
 
 def _kernel(tower):
@@ -153,11 +180,16 @@ def _kernel(tower):
     return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
 
 
+def _block(outer_words, inner):
+    """Outer words per histogram block: about _CHUNK_WORDS sums at a time."""
+    return max(1, min(outer_words, _CHUNK_WORDS // inner.size))
+
+
 def _histogram(outer, inner, kernel, n):
     """Weight histogram of every outer-word + inner-word sum."""
     add, low, top = kernel
     counts = np.zeros(n + 1, dtype=np.int64)
-    step = max(1, min(outer.shape[1], _CHUNK_WORDS // inner.size))
+    step = _block(outer.shape[1], inner)
     x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
     y, weights = np.empty_like(x), np.empty(x.shape[1:], dtype=np.intp)
     for lo in range(0, outer.shape[1], step):
@@ -180,9 +212,9 @@ def _projective_span(add, multiples, nw):
 
     The representatives are the messages whose first nonzero digit is 1:
     row j plus the span of the rows after it, for each j.  Column 1 of each
-    multiples array is the row itself (tower.subfield is sorted, so codes 0
-    and 1 come first).  The span of the trailing rows grows one row at a
-    time; the result has (nw, (q^r - 1)/(q - 1)) words.
+    multiples array is the row itself (see _multiples).  The span of the
+    trailing rows grows one row at a time; the result has
+    (nw, (q^r - 1)/(q - 1)) words.
     """
     reps, tail = [], []  # tail: [the span of the rows after j], none at first
     for j in reversed(range(len(multiples))):
@@ -192,25 +224,31 @@ def _projective_span(add, multiples, nw):
     return np.concatenate(reps, axis=1)
 
 
-def _span_counts(tower, rows, n, workers):
-    """Exact Hamming weight histogram over the GF(q)-span of the rows.
+def _cores():
+    """The CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The rows must be GF(q)-independent so that messages and words are in
-    bijection (true for every generator and dual matrix built in this
-    package).  The outer half runs over one representative per projective
-    point and Z over the zero word, so A = (q - 1) H + Z as in the module
-    docstring.
+
+def _sweep(tower, multiples, n, workers):
+    """Exact Hamming weight histogram over the span of packed multiples.
+
+    multiples is an (nw, r, q) array as built by _multiples, of r
+    GF(q)-independent rows.  The outer half runs over one representative
+    per projective point and Z over the zero word, so A = (q - 1) H + Z as
+    in the module docstring.  No more threads start than the histogram has
+    outer blocks, so a one-block sweep starts no pool.
     """
-    r, q = len(rows), tower.q
+    nw, r, q = multiples.shape
     if r == 0:
         return [1] + [0] * n
-    scaled = [[tower.mul(k, x) for x in row] for row in rows for k in tower.subfield]
-    packed = _pack(tower, scaled, n)
-    multiples = [packed[:, j * q : (j + 1) * q] for j in range(r)]
-    kernel, nw = _kernel(tower), len(multiples[0])
-    inner = packed_span(kernel[0], multiples[: r // 2], nw)
-    outer = _projective_span(kernel[0], multiples[r // 2 :], nw)
-    workers = min(max(1, int(workers)), os.cpu_count() or 1)
+    rows = [multiples[:, j] for j in range(r)]
+    kernel = _kernel(tower)
+    inner = packed_span(kernel[0], rows[: r // 2], nw)
+    outer = _projective_span(kernel[0], rows[r // 2 :], nw)
+    blocks = -(-outer.shape[1] // _block(outer.shape[1], inner))
+    workers = min(max(1, int(workers)), _cores(), blocks)
     if workers == 1:
         total = _histogram(outer, inner, kernel, n)
     else:
@@ -220,6 +258,74 @@ def _span_counts(tower, rows, n, workers):
     zero = _histogram(np.zeros((nw, 1), dtype=np.uint64), inner, kernel, n)
     counts = [int(c) for c in (q - 1) * total + zero]
     assert sum(counts) == q ** r, "histogram does not cover the span"
+    return counts
+
+
+def _span_counts(tower, rows, n, workers):
+    """Exact Hamming weight histogram over the GF(q)-span of the rows.
+
+    The rows must be GF(q)-independent so that messages and words are in
+    bijection (true for every generator and dual matrix built in this
+    package).
+    """
+    return _sweep(tower, _multiples(tower, rows, n), n, workers)
+
+
+def _shorten(tower, multiples, heads):
+    """Multiples of a GF(q)-basis of the words of the span that vanish at 0.
+
+    multiples is an (nw, r, q) array as built by _multiples, and heads[j]
+    the trace pair of row j's coordinate 0.  Each trace-pair component is
+    eliminated in turn over GF(q): the first row with a nonzero component
+    is the pivot and leaves, and every other row with a nonzero component
+    subtracts the GF(q)-multiple of the pivot that clears it.  Only those
+    rows change, each by one packed addition: the multiples of
+    row - c pivot are those of the row plus the pivot's, permuted by
+    lambda -> -c lambda.  Returns the (nw, r - e, q) multiples of the
+    remaining rows; e is the number of pivots.
+    """
+    add = _kernel(tower)[0]
+    index = {x: i for i, x in enumerate(tower.subfield)}
+    multiples, heads = multiples.copy(), [list(h) for h in heads]
+    keep = list(range(len(heads)))
+    for t in (0, 1):
+        live = [j for j in keep if heads[j][t]]
+        if not live:
+            continue
+        pivot, rest = live[0], live[1:]
+        keep.remove(pivot)
+        if not rest:
+            continue
+        scales = [tower.div(heads[j][t], heads[pivot][t]) for j in rest]
+        perms = [[index[tower.neg(tower.mul(c, x))] for x in tower.subfield] for c in scales]
+        out = multiples[:, rest]
+        add(out, multiples[:, pivot][:, perms], out, np.empty_like(out))
+        multiples[:, rest] = out
+        for j, c in zip(rest, scales):
+            heads[j] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(heads[j], heads[pivot])]
+    assert not any(any(heads[j]) for j in keep), "coordinate 0 not cleared"
+    return multiples[:, keep]
+
+
+def _side_counts(tower, rows, n, workers):
+    """Exact Hamming weight histogram over the GF(q)-span of a side's rows.
+
+    The side must be closed under T or T-, as both sides are.  Sweeps only
+    the shortened side, whose words have c_0 = 0, and lifts its histogram
+    S by A_w (n - w) = n S_w as in the module docstring.
+    """
+    q, r = tower.q, len(rows)
+    heads = [trace_pair(tower, row[0]) for row in rows]
+    short = _shorten(tower, _multiples(tower, rows, n), heads)
+    # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
+    assert r == 0 or short.shape[1] < r, "a nonzero side vanishes at coordinate 0"
+    short_counts = _sweep(tower, short, n, workers)
+    counts = []
+    for w in range(n):
+        assert n * short_counts[w] % (n - w) == 0, "the lift is not integral"
+        counts.append(n * short_counts[w] // (n - w))
+    counts.append(q ** r - sum(counts))
+    assert counts[n] >= 0, "the lift exceeds the span"
     return counts
 
 
@@ -241,8 +347,8 @@ def _macwilliams(counts, size, q2):
 def _enumerate_counts(code, budget, workers):
     """(A, B): weight histograms of the code and of its alternating dual.
 
-    Enumerates the strictly smaller side, C itself on a tie, and gets the
-    other by the MacWilliams transform.
+    Enumerates the strictly smaller side, C itself on a tie, through its
+    shortened side, and gets the other by the MacWilliams transform.
     """
     tower, n, k = code.tower, code.n, code.card_log_q
     q, dual_k = tower.q, 2 * n - k
@@ -252,10 +358,10 @@ def _enumerate_counts(code, budget, workers):
             f"its alternating dual) exceed the budget of {budget}"
         )
     if dual_k < k:
-        b = _span_counts(tower, code.alternating_dual_matrix(), n, workers)
+        b = _side_counts(tower, code.alternating_dual_matrix(), n, workers)
         a = _macwilliams(b, q ** dual_k, tower.q2)
     else:
-        a = _span_counts(tower, code.gen_matrix, n, workers)
+        a = _side_counts(tower, code.gen_matrix, n, workers)
         b = _macwilliams(a, q ** k, tower.q2)
     assert a[0] == b[0] == 1, "A_0 or B_0 is not 1"
     assert sum(a) == q ** k and sum(b) == q ** dual_k, "histogram sizes"

@@ -15,6 +15,7 @@ from conjucyclic import (
     expand,
     factor_x2n_minus_1,
     is_alternating_dual_containing,
+    is_conjucyclic,
     min_weight,
     stabilizer_params,
     tower_for_q,
@@ -102,6 +103,9 @@ def test_worker_count_independence(ternary_code):
 
 
 def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
+    # the pool is capped by the CPUs this process may use (its affinity mask
+    # where the platform has one, not the host's count) and by the outer
+    # blocks of the histogram, so a one-block sweep starts no pool
     recorded = []
 
     class SerialPool:
@@ -118,10 +122,18 @@ def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(weights, "ThreadPoolExecutor", SerialPool)
-    counts = weight_distribution(ternary_code, workers=10 ** 6).counts
-    assert recorded or (os.cpu_count() or 1) == 1
-    assert all(w <= (os.cpu_count() or 1) for w in recorded)
-    assert counts == weight_distribution(ternary_code, workers=1).counts
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    base = weight_distribution(ternary_code, workers=1).counts
+    assert weight_distribution(ternary_code, workers=10 ** 6).counts == base
+    assert recorded == []
+    monkeypatch.setattr(weights, "_CHUNK_WORDS", 1 << 8)
+    assert weight_distribution(ternary_code, workers=10 ** 6).counts == base
+    assert recorded == [2]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert weight_distribution(ternary_code, workers=10 ** 6).counts == base
+    assert recorded == [2, 3]
 
 
 def test_multi_word_rows_match_naive_enumeration():
@@ -142,13 +154,21 @@ def test_multi_word_rows_match_naive_enumeration():
         assert checked > 0
 
 
+def visits(q, r):
+    """Words the kernel visits on a span of r >= 1 rows: the inner span
+    against zero and one representative per projective point of the outer
+    half."""
+    r_in, r_out = r // 2, r - r // 2
+    return (q ** r_out - 1) // (q - 1) * q ** r_in + q ** r_in
+
+
 def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
-    # the kernel visits the inner span against zero and one representative
-    # per projective point of the outer half, (q^r_out - 1)/(q - 1) q^r_in +
-    # q^r_in words for a side of q^r words; at r = 1 the inner span is the
-    # zero word.  Scaling by q - 1 makes every A_w (w > 0) of the enumerated
-    # side a multiple of q - 1 by construction, so the naive spans are the
-    # check on the counts themselves
+    # the kernel visits (q^r_out - 1)/(q - 1) q^r_in + q^r_in words for a
+    # side of q^r words; at r = 1 the inner span is the zero word.  Scaling
+    # by q - 1 makes every A_w (w > 0) of the enumerated side a multiple of
+    # q - 1 by construction, so the naive spans are the check on the counts
+    # themselves.  weight_distribution sweeps only the r' = r - e rows of
+    # the enumerated side's words with c_0 = 0, and visits no word at r' = 0
     histogram, visited = weights._histogram, []
 
     def recording(outer, inner, kernel, n):
@@ -157,23 +177,62 @@ def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
 
     monkeypatch.setattr(weights, "_histogram", recording)
     grid = (2, 3, 4, 5, 7, 8, 9)
-    seen = set()
-    for code in all_divisor_codes([(q, n) for q in grid for n in (1, 2)]):
+    seen, shortened = set(), set()
+    for code in all_divisor_codes([(q, n) for q in grid for n in (1, 2, 3)]):
         tower, q, n = code.tower, code.tower.q, code.n
         sides = (("code", code.gen_matrix), ("dual", code.alternating_dual_matrix()))
+        enumerated = "dual" if len(sides[1][1]) < len(sides[0][1]) else "code"
         for side, rows in sides:
             r = len(rows)
             if not 1 <= r <= 3:
                 continue
             words = naive.span(tower, rows, n)
             expected = naive.weight_histogram(words, n, naive.hamming_weight)
-            r_in, r_out = r // 2, r - r // 2
             for workers in (1, 2, 10 ** 6):
                 visited.clear()
                 assert weights._span_counts(tower, rows, n, workers) == expected
-                assert sum(visited) == (q ** r_out - 1) // (q - 1) * q ** r_in + q ** r_in
+                assert sum(visited) == visits(q, r)
             seen.add((q, side, r))
+            if side != enumerated:
+                continue
+            r_short = next(i for i in range(r) if q ** i == sum(w[0] == 0 for w in words))
+            for workers in (1, 2, 10 ** 6):
+                visited.clear()
+                counts = weight_distribution(code, workers=workers)
+                assert (counts.dual_counts if side == "dual" else counts.counts) == expected
+                assert sum(visited) == (visits(q, r_short) if r_short else 0)
+            shortened.add((r - r_short, r_short))
     assert seen == {(q, side, r) for q in grid for side in ("code", "dual") for r in (1, 2, 3)}
+    assert shortened == {(e, r - e) for r in (1, 2, 3) for e in (1, 2) if e <= r}
+
+
+def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
+    # the histogram lifted from the words with c_0 = 0 by A_w (n - w) = n S_w
+    # against the sweep of the whole span, on both sides of every divisor
+    # code of a small grid; e = 1 and 2 occur, as do n = 1, sides with
+    # nothing left to sweep (r = e) and odd-q duals closed under T- only
+    sweep, swept = weights._sweep, []
+
+    def recording(tower, multiples, n, workers):
+        swept.append(multiples.shape[1])
+        return sweep(tower, multiples, n, workers)
+
+    monkeypatch.setattr(weights, "_sweep", recording)
+    seen = set()
+    pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)] + [(2, 4), (2, 5), (3, 4)]
+    for code in all_divisor_codes(pairs):
+        tower, n = code.tower, code.n
+        for side, rows in (("code", code.gen_matrix), ("dual", code.alternating_dual_matrix())):
+            if not rows:
+                continue
+            swept.clear()
+            lifted = weights._side_counts(tower, rows, n, 1)
+            e = len(rows) - swept[0]
+            assert lifted == weights._span_counts(tower, rows, n, 1)
+            seen |= {("e", e), ("n", n), ("r = e", len(rows) == e)}
+            if side == "dual" and tower.p != 2 and not is_conjucyclic(tower, rows):
+                seen.add("T- only")
+    assert {("e", 1), ("e", 2), ("n", 1), ("r = e", True), "T- only"} <= seen
 
 
 def test_budget_enforcement(ternary_code):
