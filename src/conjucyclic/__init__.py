@@ -14,6 +14,7 @@ from .conju import (
     conjucyclic_shift,
     contract,
     expand,
+    is_alternating_dual_containing,
     is_conjucyclic,
     largest_cyclic_subcode,
     trace_pair,
@@ -51,7 +52,6 @@ from .weights import (
     DEFAULT_BUDGET,
     StabilizerParams,
     WeightDistribution,
-    is_alternating_dual_containing,
     min_weight,
     stabilizer_params,
     weight_distribution,

@@ -27,7 +27,7 @@ import json
 import sys
 import time
 
-from .conju import ConjucyclicCode
+from .conju import ConjucyclicCode, is_alternating_dual_containing
 from .errors import (
     BudgetExceededError,
     ConjucyclicError,
@@ -37,18 +37,21 @@ from .errors import (
 from .field import tower_for_q
 from .poly import factor_x2n_minus_1, poly_str
 from .verify import run_checks
-from .weights import (
-    DEFAULT_BUDGET,
-    is_alternating_dual_containing,
-    stabilizer_params,
-    weight_distribution,
-)
+from .weights import DEFAULT_BUDGET, stabilizer_params, weight_distribution
 
 EXIT_VERIFY_FAILED = 1
 EXIT_NOT_A_DIVISOR = 3
 EXIT_BUDGET_EXCEEDED = 4
 EXIT_NOT_DUAL_CONTAINING = 5
 EXIT_DOMAIN_ERROR = 6
+
+#: Exit code per error type, most specific first.
+_EXIT_CODES = (
+    (NotADivisorError, EXIT_NOT_A_DIVISOR),
+    (BudgetExceededError, EXIT_BUDGET_EXCEEDED),
+    (NotDualContainingError, EXIT_NOT_DUAL_CONTAINING),
+    ((ConjucyclicError, ValueError), EXIT_DOMAIN_ERROR),
+)
 
 
 def _int_list(text: str):
@@ -170,9 +173,7 @@ def _cmd_code(args) -> int:
         f"g = {list(code.g)}  =  {poly_str(tower, code.g)}",
     ]
     lines.extend(_matrix_lines(tower, code.gen_matrix, "generator matrix"))
-    lines.extend(
-        _matrix_lines(tower, code.alternating_dual_matrix(), "alternating dual matrix")
-    )
+    lines.extend(_matrix_lines(tower, payload["dualMatrix"], "alternating dual matrix"))
     sub = code.largest_cyclic_subcode()
     lines.extend(_matrix_lines(tower, sub, "largest cyclic subcode basis"))
     payload["cyclicSubcodeBasis"] = [list(r) for r in sub]
@@ -260,18 +261,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NotADivisorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_DIVISOR
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET_EXCEEDED
-    except NotDualContainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_DUAL_CONTAINING
     except (ConjucyclicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ symplectic form through the expansion, scaled so that
 
 holds identically; for characteristic 2 it coincides with the usual
 trace-Hermitian-style form.  The alternating dual is the orbit of one
-contracted row under a negated shift T-, and the largest plain-cyclic
+contracted row under a negated shift T-, and dual containment is decided
+here by one division, g | tau(h*) on the mirror.  The largest plain-cyclic
 subcode is the length-n cyclic code <g / gcd(g, x^n + 1)>, in closed form.
 """
 
@@ -107,6 +108,29 @@ def is_conjucyclic(tower, rows) -> bool:
     )
 
 
+def _dual_row(code):
+    """tau(h*): the first row of the mirror's symplectic dual."""
+    mirror = code.cyclic
+    return symplectic_swap(code.tower, mirror.coefficient_vector(mirror.h_star))
+
+
+def is_alternating_dual_containing(code) -> bool:
+    """Whether the alternating dual is contained in the code: g | tau(h*).
+
+    The mirror's symplectic dual has the rows tau(x^i h*), and with sigma
+    negating the upper half, tau(v) = x^n sigma(v) mod x^(2n) - 1.  For
+    p = 2, sigma is the identity and every row is a ring multiple of the
+    first, r = tau(h*).  For odd p, split by CRT over the coprime x^n - 1
+    and x^n + 1, g = g- g+ and h = h- h+ with g- h- = x^n - 1: sigma swaps
+    the two components, so all rows lie in <g> exactly when g- = 1 or
+    g+ = 1, that is when g divides x^n + 1 or x^n - 1.  The one test g | r
+    forces this: if g- != 1 != g+, then g- divides r mod x^n - 1, which is
+    h+* (h-* mod g+*) up to a unit (* the monic reciprocal), so g- divides
+    h-* mod g+*, nonzero of degree below deg g+; likewise deg g+ < deg g-.
+    """
+    return code.cyclic.contains(_dual_row(code))
+
+
 def largest_cyclic_subcode(code):
     """Basis of the largest q-ary cyclic code inside a conjucyclic code.
 
@@ -179,9 +203,8 @@ class ConjucyclicCode:
         twisted shift into T-.  So the dual is closed under T-, and under T
         in general only in characteristic 2, where T- = T.
         """
-        tower, mirror = self.tower, self.cyclic
-        h_star = mirror.coefficient_vector(mirror.h_star)
-        first = contract(tower, symplectic_swap(tower, h_star))
+        tower = self.tower
+        first = contract(tower, _dual_row(self))
         return shift_iterates(
             first, self.k, lambda row: (tower.neg(tower.conjugate(row[-1])),) + row[:-1]
         )

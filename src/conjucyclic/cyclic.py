@@ -116,11 +116,13 @@ class CyclicCode:
 
     def contains(self, vec) -> bool:
         """Membership: every entry lies in GF(q) and g divides the word's
-        polynomial."""
+        polynomial.  Raises ValueError for a code outside [0, q^2)."""
         if len(vec) != 2 * self.n:
             raise LengthMismatchError(
                 f"codewords have length {2 * self.n}, got {len(vec)}"
             )
+        if min(vec) < 0 or max(vec) >= self.tower.q2:
+            raise ValueError(f"element codes must lie in [0, {self.tower.q2})")
         if not all(map(self.tower.in_subfield, vec)):
             return False
         return not poly_mod(self.tower, normalize(vec), self.g)

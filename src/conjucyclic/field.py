@@ -106,12 +106,10 @@ def _prime_zech(p: int) -> ZechLogs:
     gamma = next(
         g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1))
     )
-    powers, size = np.ones(p - 1, dtype=np.int64), 1
-    while size < p - 1:  # gamma^size .. gamma^(2 size - 1) by doubling
-        step = min(size, p - 1 - size)
-        powers[size : size + step] = powers[:step] * pow(gamma, size, p) % p
-        size += step
-    return ZechLogs(p, powers.tolist(), ((powers + 1) % p).tolist())
+    powers = [1]
+    while len(powers) < p - 1:
+        powers.append(powers[-1] * gamma % p)
+    return ZechLogs(p, powers, [(x + 1) % p for x in powers])
 
 
 def is_primitive(f, p: int) -> bool:
@@ -333,15 +331,6 @@ class FieldTower:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise ZeroDivisionError("negative power of zero field element")
-        return self.exp[(self.log[a] * e) % (self.q2 - 1)]
-
     # -- conjugation, trace, subfield ----------------------------------
 
     def conjugate(self, a: int) -> int:
@@ -358,21 +347,6 @@ class FieldTower:
         return self.conjugate(a) == a
 
     # -- encoding helpers ----------------------------------------------
-
-    def digits(self, a: int) -> tuple:
-        """Base-p digit vector of a code, little-endian, length 2m."""
-        p = self.p
-        out = []
-        for _ in range(self.ext_degree):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
-
-    def encode(self, digits) -> int:
-        code = 0
-        for d in reversed(list(digits)):
-            code = code * self.p + d % self.p
-        return code
 
     def element_str(self, a: int) -> str:
         """Display form: prime-subfield constants as digits, else 'b<k>' for beta^k."""

@@ -1,10 +1,4 @@
-"""Exhaustive Hamming weight enumeration, dual containment and
-stabilizer-code parameters.
-
-Dual containment is one polynomial division on the q-ary mirror: the
-alternating dual lies in the code exactly when g divides the first row
-tau(h*) of the mirror's symplectic dual; for odd q, exactly when g divides
-x^n - 1 or x^n + 1.
+"""Exhaustive Hamming weight enumeration and stabilizer-code parameters.
 
 A code C of dimension k = 2n - deg g (card_log_q; ConjucyclicCode.k is
 deg g) and its alternating dual C^perp (2n - k dimensions) determine each
@@ -67,8 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conju import trace_pair
-from .cyclic import symplectic_swap
+from .conju import is_alternating_dual_containing, trace_pair
 from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
 from .field import digit_bits, packed_add, packed_span
 
@@ -261,16 +254,6 @@ def _sweep(tower, multiples, n, workers):
     return counts
 
 
-def _span_counts(tower, rows, n, workers):
-    """Exact Hamming weight histogram over the GF(q)-span of the rows.
-
-    The rows must be GF(q)-independent so that messages and words are in
-    bijection (true for every generator and dual matrix built in this
-    package).
-    """
-    return _sweep(tower, _multiples(tower, rows, n), n, workers)
-
-
 def _shorten(tower, multiples, heads):
     """Multiples of a GF(q)-basis of the words of the span that vanish at 0.
 
@@ -387,25 +370,6 @@ def min_weight(code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     w = weight_distribution(code, budget=budget, workers=workers).min_weight
     assert w is not None
     return w
-
-
-def is_alternating_dual_containing(code) -> bool:
-    """Whether the alternating dual is contained in the code: g | tau(h*).
-
-    The mirror's symplectic dual has the rows tau(x^i h*), and with sigma
-    negating the upper half, tau(v) = x^n sigma(v) mod x^(2n) - 1.  For
-    p = 2, sigma is the identity and every row is a ring multiple of the
-    first, r = tau(h*).  For odd p, split by CRT over the coprime x^n - 1
-    and x^n + 1, g = g- g+ and h = h- h+ with g- h- = x^n - 1: sigma swaps
-    the two components, so all rows lie in <g> exactly when g- = 1 or
-    g+ = 1, that is when g divides x^n + 1 or x^n - 1.  The one test g | r
-    forces this: if g- != 1 != g+, then g- divides r mod x^n - 1, which is
-    h+* (h-* mod g+*) up to a unit (* the monic reciprocal), so g- divides
-    h-* mod g+*, nonzero of degree below deg g+; likewise deg g+ < deg g-.
-    """
-    mirror = code.cyclic
-    first = symplectic_swap(code.tower, mirror.coefficient_vector(mirror.h_star))
-    return mirror.contains(first)
 
 
 def stabilizer_params(

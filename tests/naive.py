@@ -42,6 +42,28 @@ def same_span(tower, rows_a, rows_b) -> bool:
     )
 
 
+def divisor_codes(pairs):
+    """The conjucyclic code of every divisor of x^(2n) - 1, per (q, n)."""
+    from conjucyclic import ConjucyclicCode, enumerate_divisors, factor_x2n_minus_1, tower_for_q
+
+    for q, n in pairs:
+        tower = tower_for_q(q)
+        for _, g in enumerate_divisors(factor_x2n_minus_1(tower, n)):
+            yield ConjucyclicCode(tower, n, g)
+
+
+def span_counts(tower, rows, n, workers):
+    """Hamming weight histogram over the GF(q)-span of the rows, by the
+    packed sweep on the full span: no shortening and no lift.
+
+    The rows must be GF(q)-independent so that messages and words are in
+    bijection.
+    """
+    from conjucyclic import weights
+
+    return weights._sweep(tower, weights._multiples(tower, rows, n), n, workers)
+
+
 def hamming_weight(vec):
     return sum(1 for x in vec if x)
 

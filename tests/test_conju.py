@@ -42,13 +42,6 @@ from conjucyclic.refdata import (
 SEED = 0xC0DE
 
 
-def all_divisor_codes(pairs):
-    for q, n in pairs:
-        tower = tower_for_q(q)
-        for _, g in enumerate_divisors(factor_x2n_minus_1(tower, n)):
-            yield ConjucyclicCode(tower, n, g)
-
-
 def random_vector(rng, tower, n):
     return tuple(rng.randrange(tower.q2) for _ in range(n))
 
@@ -191,7 +184,7 @@ def test_generator_rows_are_shift_iterates(quaternary_code):
 
 
 def test_code_rows_match_contracted_cyclic_rows():
-    for code in all_divisor_codes([(2, 3), (3, 2), (4, 2), (5, 1)]):
+    for code in naive.divisor_codes([(2, 3), (3, 2), (4, 2), (5, 1)]):
         expected = [
             contract(code.tower, row) for row in code.cyclic.generator_matrix()
         ]
@@ -261,7 +254,7 @@ def test_dual_rows_annihilate_generators(ternary_code, quaternary_code):
 
 
 def test_dual_span_equals_contracted_symplectic_dual():
-    for code in all_divisor_codes([(2, 2), (3, 2), (4, 1), (5, 1)]):
+    for code in naive.divisor_codes([(2, 2), (3, 2), (4, 1), (5, 1)]):
         tower = code.tower
         lhs = [expand(tower, r) for r in code.alternating_dual_matrix()]
         rhs = code.cyclic.symplectic_dual_matrix()
@@ -269,7 +262,7 @@ def test_dual_span_equals_contracted_symplectic_dual():
 
 
 def test_char2_dual_variant_matches(f9):
-    for code in all_divisor_codes([(2, 3), (4, 2)]):
+    for code in naive.divisor_codes([(2, 3), (4, 2)]):
         dual = code.alternating_dual_matrix()
         assert naive.alternating_dual_matrix_char2(code) == dual
     code3 = ConjucyclicCode(f9, 1, (1, 1))
@@ -285,7 +278,7 @@ def test_dual_orbit_matches_contraction_of_every_row():
     # symplectic-dual row of the mirror, row for row
     grid = [(2, 6), (3, 6), (4, 3), (5, 5), (7, 2), (9, 3), (25, 2)]
     seen = set()
-    for code in all_divisor_codes(grid):
+    for code in naive.divisor_codes(grid):
         assert code.alternating_dual_matrix() == naive.alternating_dual_by_contraction(code)
         seen.add(code.tower.q)
     assert seen == {q for q, _ in grid}
@@ -302,7 +295,7 @@ def test_quaternary_reference_char2_vectors(f16, quaternary_code):
 
 
 def test_trace_dual_small_codes_brute_force():
-    for code in all_divisor_codes([(2, 1), (2, 2), (4, 1), (4, 2), (4, 3)]):
+    for code in naive.divisor_codes([(2, 1), (2, 2), (4, 1), (4, 2), (4, 3)]):
         tower = code.tower
         if tower.q ** code.card_log_q > 256:
             continue
@@ -320,7 +313,7 @@ def test_trace_dual_small_codes_brute_force():
 
 
 def test_trace_dual_is_squaring_when_q_is_2():
-    for code in all_divisor_codes([(2, 2), (2, 3)]):
+    for code in naive.divisor_codes([(2, 2), (2, 3)]):
         tower = code.tower
         squared = [
             tuple(tower.mul(x, x) for x in row)
@@ -348,7 +341,7 @@ def test_is_conjucyclic(f9, ternary_code, quaternary_code):
 
 
 def test_dual_closed_under_shift_char2():
-    for code in all_divisor_codes([(2, 3), (4, 2)]):
+    for code in naive.divisor_codes([(2, 3), (4, 2)]):
         assert is_conjucyclic(code.tower, code.alternating_dual_matrix())
 
 
@@ -396,7 +389,7 @@ def test_closed_form_subcode_matches_elimination():
     grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
     pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
     checked = 0
-    for code in all_divisor_codes(pairs):
+    for code in naive.divisor_codes(pairs):
         oracle = naive.cyclic_subcode_by_elimination(code.tower, code.gen_matrix)
         assert largest_cyclic_subcode(code) == oracle
         checked += 1
@@ -409,7 +402,7 @@ def test_subcode_remainder_sequence_matches_one_division_per_row():
     grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
     pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
     checked = 0
-    for code in all_divisor_codes(pairs):
+    for code in naive.divisor_codes(pairs):
         assert largest_cyclic_subcode(code) == naive.largest_cyclic_subcode_by_division(code)
         checked += 1
     assert checked == 544
@@ -446,7 +439,7 @@ def test_subcode_of_repetition_mirror_is_whole_code():
 
 
 def test_subcode_properties_across_divisors():
-    for code in all_divisor_codes([(2, 2), (3, 2), (5, 1), (4, 2)]):
+    for code in naive.divisor_codes([(2, 2), (3, 2), (5, 1), (4, 2)]):
         tower = code.tower
         sub = code.largest_cyclic_subcode()
         code_basis, code_piv = linalg.rref(

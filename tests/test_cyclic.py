@@ -196,3 +196,10 @@ def test_membership_refuses_words_outside_the_subfield():
     assert word == (12, 2, 0, 0, 0, 0)
     assert not code.contains(word)
     assert code.contains(code.coefficient_vector(code.g))
+
+
+def test_membership_refuses_codes_outside_the_field():
+    code = CyclicCode(tower_for_q(3), 2, (2, 1))
+    for word in ((9, 1, 1, 1), (-8, 1, 1, 1)):
+        with pytest.raises(ValueError, match="element codes"):
+            code.contains(word)

@@ -9,6 +9,7 @@ import pytest
 import naive
 
 from conjucyclic import (
+    CyclicCode,
     NotADivisorError,
     ZeroConstantTermError,
     build_tower,
@@ -200,6 +201,14 @@ def test_check_divisor_rejections(f9):
         check_divisor(f9, 2, ())
     with pytest.raises(NotADivisorError):
         check_divisor(f9, 1, (f9.beta, 1))  # coefficient outside GF(3)
+
+
+def test_check_divisor_scales_to_monic(f9):
+    # a GF(q^2) multiple of a GF(q) divisor is accepted: g is made monic
+    # first, and only then must its coefficients lie in GF(q)
+    assert CyclicCode(f9, 1, (f9.beta, f9.beta)).g == (1, 1)
+    with pytest.raises(NotADivisorError):
+        CyclicCode(f9, 1, (f9.beta, 1))
 
 
 def test_large_host_field_path():
