@@ -55,7 +55,7 @@ _EXIT_CODES = (
 
 
 def _int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    return [int(tok) for tok in text.split(",")]
 
 
 def _add_common(parser, needs_g: bool):

@@ -305,15 +305,9 @@ class FieldTower:
         return s
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a
-        s, mult = 0, 1
-        while a:
-            s += (-a % p) * mult
-            a //= p
-            mult *= p
-        return s
+        return self.mul(a, self.p - 1)  # code p - 1 is -1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -37,9 +37,10 @@ exactly when its bits are, so the weight is the popcount of one mark bit
 per nonzero coordinate; no table lookups run inside the hot loop.
 
 The kernel is a blocked meet-in-the-middle sweep: the rows are split in
-half, and the inner half's full span and the outer half's projective
-representatives (the messages whose first nonzero digit is 1) are built
-as packed words by field.packed_span.  One histogram routine counts the
+half, and each half's full span is built as packed words by
+field.packed_span.  The outer half's projective representatives (the
+messages whose first nonzero digit is 1) are column slices of its span,
+one contiguous range per leading row.  One histogram routine counts the
 weights of every outer-word + inner-word sum in vectorized blocks: H over
 the representatives, and Z over the zero word alone (the inner span
 itself).  A sum with an outer representative stands for its q - 1 nonzero
@@ -200,23 +201,6 @@ def _histogram(outer, inner, kernel, n):
     return counts
 
 
-def _projective_span(add, multiples, nw):
-    """One word per GF(q)-projective point of the span, zero excluded.
-
-    The representatives are the messages whose first nonzero digit is 1:
-    row j plus the span of the rows after it, for each j.  Column 1 of each
-    multiples array is the row itself (see _multiples).  The span of the
-    trailing rows grows one row at a time; the result has
-    (nw, (q^r - 1)/(q - 1)) words.
-    """
-    reps, tail = [], []  # tail: [the span of the rows after j], none at first
-    for j in reversed(range(len(multiples))):
-        reps.append(packed_span(add, [multiples[j][:, 1:2], *tail], nw))
-        if j:
-            tail = [packed_span(add, [multiples[j], *tail], nw)]
-    return np.concatenate(reps, axis=1)
-
-
 def _cores():
     """The CPUs this process may run on: its affinity mask where there is one."""
     if hasattr(os, "sched_getaffinity"):
@@ -230,8 +214,12 @@ def _sweep(tower, multiples, n, workers):
     multiples is an (nw, r, q) array as built by _multiples, of r
     GF(q)-independent rows.  The outer half runs over one representative
     per projective point and Z over the zero word, so A = (q - 1) H + Z as
-    in the module docstring.  No more threads start than the histogram has
-    outer blocks, so a one-block sweep starts no pool.
+    in the module docstring.  Those representatives, the messages whose
+    first nonzero digit is 1, are the columns [q^i, 2 q^i) of the outer
+    half's span: packed_span's first pick varies slowest, and column 1 of
+    each multiples array is the row itself (see _multiples).  No more
+    threads start than the histogram has outer blocks, so a one-block
+    sweep starts no pool.
     """
     nw, r, q = multiples.shape
     if r == 0:
@@ -239,7 +227,8 @@ def _sweep(tower, multiples, n, workers):
     rows = [multiples[:, j] for j in range(r)]
     kernel = _kernel(tower)
     inner = packed_span(kernel[0], rows[: r // 2], nw)
-    outer = _projective_span(kernel[0], rows[r // 2 :], nw)
+    span = packed_span(kernel[0], rows[r // 2 :], nw)
+    outer = np.concatenate([span[:, q ** i : 2 * q ** i] for i in range(r - r // 2)], axis=1)
     blocks = -(-outer.shape[1] // _block(outer.shape[1], inner))
     workers = min(max(1, int(workers)), _cores(), blocks)
     if workers == 1:
@@ -327,11 +316,13 @@ def _macwilliams(counts, size, q2):
     return [t // size for t in total]
 
 
-def _enumerate_counts(code, budget, workers):
-    """(A, B): weight histograms of the code and of its alternating dual.
+def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
+    """Exact Hamming weight distributions of a conjucyclic code and its dual.
 
     Enumerates the strictly smaller side, C itself on a tie, through its
-    shortened side, and gets the other by the MacWilliams transform.
+    shortened side, and gets the other by the MacWilliams transform.  That
+    side has q^min(k, 2n - k) words, k = 2n - deg g; raises
+    BudgetExceededError first if that count exceeds the budget.
     """
     tower, n, k = code.tower, code.n, code.card_log_q
     q, dual_k = tower.q, 2 * n - k
@@ -348,19 +339,7 @@ def _enumerate_counts(code, budget, workers):
         b = _macwilliams(a, q ** k, tower.q2)
     assert a[0] == b[0] == 1, "A_0 or B_0 is not 1"
     assert sum(a) == q ** k and sum(b) == q ** dual_k, "histogram sizes"
-    return a, b
-
-
-def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
-    """Exact Hamming weight distributions of a conjucyclic code and its dual.
-
-    Enumerates q^min(k, 2n - k) words, k = 2n - deg g; raises
-    BudgetExceededError first if that count exceeds the budget.
-    """
-    a, b = _enumerate_counts(code, budget, workers)
-    return WeightDistribution(
-        counts=a, q=code.tower.q, dim=code.card_log_q, dual_counts=b
-    )
+    return WeightDistribution(counts=a, q=q, dim=k, dual_counts=b)
 
 
 def min_weight(code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:

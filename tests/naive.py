@@ -64,6 +64,16 @@ def span_counts(tower, rows, n, workers):
     return weights._sweep(tower, weights._multiples(tower, rows, n), n, workers)
 
 
+def neg(tower, a: int) -> int:
+    """-a in GF(q^2), negating each base-p digit of the code."""
+    s, mult = 0, 1
+    while a:
+        s += (-a % tower.p) * mult
+        a //= tower.p
+        mult *= tower.p
+    return s
+
+
 def hamming_weight(vec):
     return sum(1 for x in vec if x)
 

@@ -163,6 +163,12 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["nonsense"])
+    # an empty token is not dropped: 1,,1 is not the g = 1 + x of 1,1
+    for flag in ("--g", "--exps"):
+        for value in ("1,,1", ",1", "1,", ""):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["code", "--q", "3", "--n", "1", flag, value])
+            assert exc.value.code == 2
 
 
 def test_verify_budget_failure_exits_1(capsys):

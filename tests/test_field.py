@@ -116,9 +116,11 @@ def test_subfield_is_closed():
                 assert t.mul(a, b) in sub
 
 
-def test_arithmetic_identities():
-    t = build_tower(3, 1)
-    for a in range(9):
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9, 25, 27))
+def test_arithmetic_identities(q):
+    t = tower_for_q(q)
+    for a in range(t.q2):
+        assert t.neg(a) == naive.neg(t, a)
         assert t.add(a, t.neg(a)) == 0
         if a:
             assert t.mul(a, t.inv(a)) == 1

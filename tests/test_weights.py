@@ -160,7 +160,9 @@ def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
     # by q - 1 makes every A_w (w > 0) of the enumerated side a multiple of
     # q - 1 by construction, so the naive spans are the check on the counts
     # themselves.  weight_distribution sweeps only the r' = r - e rows of
-    # the enumerated side's words with c_0 = 0, and visits no word at r' = 0
+    # the enumerated side's words with c_0 = 0, and visits no word at r' = 0.
+    # Sides of up to 5 rows at q <= 3 give an outer half of 3 rows, whose
+    # representatives reach past the span's columns [q, 2q)
     histogram, visited = weights._histogram, []
 
     def recording(outer, inner, kernel, n):
@@ -176,7 +178,7 @@ def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
         enumerated = "dual" if len(sides[1][1]) < len(sides[0][1]) else "code"
         for side, rows in sides:
             r = len(rows)
-            if not 1 <= r <= 3:
+            if not 1 <= r <= (5 if q <= 3 else 3):
                 continue
             words = naive.span(tower, rows, n)
             expected = naive.weight_histogram(words, n, naive.hamming_weight)
@@ -194,7 +196,12 @@ def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
                 assert (counts.dual_counts if side == "dual" else counts.counts) == expected
                 assert sum(visited) == (visits(q, r_short) if r_short else 0)
             shortened.add((r - r_short, r_short))
-    assert seen == {(q, side, r) for q in grid for side in ("code", "dual") for r in (1, 2, 3)}
+    assert seen == {
+        (q, side, r)
+        for q in grid
+        for side in ("code", "dual")
+        for r in range(1, 6 if q <= 3 else 4)
+    }
     assert shortened == {(e, r - e) for r in (1, 2, 3) for e in (1, 2) if e <= r}
 
 
