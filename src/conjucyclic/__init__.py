@@ -2,9 +2,9 @@
 
 Exact arithmetic throughout: field towers GF(q) <= GF(q^2) with canonical
 (Conway) moduli, factorization of x^(2n) - 1, cyclic codes and their
-Euclidean/symplectic duals, the trace-pair expansion linking conjucyclic
-codes of length n to cyclic codes of length 2n, alternating duals, largest
-cyclic subcodes, exhaustive weight distributions, and derived quantum
+symplectic duals, the trace-pair expansion linking conjucyclic codes of
+length n to cyclic codes of length 2n, alternating duals, largest cyclic
+subcodes, exhaustive weight distributions, and derived quantum
 stabilizer-code parameters.
 """
 
@@ -20,13 +20,7 @@ from .conju import (
     trace_pair,
     trace_pair_inv,
 )
-from .cyclic import (
-    CyclicCode,
-    cyclic_shift,
-    euclidean_inner,
-    symplectic_inner,
-    symplectic_swap,
-)
+from .cyclic import CyclicCode, cyclic_shift, symplectic_swap
 from .errors import (
     BudgetExceededError,
     ConjucyclicError,
@@ -83,7 +77,6 @@ __all__ = [
     "contract",
     "cyclic_shift",
     "enumerate_divisors",
-    "euclidean_inner",
     "expand",
     "factor_x2n_minus_1",
     "is_alternating_dual_containing",
@@ -92,7 +85,6 @@ __all__ = [
     "min_weight",
     "monic_reciprocal",
     "stabilizer_params",
-    "symplectic_inner",
     "symplectic_swap",
     "tower_for_q",
     "trace_pair",

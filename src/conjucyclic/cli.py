@@ -55,7 +55,12 @@ _EXIT_CODES = (
 
 
 def _int_list(text: str):
-    return [int(tok) for tok in text.split(",")]
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_common(parser, needs_g: bool):

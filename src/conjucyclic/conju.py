@@ -30,7 +30,7 @@ subcode is the length-n cyclic code <g / gcd(g, x^n + 1)>, in closed form.
 from __future__ import annotations
 
 from . import linalg
-from .cyclic import CyclicCode, cyclic_shift, shift_iterates, symplectic_swap
+from .cyclic import CyclicCode, shift_iterates, symplectic_swap
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
 from .poly import degree, poly_divmod, poly_gcd, x_power_remainders
 
@@ -140,10 +140,11 @@ def largest_cyclic_subcode(code):
     equal to 1 at position s + i (mod n) and 0 at the other k1 - 1
     positions of that block, where d1 = deg g1, k1 = n - d1 and
     s = (dim - k1) mod n; this is the canonical basis that elimination on
-    the expanded generator rows yields.  Row i is built as
+    the expanded generator rows yields.  Row i is
     x^(d1 + i) - (x^(d1 + i) mod g1), rotated right by s - d1, and scaled
     by contract((1, 1)), the GF(q) constant that maps (a, a) back to a
-    vector over GF(q^2).  The remainders come from one sequence,
+    vector over GF(q^2); each entry is written straight to its rotated
+    position.  The remainders come from one sequence,
     x^(d1 + i + 1) mod g1 = x * (x^(d1 + i) mod g1) mod g1.
     """
     tower, n = code.tower, code.n
@@ -153,12 +154,14 @@ def largest_cyclic_subcode(code):
     k1 = n - d1
     s = (code.card_log_q - k1) % n
     scale = contract(tower, (1, 1))[0]
+    neg_scale, mul = tower.neg(scale), tower.mul
     rows = []
     for i, rem in enumerate(x_power_remainders(tower, g1, d1, k1)):
-        word = [0] * (d1 + i) + [1] + [0] * (k1 - 1 - i)
+        row = [0] * n
+        row[(s + i) % n] = scale
         for j, c in enumerate(rem):
-            word[j] = tower.neg(c)
-        rows.append(tuple(tower.mul(scale, c) for c in cyclic_shift(word, s - d1)))
+            row[(j + s - d1) % n] = mul(neg_scale, c)
+        rows.append(tuple(row))
     return rows
 
 

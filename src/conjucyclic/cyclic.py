@@ -50,21 +50,6 @@ def symplectic_swap(tower, v):
     return tuple(tower.neg(x) for x in v[n:]) + tuple(v[:n])
 
 
-def euclidean_inner(tower, u, v) -> int:
-    if len(u) != len(v):
-        raise LengthMismatchError(f"lengths {len(u)} != {len(v)}")
-    acc = 0
-    for a, b in zip(u, v):
-        acc = tower.add(acc, tower.mul(a, b))
-    return acc
-
-
-def symplectic_inner(tower, u, v) -> int:
-    """sum_j (u_j v_{m+j} - u_{m+j} v_j) on vectors of even length 2m:
-    the Euclidean product of the half-swapped u with v."""
-    return euclidean_inner(tower, symplectic_swap(tower, u), v)
-
-
 class CyclicCode:
     """The q-ary cyclic code <g(x)> of length 2n.
 
@@ -99,20 +84,11 @@ class CyclicCode:
         """
         return shift_iterates(self.coefficient_vector(self.g), self.dim)
 
-    def euclidean_dual_matrix(self):
-        """k x 2n generator matrix of the Euclidean dual, shifts of h*."""
-        return shift_iterates(self.coefficient_vector(self.h_star), self.k)
-
     def symplectic_dual_matrix(self):
-        """k x 2n generator matrix of the symplectic dual.
-
-        Each Euclidean-dual row passes through the half-swap map; rank
-        stays k and every row pairs to zero symplectically with every
-        generator row.
-        """
-        return [
-            symplectic_swap(self.tower, row) for row in self.euclidean_dual_matrix()
-        ]
+        """k x 2n generator matrix of the symplectic dual: row i is
+        tau(x^i h*), the half-swap of the i-th shift of h*."""
+        rows = shift_iterates(self.coefficient_vector(self.h_star), self.k)
+        return [symplectic_swap(self.tower, row) for row in rows]
 
     def contains(self, vec) -> bool:
         """Membership: every entry lies in GF(q) and g divides the word's

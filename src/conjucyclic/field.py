@@ -20,11 +20,11 @@ The canonical tower is a pure function of (p, m), so that constructions
 are reproducible bit for bit: a built-in table of Conway polynomials covers
 p^(2m) in {4, 9, 16, 25, 49, 64, 81, 256}; anything else falls back to the
 lexicographically smallest primitive polynomial, comparing coefficient
-tuples low-degree-first.  The search runs on poly.py's arithmetic over
-PrimeField(p) and accepts f when x has order p^d - 1 modulo f.  Other
-moduli are passed to FieldTower(p, m, modulus) directly.  Both routes
-refuse m < 1, then sizes above the 2^24 cap before any primality test or
-table, then a composite p.
+tuples low-degree-first.  The search runs on poly.ZechLogs over GF(p),
+logs to the least primitive root, and accepts f when x has order p^d - 1
+modulo f.  Other moduli are passed to FieldTower(p, m, modulus) directly.
+Both routes refuse m < 1, then sizes above the 2^24 cap before any
+primality test or table, then a composite p.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     NoPrimitivePolynomialError,
     NotPrimeError,
 )
-from .poly import ZechLogs, poly_mod, poly_powmod
+from .poly import ZechLogs
 
 #: Hard cap on q^2 so the exp/log tables stay in memory.  Measured build
 #: time, resident and peak RSS: q = 4096 (the cap) 3.9 s, 0.82 / 1.07 GB;
@@ -90,14 +90,6 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-class PrimeField:
-    """GF(p) on the ints 0 .. p - 1, with the Zech table poly.py asks of a field."""
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        self.zech = _prime_zech(p)
-
-
 @functools.lru_cache(maxsize=16)
 def _prime_zech(p: int) -> ZechLogs:
     """Logs of GF(p) to its least primitive root.  The cache holds the last
@@ -121,12 +113,15 @@ def is_primitive(f, p: int) -> bool:
     units, GF(p)[x]/(f) is a field and f is irreducible.  A separate
     irreducibility test (Rabin's) would reject nothing more.
     """
-    gf, f, d = PrimeField(p), tuple(f), len(f) - 1
-    x = poly_mod(gf, (0, 1), f)
-    if f[0] == 0 or poly_powmod(gf, x, p ** d, f) != x:  # f(0) = 0: x is no unit
+    z, d = _prime_zech(p), len(f) - 1
+    if f[0] == 0:  # x is no unit
+        return False
+    f = z.to_logs(f)
+    x = z.divmod([-1, 0], f)[1]
+    if z.powmod(x, p ** d, f) != x:
         return False
     order = p ** d - 1
-    return all(poly_powmod(gf, x, order // r, f) != (1,) for r in factorize(order))
+    return all(z.powmod(x, order // r, f) != [0] for r in factorize(order))
 
 
 def smallest_primitive(p: int, d: int) -> tuple[int, ...]:

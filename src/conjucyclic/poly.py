@@ -5,10 +5,10 @@ trailing zeros; the zero polynomial is the empty tuple.  Coefficients must
 lie in the subfield GF(q) of the ambient tower, where all generator
 polynomials of the cyclic codes of interest live: the arithmetic runs on
 their logs to a generator gamma of GF(q)*, and a coefficient outside GF(q)
-(its tower log no multiple of q + 1) raises ValueError.  It asks of a
-field only `zech`, a ZechLogs table of GF(q): FieldTower's has
-gamma = beta^(q+1), and field.PrimeField(p)'s, for the modulus search, a
-primitive root mod p.  Codes become logs on entry and codes on exit.
+(its tower log no multiple of q + 1) raises ValueError.  The functions
+take a FieldTower and run on its `zech`, a ZechLogs table of GF(q) with
+gamma = beta^(q+1); the modulus search in field.py runs ZechLogs on GF(p)
+directly.  Codes become logs on entry and codes on exit.
 
 Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
@@ -160,11 +160,6 @@ def degree(a) -> int:
     return len(a) - 1
 
 
-def poly_mul(tower, a, b) -> tuple:
-    z = tower.zech
-    return z.to_codes(z.reduce(z.product(z.to_logs(a), z.to_logs(b))))
-
-
 def poly_divmod(tower, a, b) -> tuple:
     """Quotient and remainder with deg r < deg b."""
     z = tower.zech
@@ -180,12 +175,6 @@ def poly_gcd(tower, a, b) -> tuple:
     """Monic gcd; the empty tuple when both are zero."""
     z = tower.zech
     return z.to_codes(z.gcd(z.to_logs(a), z.to_logs(b)))
-
-
-def poly_powmod(tower, a, e: int, f) -> tuple:
-    """a^e mod f by square and multiply; a must already be reduced mod f."""
-    z = tower.zech
-    return z.to_codes(z.powmod(z.to_logs(a), e, z.to_logs(f)))
 
 
 def x_pow_minus_one(tower, n: int) -> tuple:

@@ -74,6 +74,30 @@ def neg(tower, a: int) -> int:
     return s
 
 
+def euclidean_inner(tower, u, v) -> int:
+    """sum_j u_j v_j."""
+    from conjucyclic import LengthMismatchError
+
+    if len(u) != len(v):
+        raise LengthMismatchError(f"lengths {len(u)} != {len(v)}")
+    acc = 0
+    for a, b in zip(u, v):
+        acc = tower.add(acc, tower.mul(a, b))
+    return acc
+
+
+def symplectic_inner(tower, u, v) -> int:
+    """sum_j (u_j v_{m+j} - u_{m+j} v_j) on vectors of even length 2m."""
+    from conjucyclic import LengthMismatchError
+
+    if len(u) != len(v) or len(u) % 2:
+        raise LengthMismatchError(f"lengths {len(u)}, {len(v)}: need one even length")
+    m, acc = len(u) // 2, 0
+    for j in range(m):
+        acc = tower.add(acc, tower.sub(tower.mul(u[j], v[m + j]), tower.mul(u[m + j], v[j])))
+    return acc
+
+
 def hamming_weight(vec):
     return sum(1 for x in vec if x)
 

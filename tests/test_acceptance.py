@@ -23,7 +23,6 @@ from conjucyclic import (
     is_conjucyclic,
     largest_cyclic_subcode,
     stabilizer_params,
-    symplectic_inner,
     tower_for_q,
     trace_pair,
     trace_pair_inv,
@@ -44,6 +43,7 @@ from conjucyclic.refdata import (
     decode_matrix,
     decode_vector,
 )
+from naive import symplectic_inner
 
 SEED = 0xACCE97
 

@@ -164,11 +164,15 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit):
         cli.main(["nonsense"])
     # an empty token is not dropped: 1,,1 is not the g = 1 + x of 1,1
+    capsys.readouterr()
     for flag in ("--g", "--exps"):
         for value in ("1,,1", ",1", "1,", ""):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["code", "--q", "3", "--n", "1", flag, value])
             assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected comma-separated integers" in err
+            assert "_int_list" not in err
 
 
 def test_verify_budget_failure_exits_1(capsys):

@@ -18,7 +18,6 @@ from conjucyclic import (
     factor_x2n_minus_1,
     is_conjucyclic,
     largest_cyclic_subcode,
-    symplectic_inner,
     tower_for_q,
     trace_pair,
     trace_pair_inv,
@@ -38,6 +37,7 @@ from conjucyclic.refdata import (
     decode_matrix,
     decode_vector,
 )
+from naive import symplectic_inner
 
 SEED = 0xC0DE
 

@@ -10,14 +10,13 @@ from conjucyclic import (
     build_tower,
     cyclic_shift,
     enumerate_divisors,
-    euclidean_inner,
     factor_x2n_minus_1,
-    symplectic_inner,
     symplectic_swap,
     tower_for_q,
 )
 from conjucyclic import linalg
 from conjucyclic.refdata import QUATERNARY_N11, TERNARY_N11, decode_vector
+from naive import euclidean_inner, symplectic_inner
 
 SEED = 0x5EED
 

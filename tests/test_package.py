@@ -1,0 +1,25 @@
+"""The package's public API: what `conjucyclic.__all__` exports."""
+
+import conjucyclic
+from conjucyclic import cyclic, field, poly
+
+#: second routes retired from the library; the inner products live on as
+#: oracles in tests/naive.py
+RETIRED = (
+    (field, "PrimeField"),
+    (poly, "poly_mul"),
+    (poly, "poly_powmod"),
+    (cyclic, "euclidean_inner"),
+    (cyclic, "symplectic_inner"),
+    (cyclic.CyclicCode, "euclidean_dual_matrix"),
+)
+
+
+def test_exported_names_resolve_and_retired_ones_are_gone():
+    assert len(set(conjucyclic.__all__)) == len(conjucyclic.__all__)
+    for name in conjucyclic.__all__:
+        assert hasattr(conjucyclic, name), name
+    for owner, name in RETIRED:
+        assert name not in conjucyclic.__all__, name
+        assert not hasattr(conjucyclic, name), name
+        assert not hasattr(owner, name), name
