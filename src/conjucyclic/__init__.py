@@ -18,9 +18,8 @@ from .conju import (
     is_conjucyclic,
     largest_cyclic_subcode,
     trace_pair,
-    trace_pair_inv,
 )
-from .cyclic import CyclicCode, cyclic_shift, symplectic_swap
+from .cyclic import CyclicCode, symplectic_swap
 from .errors import (
     BudgetExceededError,
     ConjucyclicError,
@@ -32,7 +31,6 @@ from .errors import (
     NotPrimeError,
     OddLengthError,
     WrongCharacteristicError,
-    ZeroCodeError,
     ZeroConstantTermError,
 )
 from .field import FieldTower, build_tower, tower_for_q
@@ -46,7 +44,6 @@ from .weights import (
     DEFAULT_BUDGET,
     StabilizerParams,
     WeightDistribution,
-    min_weight,
     stabilizer_params,
     weight_distribution,
 )
@@ -69,26 +66,22 @@ __all__ = [
     "StabilizerParams",
     "WeightDistribution",
     "WrongCharacteristicError",
-    "ZeroCodeError",
     "ZeroConstantTermError",
     "alternating_inner",
     "build_tower",
     "conjucyclic_shift",
     "contract",
-    "cyclic_shift",
     "enumerate_divisors",
     "expand",
     "factor_x2n_minus_1",
     "is_alternating_dual_containing",
     "is_conjucyclic",
     "largest_cyclic_subcode",
-    "min_weight",
     "monic_reciprocal",
     "stabilizer_params",
     "symplectic_swap",
     "tower_for_q",
     "trace_pair",
-    "trace_pair_inv",
     "weight_distribution",
 ]
 

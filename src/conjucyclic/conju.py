@@ -49,11 +49,6 @@ def trace_pair(tower, alpha: int) -> tuple:
     return tuple(tower.trace(tower.mul(b, alpha)) for b in (beta, tower.conjugate(beta)))
 
 
-def trace_pair_inv(tower, first: int, second: int) -> int:
-    """Recover alpha from its trace pair."""
-    return contract(tower, (first, second))[0]
-
-
 def expand(tower, vec) -> tuple:
     """GF(q^2)^n -> GF(q)^{2n}: first trace-pair components, then second."""
     pairs = [trace_pair(tower, x) for x in vec]
@@ -184,11 +179,8 @@ class ConjucyclicCode:
         self.cyclic = CyclicCode(tower, n, g)
         self.g = self.cyclic.g
         self.card_log_q = self.cyclic.dim
-        self.gen_matrix = shift_iterates(
-            contract(tower, self.cyclic.coefficient_vector(self.g)),
-            self.card_log_q,
-            lambda row: conjucyclic_shift(tower, row),
-        )
+        g_row = contract(tower, self.cyclic.coefficient_vector(self.g))
+        self.gen_matrix = shift_iterates(g_row, self.card_log_q, tower.conjugate)
 
     @property
     def k(self) -> int:
@@ -206,11 +198,9 @@ class ConjucyclicCode:
         twisted shift into T-.  So the dual is closed under T-, and under T
         in general only in characteristic 2, where T- = T.
         """
-        tower = self.tower
-        first = contract(tower, _dual_row(self))
-        return shift_iterates(
-            first, self.k, lambda row: (tower.neg(tower.conjugate(row[-1])),) + row[:-1]
-        )
+        neg, conj = self.tower.neg, self.tower.conjugate
+        first = contract(self.tower, _dual_row(self))
+        return shift_iterates(first, self.k, lambda x: neg(conj(x)))
 
     def trace_dual_matrix(self):
         """Basis of the trace dual {v : Tr(<u, v>_e) = 0 for all u in C}.

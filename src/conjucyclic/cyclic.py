@@ -1,9 +1,9 @@
 """q-ary linear cyclic codes of even length 2n and their dual machinery.
 
 A cyclic code D of length 2n is <g(x)> for a monic divisor g of x^(2n) - 1.
-Its generator matrix stacks the right cyclic shifts of the coefficient
-vector of g.  The Euclidean dual is generated by shifts of the monic
-reciprocal of h = (x^(2n) - 1)/g; applying the half-swap map
+Its words are the multiples of g, spanned by the right cyclic shifts of
+the coefficient vector of g.  The Euclidean dual is generated by shifts of
+the monic reciprocal of h = (x^(2n) - 1)/g; applying the half-swap map
 
     tau(v) = (-v_n, ..., -v_{2n-1}, v_0, ..., v_{n-1})
 
@@ -12,7 +12,7 @@ Codewords are tuples of element codes drawn from the subfield GF(q) of the
 ambient tower.
 
 Degenerate divisors are legal and round-trip everywhere: g = x^(2n) - 1
-gives the zero code (empty generator matrix) and g = 1 the full space.
+gives the zero code (no generator rows) and g = 1 the full space.
 """
 
 from __future__ import annotations
@@ -21,22 +21,20 @@ from .errors import LengthMismatchError
 from .poly import check_divisor, degree, monic_reciprocal, normalize, poly_mod
 
 
-def cyclic_shift(v, steps: int = 1):
-    """Right cyclic shift: (v[-1], v[0], ..., v[-2]) for steps = 1."""
-    n = len(v)
-    if n == 0:
-        return tuple(v)
-    steps %= n
-    return tuple(v[n - steps:]) + tuple(v[: n - steps])
+def shift_iterates(row, count: int, twist=None) -> list:
+    """The first count iterates row, S(row), S(S(row)), ... of the twisted
+    right shift S(v) = (twist(v_{m-1}), v_0, ..., v_{m-2}); [] for count 0.
 
-
-def shift_iterates(row, count: int, shift=cyclic_shift) -> list:
-    """The count rows row, shift(row), shift(shift(row)), ...; [] for count 0."""
-    rows = []
-    for _ in range(count):
-        rows.append(row)
-        row = shift(row)
-    return rows
+    twist maps one entry and must be an involution (None: the identity,
+    so S is the plain cyclic shift).  Then S^m applies twist to every
+    entry and S^(2m) is the identity, so for i <= 2m the row S^i(v) is the
+    window [2m - i, 3m - i) of v + twist(v) + v.
+    """
+    m = len(row)
+    assert count <= 2 * m, f"{count} iterates of a length-{m} row"
+    middle = row if twist is None else tuple(map(twist, row))
+    window = row + middle + row
+    return [window[2 * m - i : 3 * m - i] for i in range(count)]
 
 
 def symplectic_swap(tower, v):
@@ -76,13 +74,6 @@ class CyclicCode:
         """Pad a polynomial of degree < 2n out to a length-2n tuple."""
         out = list(poly) + [0] * (2 * self.n - len(poly))
         return tuple(out[: 2 * self.n])
-
-    def generator_matrix(self):
-        """(2n - k) x 2n matrix; row i is the i-th shift of the g vector.
-
-        Empty for the zero code g = x^(2n) - 1.
-        """
-        return shift_iterates(self.coefficient_vector(self.g), self.dim)
 
     def symplectic_dual_matrix(self):
         """k x 2n generator matrix of the symplectic dual: row i is

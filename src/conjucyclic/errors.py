@@ -41,10 +41,6 @@ class WrongCharacteristicError(ConjucyclicError):
     """Operation only defined in characteristic 2."""
 
 
-class ZeroCodeError(ConjucyclicError):
-    """The zero code has no nonzero codeword to measure."""
-
-
 class NotDualContainingError(ConjucyclicError):
     """Stabilizer parameters require an alternating dual-containing code."""
 

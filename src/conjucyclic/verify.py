@@ -19,7 +19,7 @@ from .conju import (
     trace_pair,
 )
 from .conju import _inversion_constants
-from .cyclic import cyclic_shift
+from .cyclic import shift_iterates
 from .field import build_tower, tower_for_q
 from .poly import degree, enumerate_divisors, factor_x2n_minus_1, normalize
 from .weights import stabilizer_params, weight_distribution
@@ -73,7 +73,7 @@ def _check_f9_n3_span():
     expanded = {expand(tower, w) for w in words}
     listed_q = {refdata.decode_vector(tower, l) for l in refdata.F9_N3_EXPANDED}
     assert expanded == listed_q
-    assert all(cyclic_shift(w) in expanded for w in expanded), "not shift-closed"
+    assert all(shift_iterates(w, 2)[1] in expanded for w in expanded), "not shift-closed"
 
     # the mirror generator is the minimum-degree monic word of the listing
     monic_words = [a for a in map(normalize, listed_q) if a and a[-1] == 1]

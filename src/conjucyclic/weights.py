@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conju import is_alternating_dual_containing, trace_pair
-from .errors import BudgetExceededError, NotDualContainingError, ZeroCodeError
+from .errors import BudgetExceededError, NotDualContainingError
 from .field import digit_bits, packed_add, packed_span
 
 #: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
@@ -340,15 +340,6 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     assert a[0] == b[0] == 1, "A_0 or B_0 is not 1"
     assert sum(a) == q ** k and sum(b) == q ** dual_k, "histogram sizes"
     return WeightDistribution(counts=a, q=q, dim=k, dual_counts=b)
-
-
-def min_weight(code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
-    """Minimum Hamming weight over the nonzero codewords."""
-    if not code.gen_matrix:
-        raise ZeroCodeError("the zero code has no nonzero codeword")
-    w = weight_distribution(code, budget=budget, workers=workers).min_weight
-    assert w is not None
-    return w
 
 
 def stabilizer_params(

@@ -98,6 +98,32 @@ def symplectic_inner(tower, u, v) -> int:
     return acc
 
 
+def cyclic_shift(v, steps: int = 1):
+    """Right cyclic shift by steps (any integer), one position at a time."""
+    out = tuple(v)
+    for _ in range(steps % len(v) if v else 0):
+        out = out[-1:] + out[:-1]
+    return out
+
+
+def negated_conjucyclic_shift(tower, v):
+    """T-(v) = (-conj(v_{n-1}), v_0, ..., v_{n-2})."""
+    if not v:
+        return tuple(v)
+    return (neg(tower, tower.conjugate(v[-1])),) + tuple(v[:-1])
+
+
+def cyclic_generator_matrix(code):
+    """(2n - k) x 2n generator matrix of a CyclicCode: row i is the i-th
+    right shift of the g vector, shifted one step at a time; empty for the
+    zero code g = x^(2n) - 1."""
+    rows, row = [], code.coefficient_vector(code.g)
+    for _ in range(code.dim):
+        rows.append(row)
+        row = cyclic_shift(row)
+    return rows
+
+
 def hamming_weight(vec):
     return sum(1 for x in vec if x)
 
@@ -408,7 +434,7 @@ def largest_cyclic_subcode_by_division(code):
     """Closed-form cyclic subcode basis with one long division per row:
     row i is x^(d1+i) - (x^(d1+i) mod g1), rotated right by s - d1 and
     scaled by contract((1, 1))."""
-    from conjucyclic import contract, cyclic_shift
+    from conjucyclic import contract
 
     tower, n = code.tower, code.n
     x_n_plus_1 = (1,) + (0,) * (n - 1) + (1,)

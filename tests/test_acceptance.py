@@ -15,7 +15,6 @@ from conjucyclic import (
     build_tower,
     conjucyclic_shift,
     contract,
-    cyclic_shift,
     enumerate_divisors,
     expand,
     factor_x2n_minus_1,
@@ -25,7 +24,6 @@ from conjucyclic import (
     stabilizer_params,
     tower_for_q,
     trace_pair,
-    trace_pair_inv,
     weight_distribution,
 )
 from conjucyclic import linalg
@@ -123,7 +121,7 @@ def test_c4_listed_length3_code():
         assert words == {decode_vector(tower, line) for line in F9_N3_CODEWORDS}
         expanded = {expand(tower, w) for w in words}
         assert expanded == {decode_vector(tower, line) for line in F9_N3_EXPANDED}
-        assert all(cyclic_shift(d) in expanded for d in expanded)
+        assert all(naive.cyclic_shift(d) in expanded for d in expanded)
         listed_sub = {decode_vector(tower, line) for line in F9_N3_CYCLIC_SUBCODE}
         oracle = naive.cyclic_subcode_by_elimination(tower, gens)
         assert naive.span(tower, oracle, 3) == listed_sub
@@ -196,7 +194,7 @@ def test_c7_property_suites():
                     v = tuple(rng.randrange(tower.q2) for _ in range(n))
                     assert expand(
                         tower, conjucyclic_shift(tower, v)
-                    ) == cyclic_shift(expand(tower, v))
+                    ) == naive.cyclic_shift(expand(tower, v))
                     cases += 1
         assert cases >= 1000
 
@@ -217,11 +215,11 @@ def test_c7_property_suites():
         cases = 0
         for tower in towers:
             for a in range(tower.q2):
-                assert trace_pair_inv(tower, *trace_pair(tower, a)) == a
+                assert contract(tower, trace_pair(tower, a))[0] == a
                 cases += 1
             for _ in range(250):
                 a = rng.randrange(tower.q2)
-                assert trace_pair_inv(tower, *trace_pair(tower, a)) == a
+                assert contract(tower, trace_pair(tower, a))[0] == a
                 cases += 1
         assert cases >= 1000
 
@@ -325,7 +323,7 @@ def test_c8_oracle_equivalence():
                     code = ConjucyclicCode(tower, n, g)
                     from_rows = naive.span(tower, code.gen_matrix, n)
                     mirror_words = naive.span(
-                        tower, code.cyclic.generator_matrix(), 2 * n
+                        tower, naive.cyclic_generator_matrix(code.cyclic), 2 * n
                     )
                     lifted = {contract(tower, d) for d in mirror_words}
                     assert from_rows == lifted

@@ -4,17 +4,20 @@ import pytest
 
 import naive
 from conjucyclic import (
+    ConjucyclicCode,
     CyclicCode,
     LengthMismatchError,
     NotADivisorError,
     build_tower,
-    cyclic_shift,
+    conjucyclic_shift,
     enumerate_divisors,
+    expand,
     factor_x2n_minus_1,
     symplectic_swap,
     tower_for_q,
 )
 from conjucyclic import linalg
+from conjucyclic.cyclic import shift_iterates
 from conjucyclic.refdata import QUATERNARY_N11, TERNARY_N11, decode_vector
 from naive import euclidean_inner, symplectic_inner
 
@@ -28,14 +31,44 @@ def small_codes(pairs):
             yield CyclicCode(tower, n, g)
 
 
+def mirror_rows(code):
+    """The library's mirror generator rows: the expanded T-orbit."""
+    conju = ConjucyclicCode(code.tower, code.n, code.g)
+    return [expand(code.tower, row) for row in conju.gen_matrix]
+
+
 def test_cyclic_shift_basics():
-    assert cyclic_shift((1, 0, 0, 0)) == (0, 1, 0, 0)
+    assert shift_iterates((1, 0, 0, 0), 2)[1] == (0, 1, 0, 0)
     v = (1, 2, 0, 2, 1, 0)
-    out = v
-    for _ in range(len(v)):
-        out = cyclic_shift(out)
-    assert out == v
-    assert cyclic_shift(v, 2) == cyclic_shift(cyclic_shift(v))
+    assert shift_iterates(v, len(v) + 1)[-1] == v
+    assert shift_iterates(v, 3)[2] == shift_iterates(shift_iterates(v, 2)[1], 2)[1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_shift_iterates_matches_stepwise_iteration(q):
+    # each window of row + twist(row) + row against one shift at a time,
+    # for the plain shift, T and T-, at every count the bound admits
+    tower = tower_for_q(q)
+    rng = random.Random(SEED + q)
+    cases = (
+        (None, naive.cyclic_shift),
+        (tower.conjugate, lambda v: conjucyclic_shift(tower, v)),
+        (
+            lambda x: tower.neg(tower.conjugate(x)),
+            lambda v: naive.negated_conjucyclic_shift(tower, v),
+        ),
+    )
+    for n in (1, 2, 5, 11):
+        for twist, step in cases:
+            row = tuple(rng.randrange(tower.q2) for _ in range(n))
+            expected, out = [], row
+            for _ in range(2 * n):
+                expected.append(out)
+                out = step(out)
+            for count in range(2 * n + 1):
+                assert shift_iterates(row, count, twist) == expected[:count]
+    with pytest.raises(AssertionError):
+        shift_iterates((1, 2), 5)
 
 
 def test_symplectic_swap_properties(f9, f16):
@@ -63,7 +96,7 @@ def test_symplectic_swap_reference_vector(f9):
 
 def test_generator_matrix_single_parity(f9):
     code = CyclicCode(f9, 1, (1, 1))
-    assert code.generator_matrix() == [(1, 1)]
+    assert naive.cyclic_generator_matrix(code) == [(1, 1)] == mirror_rows(code)
 
 
 @pytest.mark.parametrize(
@@ -72,22 +105,23 @@ def test_generator_matrix_single_parity(f9):
 def test_generator_matrix_first_row(data):
     tower = tower_for_q(data["q"])
     code = CyclicCode(tower, data["n"], decode_vector(tower, data["g"]))
-    matrix = code.generator_matrix()
+    matrix = naive.cyclic_generator_matrix(code)
+    assert matrix == mirror_rows(code)
     assert len(matrix) == data["dim"]
     assert matrix[0] == code.coefficient_vector(code.g)
     for first, second in zip(matrix, matrix[1:]):
-        assert second == cyclic_shift(first)
+        assert second == naive.cyclic_shift(first)
     assert naive.rank(tower, matrix) == data["dim"]
 
 
 def test_degenerate_codes(f9):
     zero = CyclicCode(f9, 2, (2, 0, 0, 0, 1))  # x^4 - 1
-    assert zero.generator_matrix() == []
+    assert naive.cyclic_generator_matrix(zero) == []
     assert zero.dim == 0
     assert len(zero.symplectic_dual_matrix()) == 4
     full = CyclicCode(f9, 2, (1,))
     assert full.symplectic_dual_matrix() == []
-    assert naive.rank(f9, full.generator_matrix()) == 4
+    assert naive.rank(f9, naive.cyclic_generator_matrix(full)) == 4
     with pytest.raises(NotADivisorError):
         CyclicCode(f9, 2, (1, 1, 1))
 
@@ -108,7 +142,7 @@ def test_symplectic_dual_reference_rows(f9):
 
 def test_generator_and_symplectic_dual_are_orthogonal():
     for code in small_codes([(2, 3), (3, 2), (4, 2), (5, 2)]):
-        gen = code.generator_matrix()
+        gen = naive.cyclic_generator_matrix(code)
         dual = code.symplectic_dual_matrix()
         for u in gen:
             for v in dual:
@@ -119,7 +153,7 @@ def test_generator_and_symplectic_dual_are_orthogonal():
 
 def test_reference_orthogonality(f9):
     code = CyclicCode(f9, 11, decode_vector(f9, TERNARY_N11["g"]))
-    for u in code.generator_matrix():
+    for u in naive.cyclic_generator_matrix(code):
         for v in code.symplectic_dual_matrix():
             assert symplectic_inner(f9, u, v) == 0
 
@@ -128,7 +162,7 @@ def test_symplectic_dual_is_gram_kernel():
     """The dual row space equals the kernel of v -> (<g_i, v>_s)_i."""
     for code in small_codes([(2, 2), (3, 2), (4, 1), (5, 1)]):
         tower = code.tower
-        gen = code.generator_matrix()
+        gen = naive.cyclic_generator_matrix(code)
         gram_rows = [symplectic_swap(tower, row) for row in gen]
         kernel = linalg.right_kernel(tower, gram_rows, 2 * code.n)
         dual = code.symplectic_dual_matrix()
@@ -139,10 +173,10 @@ def test_symplectic_dual_is_gram_kernel():
 
 def test_row_space_is_shift_closed():
     for code in small_codes([(2, 3), (3, 2), (5, 2)]):
-        gen = code.generator_matrix()
+        gen = naive.cyclic_generator_matrix(code)
         basis, pivots = linalg.rref(code.tower, gen)
         for row in gen:
-            assert linalg.in_span(code.tower, basis, pivots, cyclic_shift(row))
+            assert linalg.in_span(code.tower, basis, pivots, naive.cyclic_shift(row))
 
 
 def test_inner_products():
@@ -180,7 +214,7 @@ def test_listed_mirror_words_have_min_symplectic_weight_2(f9):
 
 def test_membership_by_division(f9):
     code = CyclicCode(f9, 2, (1, 1))
-    words = naive.span(f9, code.generator_matrix(), 4)
+    words = naive.span(f9, naive.cyclic_generator_matrix(code), 4)
     for v in words:
         assert code.contains(v)
     assert not code.contains((1, 0, 0, 0))

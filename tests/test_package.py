@@ -1,10 +1,11 @@
 """The package's public API: what `conjucyclic.__all__` exports."""
 
 import conjucyclic
-from conjucyclic import cyclic, field, poly
+from conjucyclic import conju, cyclic, errors, field, poly, weights
 
-#: second routes retired from the library; the inner products live on as
-#: oracles in tests/naive.py
+#: second routes retired from the library; the inner products, the plain
+#: cyclic shift and the cyclic generator matrix live on as oracles in
+#: tests/naive.py
 RETIRED = (
     (field, "PrimeField"),
     (poly, "poly_mul"),
@@ -12,6 +13,11 @@ RETIRED = (
     (cyclic, "euclidean_inner"),
     (cyclic, "symplectic_inner"),
     (cyclic.CyclicCode, "euclidean_dual_matrix"),
+    (cyclic, "cyclic_shift"),
+    (cyclic.CyclicCode, "generator_matrix"),
+    (conju, "trace_pair_inv"),
+    (weights, "min_weight"),
+    (errors, "ZeroCodeError"),
 )
 
 

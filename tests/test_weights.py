@@ -9,13 +9,11 @@ from conjucyclic import (
     BudgetExceededError,
     ConjucyclicCode,
     NotDualContainingError,
-    ZeroCodeError,
     build_tower,
     conju,
     expand,
     is_alternating_dual_containing,
     is_conjucyclic,
-    min_weight,
     stabilizer_params,
     tower_for_q,
     weight_distribution,
@@ -31,8 +29,6 @@ def test_zero_code_distribution(f9):
     assert dist.counts == [1, 0, 0]
     assert dist.min_weight is None
     assert dist.cardinality == 1
-    with pytest.raises(ZeroCodeError):
-        min_weight(code)
 
 
 def test_full_space_code(f9):
@@ -40,7 +36,7 @@ def test_full_space_code(f9):
     dist = weight_distribution(code)
     assert sum(dist.counts) == 3 ** 4 == dist.cardinality
     assert dist.counts[0] == 1
-    assert min_weight(code) == 1
+    assert dist.min_weight == 1
 
 
 def test_distribution_matches_naive_enumeration():
@@ -68,11 +64,14 @@ def test_min_weight_matches_symplectic_mirror():
     for code in naive.divisor_codes(sweep):
         if code.card_log_q == 0 or code.tower.q ** code.card_log_q > 3 ** 8:
             continue
-        words = naive.span(code.tower, code.cyclic.generator_matrix(), 2 * code.n)
-        assert min_weight(code) == naive.min_positive_weight(
+        words = naive.span(
+            code.tower, naive.cyclic_generator_matrix(code.cyclic), 2 * code.n
+        )
+        dist = weight_distribution(code)
+        assert dist.min_weight == naive.min_positive_weight(
             words, naive.symplectic_weight
         )
-        assert weight_distribution(code).counts == naive.weight_histogram(
+        assert dist.counts == naive.weight_histogram(
             words, code.n, naive.symplectic_weight
         )
         checked += 1
@@ -239,9 +238,9 @@ def test_budget_enforcement(ternary_code):
     # words and its alternating dual 3^10
     with pytest.raises(BudgetExceededError):
         weight_distribution(ternary_code, budget=3 ** 10 - 1)
-    assert min_weight(ternary_code, budget=3 ** 10) == 5
+    assert weight_distribution(ternary_code, budget=3 ** 10).min_weight == 5
     with pytest.raises(BudgetExceededError):
-        min_weight(ternary_code, budget=10)
+        weight_distribution(ternary_code, budget=10)
 
 
 def direct_counts(code):
