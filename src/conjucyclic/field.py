@@ -5,10 +5,11 @@ a fixed primitive modulus f of degree 2m.  Elements are integer codes: the
 base-p digits of the code are the coordinates of the element on the power
 basis 1, beta, ..., beta^(2m-1), little-endian, so code 0 is the zero
 element and code p is beta itself.  Multiplicative structure lives in
-exp/log tables of size q^2 - 1, Python lists sharing one int object per
-value, built with numpy by doubling: beta^L .. beta^(2L-1) are beta^0 ..
-beta^(L-1) times beta^L, a GF(p)-linear map on packed digits applied as
-2^8-entry lookups per digit group (q^2 = 2^24: 3.9 s, 1.07 GB peak RSS).
+exp/log tables of size q^2 - 1, Python lists built without numpy by the
+recurrence exp[i + 1] = beta exp[i] up to q^2 = 2^18, and above it by
+numpy doubling: beta^L .. beta^(2L-1) are beta^0 .. beta^(L-1) times
+beta^L, a GF(p)-linear map on packed digits applied as 2^8-entry lookups
+per digit group (q^2 = 2^24: 3.9 s, 1.07 GB peak RSS).
 Element addition is digitwise mod p on the codes; polynomials over GF(q)
 use the tower's Zech table of GF(q) instead (poly.ZechLogs, q - 1 entries).
 
@@ -32,8 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-import numpy as np
-
 from .errors import (
     FieldTooLargeError,
     NoPrimitivePolynomialError,
@@ -41,11 +40,14 @@ from .errors import (
 )
 from .poly import ZechLogs
 
-#: Hard cap on q^2 so the exp/log tables stay in memory.  Measured build
-#: time, resident and peak RSS: q = 4096 (the cap) 3.9 s, 0.82 / 1.07 GB;
-#: q = 2048 0.8 s, 0.23 / 0.29 GB; q = 3^7 1.6 s, 0.26 / 0.34 GB (one core
-#: of a 2-core Xeon, Python 3.11, numpy 2.4).
+#: Hard cap on q^2 so the exp/log tables stay in memory.  Up to
+#: PURE_TABLE_SIZE the tables come from the pure-Python recurrence (q = 512:
+#: 0.05 s, numpy 0.03 s plus its 0.13 s import), above it from numpy's
+#: doubling (q = 1024: 0.18 s, pure 0.27 s).  Build time, resident and peak
+#: RSS: q = 4096 (the cap) 3.9 s, 0.82 / 1.07 GB; q = 2048 0.8 s, 0.23 / 0.29 GB;
+#: q = 3^7 1.6 s, 0.26 / 0.34 GB (one core of a 2-core Xeon, Python 3.11, numpy 2.4).
 MAX_FIELD_SIZE = 1 << 24
+PURE_TABLE_SIZE = 1 << 18
 
 # Conway polynomials, keyed by field size p^(2m), coefficients
 # low-degree-first including the leading 1.
@@ -139,52 +141,6 @@ def smallest_primitive(p: int, d: int) -> tuple[int, ...]:
     raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {d} over GF({p})")
 
 
-# Packed digit vectors: each base-p digit takes a field of c bits in a uint64
-# word.  The tower tables below and the weight sweep share this arithmetic.
-
-def digit_bits(p: int) -> int:
-    """Bits per packed GF(p) digit: 1 for p = 2, else room for a sum of two."""
-    return 1 if p == 2 else (2 * p - 2).bit_length()
-
-
-def packed_add(p: int, c: int, fields: int):
-    """add(a, b, out, tmp): digitwise a + b mod p on words of `fields` c-bit digits.
-
-    Writes the sum to out (which may be a) and overwrites tmp; callers
-    preallocate both, as fresh temporaries cost page faults.  The digits
-    add by XOR for p = 2; for odd p they add as integers without carrying
-    into each other, and p is subtracted from every digit that reached p.
-    """
-    if p == 2:
-        return lambda a, b, out, tmp: np.bitwise_xor(a, b, out=out)
-    ones = sum(1 << (i * c) for i in range(fields))
-    bias, shift = np.uint64(((1 << (c - 1)) - p) * ones), np.uint64(c - 1)
-    ones, p = np.uint64(ones), np.uint64(p)
-
-    def add(a, b, out, tmp):
-        # a field's top bit after adding 2^(c-1) - p is set iff its sum is >= p
-        np.add(a, b, out=out)
-        np.add(out, bias, out=tmp)
-        tmp >>= shift
-        tmp &= ones
-        tmp *= p
-        out -= tmp
-
-    return add
-
-
-def packed_span(add, multiples, nw):
-    """All sums picking one column of each (nw, k_i) array: (nw, prod k_i)
-    packed words, the first array's pick varying slowest."""
-    acc = np.zeros((nw, 1), dtype=np.uint64)
-    for mult in multiples:
-        shape = (nw, acc.shape[1], mult.shape[1])
-        out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-        add(acc[:, :, None], mult[:, None, :], out, tmp)
-        acc = out.reshape(nw, -1)
-    return acc
-
-
 def _check_tower(p: int, m: int) -> None:
     """Refuse m < 1, GF(p^(2m)) above the 2^24 cap and a composite p."""
     if m < 1:
@@ -235,50 +191,42 @@ class FieldTower:
     # -- construction -------------------------------------------------
 
     def _build_tables(self) -> None:
-        p, d, n, c = self.p, self.ext_degree, self.q2 - 1, digit_bits(self.p)
-        per = max(1, 8 // c)  # digits per lookup group: 8 bits' worth, or one digit
-        groups, width, digit = -(-d // per), per * c, (1 << c) - 1
-        add, mask = packed_add(p, c, d), (1 << width) - 1
-        shifts = np.arange(d, dtype=np.uint64) * c
+        """exp and log by exp[i + 1] = beta exp[i]; above PURE_TABLE_SIZE by numpy.
 
-        def times_x(v):  # reduce by x^d = -modulus[:d]
-            return [(a - v[-1] * f) % p for a, f in zip([0] + v[:-1], self.modulus)]
+        beta v is v's digits shifted up one place plus -t f, t the digit
+        shifted out: two digits' arithmetic for d = 2, else two lookups on
+        v = h p^k + lo, as digits 0 .. k of beta v depend only on lo and t
+        and the others only on h, which holds t.
+        """
+        p, d, f, n = self.p, self.ext_degree, self.modulus, self.q2 - 1
+        if self.q2 > PURE_TABLE_SIZE:  # the one place outside a sweep that loads numpy
+            from .packed import doubling_tables
 
-        # exp[:size] holds beta^0 .. beta^(size-1) packed, and power is beta^size;
-        # each pass doubles size by one GF(p)-linear map, multiplication by beta^size
-        exp = np.empty(n, dtype=np.uint64)
-        exp[0], size, power = 1, 1, times_x([1] + [0] * (d - 1))
-        tmp = np.empty(n // 2 + 1, dtype=np.uint64)
-        while size < n:
-            basis = np.zeros((groups * per, d), dtype=np.uint64)  # row j: beta^(size + j)
-            for j in range(d):
-                basis[j], power = power, times_x(power)
-            scalars = np.arange(digit + 1, dtype=np.uint64)[:, None, None]
-            mults = (scalars * basis % p << shifts).sum(axis=2).T.reshape(groups, per, -1)
-            # tables[t][v]: beta^size times the element whose group-t digits are v
-            tables = packed_span(add, [mults[:, k] for k in reversed(range(per))], groups)
-            block = exp[: min(size, n - size)]
-            out, size = exp[size : size + len(block)], size + len(block)
-            np.take(tables[0], block & mask, out=out)
-            for t in range(1, groups):
-                add(out, tables[t][block >> t * width & mask], out, tmp[: len(out)])
-            power = times_x([int(exp[size - 1]) >> (j * c) & digit for j in range(d)])
-        del tmp, block, out  # block and out are views that would keep exp alive
-        if p > 2:
-            exp = sum((exp >> s & digit) * p ** j for j, s in enumerate(shifts))
-        log = np.full(n + 1, -1, dtype=np.int64)
-        log[exp] = np.arange(n)
-        if (log[1:] < 0).any() or power != [1] + [0] * (d - 1):
-            raise NoPrimitivePolynomialError(
-                f"modulus {self.modulus} over GF({p}) is not primitive"
-            )
-        self.exp = exp.tolist()
-        del exp
-        # the log list reuses the exp list's int objects, value v >= 1 being
-        # exp[log[v]]; codes 0 (no log) and 1 (log 0) are set by hand
-        log = log[log]
-        self.log = np.array(self.exp, dtype=object)[log].tolist()
-        self.log[:2] = [-1, 0]
+            self.exp, self.log = doubling_tables(p, d, f)
+            return
+
+        def part(t, j0, j1, out):  # digits j0 .. j1 - 1 of beta v, over the digits shifted in
+            for j in range(j0, j1):
+                out = [y + (a - t * f[j]) % p * p ** j for a in range(p) for y in out]
+            return out
+
+        exp, log, v = [0] * n, [-1] * (n + 1), 1
+        if d == 2:
+            c0, c1 = -f[0] % p, -f[1] % p
+            for i in range(n):
+                exp[i], log[v] = v, i
+                v = (t := v // p) * c0 % p + (v + t * c1) % p * p
+        else:
+            k, pk = d // 2, p ** (d // 2)
+            rows = [part(t, 1, k + 1, [-t * f[0] % p]) for t in range(p)]
+            low = [rows[h // p ** (d - 1 - k)] for h in range(p ** (d - k))]
+            high = [y for t in range(p) for y in part(t, k + 1, d, [0])]
+            for i in range(n):
+                exp[i], log[v] = v, i
+                v = low[h := v // pk][v % pk] + high[h]
+        if v != 1 or log[1] != 0:  # beta^n != 1, or beta^i = 1 for some 0 < i < n
+            raise NoPrimitivePolynomialError(f"modulus {f} over GF({p}) is not primitive")
+        self.exp, self.log = exp, log
 
     # -- element arithmetic (codes are plain ints) ---------------------
 

@@ -1,0 +1,241 @@
+"""numpy's one module: packed digit vectors, c bits a base-p digit in uint64
+words, for the tower tables above field.PURE_TABLE_SIZE and the weight sweep."""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from .errors import NoPrimitivePolynomialError
+
+_CHUNK_WORDS = 1 << 16
+
+
+def packed_add(p: int, c: int, fields: int):
+    """add(a, b, out, tmp): digitwise a + b mod p on words of `fields` c-bit digits.
+
+    Writes the sum to out (which may be a) and overwrites tmp; callers
+    preallocate both, as fresh temporaries cost page faults.  The digits
+    add by XOR for p = 2; for odd p they add as integers without carrying
+    into each other, and p is subtracted from every digit that reached p.
+    """
+    if p == 2:
+        return lambda a, b, out, tmp: np.bitwise_xor(a, b, out=out)
+    ones = sum(1 << (i * c) for i in range(fields))
+    bias, shift = np.uint64(((1 << (c - 1)) - p) * ones), np.uint64(c - 1)
+    ones, p = np.uint64(ones), np.uint64(p)
+
+    def add(a, b, out, tmp):
+        # a field's top bit after adding 2^(c-1) - p is set iff its sum is >= p
+        np.add(a, b, out=out)
+        np.add(out, bias, out=tmp)
+        tmp >>= shift
+        tmp &= ones
+        tmp *= p
+        out -= tmp
+
+    return add
+
+
+def packed_span(add, multiples, nw):
+    """All sums picking one column of each (nw, k_i) array: (nw, prod k_i)
+    packed words, the first array's pick varying slowest."""
+    acc = np.zeros((nw, 1), dtype=np.uint64)
+    for mult in multiples:
+        shape = (nw, acc.shape[1], mult.shape[1])
+        out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+        add(acc[:, :, None], mult[:, None, :], out, tmp)
+        acc = out.reshape(nw, -1)
+    return acc
+
+
+def doubling_tables(p, d, modulus):
+    """FieldTower's exp and log lists by doubling, as the field docstring
+    says; the log list reuses the exp list's int objects."""
+    n, c = p ** d - 1, _layout(p, d)[0]
+    per = max(1, 8 // c)  # digits per lookup group: 8 bits' worth, or one digit
+    groups, width, digit = -(-d // per), per * c, (1 << c) - 1
+    add, mask = packed_add(p, c, d), (1 << width) - 1
+    shifts = np.arange(d, dtype=np.uint64) * c
+
+    def times_x(v):  # reduce by x^d = -modulus[:d]
+        return [(a - v[-1] * f) % p for a, f in zip([0] + v[:-1], modulus)]
+
+    # exp[:size] holds beta^0 .. beta^(size-1) packed, and power is beta^size;
+    # each pass doubles size by one GF(p)-linear map, multiplication by beta^size
+    exp = np.empty(n, dtype=np.uint64)
+    exp[0], size, power = 1, 1, times_x([1] + [0] * (d - 1))
+    tmp = np.empty(n // 2 + 1, dtype=np.uint64)
+    while size < n:
+        basis = np.zeros((groups * per, d), dtype=np.uint64)  # row j: beta^(size + j)
+        for j in range(d):
+            basis[j], power = power, times_x(power)
+        scalars = np.arange(digit + 1, dtype=np.uint64)[:, None, None]
+        mults = (scalars * basis % p << shifts).sum(axis=2).T.reshape(groups, per, -1)
+        # tables[t][v]: beta^size times the element whose group-t digits are v
+        tables = packed_span(add, [mults[:, k] for k in reversed(range(per))], groups)
+        block = exp[: min(size, n - size)]
+        out, size = exp[size : size + len(block)], size + len(block)
+        np.take(tables[0], block & mask, out=out)
+        for t in range(1, groups):
+            add(out, tables[t][block >> t * width & mask], out, tmp[: len(out)])
+        power = times_x([int(exp[size - 1]) >> (j * c) & digit for j in range(d)])
+    del tmp, block, out  # block and out are views that would keep exp alive
+    if p > 2:
+        exp = sum((exp >> s & digit) * p ** j for j, s in enumerate(shifts))
+    log = np.full(n + 1, -1, dtype=np.int64)
+    log[exp] = np.arange(n)
+    if (log[1:] < 0).any() or power != [1] + [0] * (d - 1):
+        raise NoPrimitivePolynomialError(f"modulus {modulus} over GF({p}) is not primitive")
+    exp = exp.tolist()
+    log = log[log]
+    # value v >= 1 is exp[log[v]]; codes 0 (no log) and 1 (log 0) are set by hand
+    log = np.array(exp, dtype=object)[log].tolist()
+    log[:2] = [-1, 0]
+    return exp, log
+
+
+def _layout(p, d):
+    """(c, width, per) for coordinates of d base-p digits: bits per digit (1
+    for p = 2, else room for a sum of two), per coordinate, coordinates per word."""
+    c = 1 if p == 2 else (2 * p - 2).bit_length()
+    return c, d * c, 64 // (d * c)
+
+
+def _pack(tower, rows, n):
+    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as weights says."""
+    c, width, per = _layout(tower.p, tower.ext_degree)
+    nw = -(-n // per)
+    codes = np.zeros((len(rows), nw * per), dtype=np.uint64)
+    codes[:, :n] = np.reshape(rows, (-1, n))
+    coords = np.zeros_like(codes)
+    for k in range(tower.ext_degree):  # base-p digit k to bit k * c
+        coords |= codes // tower.p ** k % tower.p << np.uint64(k * c)
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
+    words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
+    return np.ascontiguousarray(words.T)
+
+
+def _multiples(tower, rows, n):
+    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
+
+    tower.subfield is sorted, so column 0 is the zero word and column 1 the
+    row itself.
+    """
+    scaled = [[tower.mul(k, x) for x in row] for row in rows for k in tower.subfield]
+    packed = _pack(tower, scaled, n)
+    return packed.reshape(len(packed), len(rows), tower.q)
+
+
+def _kernel(tower):
+    """(add, low, top): packed addition and the nonzero-coordinate masks."""
+    c, width, per = _layout(tower.p, tower.ext_degree)
+    top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
+    return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
+
+
+def _block(outer_words, inner):
+    """Outer words per histogram block: about _CHUNK_WORDS sums at a time."""
+    return max(1, min(outer_words, _CHUNK_WORDS // inner.size))
+
+
+def _histogram(outer, inner, kernel, n):
+    """Weight histogram of every outer-word + inner-word sum."""
+    add, low, top = kernel
+    counts = np.zeros(n + 1, dtype=np.int64)
+    step = _block(outer.shape[1], inner)
+    x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
+    y, weights = np.empty_like(x), np.empty(x.shape[1:], dtype=np.intp)
+    for lo in range(0, outer.shape[1], step):
+        block = outer[:, lo : lo + step, None]
+        rows = block.shape[1]
+        xs, ys, ws = x[:, :rows], y[:, :rows], weights[:rows]
+        add(block, inner[:, None, :], xs, ys)
+        # mark the top bit of each coordinate iff any of its bits is set
+        np.bitwise_and(xs, low, out=ys)
+        ys += low
+        ys |= xs
+        ys &= top
+        np.sum(np.bitwise_count(ys), axis=0, out=ws)
+        counts += np.bincount(ws.ravel(), minlength=n + 1)
+    return counts
+
+
+def _cores():
+    """The CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep(tower, multiples, n, workers):
+    """Exact Hamming weight histogram over the span of packed multiples.
+
+    multiples is an (nw, r, q) array as built by _multiples, of r
+    GF(q)-independent rows.  The outer half runs over one representative
+    per projective point and Z over the zero word, so A = (q - 1) H + Z as
+    in the weights docstring.  Those representatives, the messages whose
+    first nonzero digit is 1, are the columns [q^i, 2 q^i) of the outer
+    half's span: packed_span's first pick varies slowest, and column 1 of
+    each multiples array is the row itself (see _multiples).  No more
+    threads start than the histogram has outer blocks, so a one-block
+    sweep starts no pool.
+    """
+    nw, r, q = multiples.shape
+    if r == 0:
+        return [1] + [0] * n
+    rows = [multiples[:, j] for j in range(r)]
+    kernel = _kernel(tower)
+    inner = packed_span(kernel[0], rows[: r // 2], nw)
+    span = packed_span(kernel[0], rows[r // 2 :], nw)
+    outer = np.concatenate([span[:, q ** i : 2 * q ** i] for i in range(r - r // 2)], axis=1)
+    blocks = -(-outer.shape[1] // _block(outer.shape[1], inner))
+    workers = min(max(1, int(workers)), _cores(), blocks)
+    if workers == 1:
+        total = _histogram(outer, inner, kernel, n)
+    else:
+        parts = np.array_split(outer, workers, axis=1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            total = sum(pool.map(lambda o: _histogram(o, inner, kernel, n), parts))
+    zero = _histogram(np.zeros((nw, 1), dtype=np.uint64), inner, kernel, n)
+    counts = [int(c) for c in (q - 1) * total + zero]
+    assert sum(counts) == q ** r, "histogram does not cover the span"
+    return counts
+
+
+def _shorten(tower, multiples, heads):
+    """Multiples of a GF(q)-basis of the words of the span that vanish at 0.
+
+    multiples is an (nw, r, q) array as built by _multiples, and heads[j]
+    the trace pair of row j's coordinate 0.  Each trace-pair component is
+    eliminated in turn over GF(q): the first row with a nonzero component
+    is the pivot and leaves, and every other row with a nonzero component
+    subtracts the GF(q)-multiple of the pivot that clears it.  Only those
+    rows change, each by one packed addition: the multiples of
+    row - c pivot are those of the row plus the pivot's, permuted by
+    lambda -> -c lambda.  Returns the (nw, r - e, q) multiples of the
+    remaining rows; e is the number of pivots.
+    """
+    add = _kernel(tower)[0]
+    index = {x: i for i, x in enumerate(tower.subfield)}
+    multiples, heads = multiples.copy(), [list(h) for h in heads]
+    keep = list(range(len(heads)))
+    for t in (0, 1):
+        live = [j for j in keep if heads[j][t]]
+        if not live:
+            continue
+        pivot, rest = live[0], live[1:]
+        keep.remove(pivot)
+        if not rest:
+            continue
+        scales = [tower.div(heads[j][t], heads[pivot][t]) for j in rest]
+        perms = [[index[tower.neg(tower.mul(c, x))] for x in tower.subfield] for c in scales]
+        out = multiples[:, rest]
+        add(out, multiples[:, pivot][:, perms], out, np.empty_like(out))
+        multiples[:, rest] = out
+        for j, c in zip(rest, scales):
+            heads[j] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(heads[j], heads[pivot])]
+    assert not any(any(heads[j]) for j in keep), "coordinate 0 not cleared"
+    return multiples[:, keep]

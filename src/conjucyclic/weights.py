@@ -30,20 +30,21 @@ a nonzero lambda in GF(q) keeps its weight, so the nonzero words fall into
 (q^r - 1)/(q - 1) classes of q - 1 words of equal weight, one class per
 GF(q)-projective point, and the sweep visits about one word per class.  A
 word is packed into uint64 words: each base-p digit takes a c-bit field
-and adds as in field.packed_add, a coordinate takes 2m*c contiguous bits,
+and adds as in packed.packed_add, a coordinate takes 2m*c contiguous bits,
 and 64 // (2m*c) whole coordinates share a word (at most 42 bits under the
 2^24 table cap, so none straddles two words).  A coordinate is zero
 exactly when its bits are, so the weight is the popcount of one mark bit
 per nonzero coordinate; no table lookups run inside the hot loop.
 
-The kernel is a blocked meet-in-the-middle sweep: the rows are split in
-half, and each half's full span is built as packed words by
-field.packed_span.  The outer half's projective representatives (the
-messages whose first nonzero digit is 1) are column slices of its span,
-one contiguous range per leading row.  One histogram routine counts the
-weights of every outer-word + inner-word sum in vectorized blocks: H over
-the representatives, and Z over the zero word alone (the inner span
-itself).  A sum with an outer representative stands for its q - 1 nonzero
+The kernel, in packed (numpy's one module, imported by the first sweep),
+is a blocked meet-in-the-middle sweep: the rows are split in half, and
+each half's full span is built as packed words by packed.packed_span.
+The outer half's projective representatives (the messages whose first
+nonzero digit is 1) are column slices of its span, one contiguous range
+per leading row.  One histogram routine counts the weights of every
+outer-word + inner-word sum in vectorized blocks: H over the
+representatives, and Z over the zero word alone (the inner span itself).
+A sum with an outer representative stands for its q - 1 nonzero
 multiples, so A = (q - 1) H + Z.  On the r' = r - e shortened rows the
 kernel visits (q^r'_out - 1)/(q - 1) q^r'_in + q^r'_in words, about
 q^(r - e)/(q - 1) of the enumerated side's q^r.  Work partitions across a
@@ -56,21 +57,14 @@ identical for any worker count and schedule.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .conju import is_alternating_dual_containing, trace_pair
 from .errors import BudgetExceededError, NotDualContainingError
-from .field import digit_bits, packed_add, packed_span
 
 #: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
 #: sweep visits about 1/(q^e (q - 1)) of them, e in {1, 2}.
 DEFAULT_BUDGET = 1 << 28
-
-_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,150 +129,6 @@ class StabilizerParams:
         }
 
 
-def _layout(tower):
-    """(c, width, per): bits per digit, bits per coordinate, coordinates per word."""
-    c = digit_bits(tower.p)
-    width = tower.ext_degree * c
-    return c, width, 64 // width
-
-
-def _pack(tower, rows, n):
-    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as above."""
-    c, width, per = _layout(tower)
-    nw = -(-n // per)
-    codes = np.zeros((len(rows), nw * per), dtype=np.uint64)
-    codes[:, :n] = np.reshape(rows, (-1, n))
-    coords = np.zeros_like(codes)
-    for k in range(tower.ext_degree):  # base-p digit k to bit k * c
-        coords |= codes // tower.p ** k % tower.p << np.uint64(k * c)
-    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
-    words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
-    return np.ascontiguousarray(words.T)
-
-
-def _multiples(tower, rows, n):
-    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
-
-    tower.subfield is sorted, so column 0 is the zero word and column 1 the
-    row itself.
-    """
-    scaled = [[tower.mul(k, x) for x in row] for row in rows for k in tower.subfield]
-    packed = _pack(tower, scaled, n)
-    return packed.reshape(len(packed), len(rows), tower.q)
-
-
-def _kernel(tower):
-    """(add, low, top): packed addition and the nonzero-coordinate masks."""
-    c, width, per = _layout(tower)
-    top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
-    return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
-
-
-def _block(outer_words, inner):
-    """Outer words per histogram block: about _CHUNK_WORDS sums at a time."""
-    return max(1, min(outer_words, _CHUNK_WORDS // inner.size))
-
-
-def _histogram(outer, inner, kernel, n):
-    """Weight histogram of every outer-word + inner-word sum."""
-    add, low, top = kernel
-    counts = np.zeros(n + 1, dtype=np.int64)
-    step = _block(outer.shape[1], inner)
-    x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
-    y, weights = np.empty_like(x), np.empty(x.shape[1:], dtype=np.intp)
-    for lo in range(0, outer.shape[1], step):
-        block = outer[:, lo : lo + step, None]
-        rows = block.shape[1]
-        xs, ys, ws = x[:, :rows], y[:, :rows], weights[:rows]
-        add(block, inner[:, None, :], xs, ys)
-        # mark the top bit of each coordinate iff any of its bits is set
-        np.bitwise_and(xs, low, out=ys)
-        ys += low
-        ys |= xs
-        ys &= top
-        np.sum(np.bitwise_count(ys), axis=0, out=ws)
-        counts += np.bincount(ws.ravel(), minlength=n + 1)
-    return counts
-
-
-def _cores():
-    """The CPUs this process may run on: its affinity mask where there is one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep(tower, multiples, n, workers):
-    """Exact Hamming weight histogram over the span of packed multiples.
-
-    multiples is an (nw, r, q) array as built by _multiples, of r
-    GF(q)-independent rows.  The outer half runs over one representative
-    per projective point and Z over the zero word, so A = (q - 1) H + Z as
-    in the module docstring.  Those representatives, the messages whose
-    first nonzero digit is 1, are the columns [q^i, 2 q^i) of the outer
-    half's span: packed_span's first pick varies slowest, and column 1 of
-    each multiples array is the row itself (see _multiples).  No more
-    threads start than the histogram has outer blocks, so a one-block
-    sweep starts no pool.
-    """
-    nw, r, q = multiples.shape
-    if r == 0:
-        return [1] + [0] * n
-    rows = [multiples[:, j] for j in range(r)]
-    kernel = _kernel(tower)
-    inner = packed_span(kernel[0], rows[: r // 2], nw)
-    span = packed_span(kernel[0], rows[r // 2 :], nw)
-    outer = np.concatenate([span[:, q ** i : 2 * q ** i] for i in range(r - r // 2)], axis=1)
-    blocks = -(-outer.shape[1] // _block(outer.shape[1], inner))
-    workers = min(max(1, int(workers)), _cores(), blocks)
-    if workers == 1:
-        total = _histogram(outer, inner, kernel, n)
-    else:
-        parts = np.array_split(outer, workers, axis=1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(lambda o: _histogram(o, inner, kernel, n), parts))
-    zero = _histogram(np.zeros((nw, 1), dtype=np.uint64), inner, kernel, n)
-    counts = [int(c) for c in (q - 1) * total + zero]
-    assert sum(counts) == q ** r, "histogram does not cover the span"
-    return counts
-
-
-def _shorten(tower, multiples, heads):
-    """Multiples of a GF(q)-basis of the words of the span that vanish at 0.
-
-    multiples is an (nw, r, q) array as built by _multiples, and heads[j]
-    the trace pair of row j's coordinate 0.  Each trace-pair component is
-    eliminated in turn over GF(q): the first row with a nonzero component
-    is the pivot and leaves, and every other row with a nonzero component
-    subtracts the GF(q)-multiple of the pivot that clears it.  Only those
-    rows change, each by one packed addition: the multiples of
-    row - c pivot are those of the row plus the pivot's, permuted by
-    lambda -> -c lambda.  Returns the (nw, r - e, q) multiples of the
-    remaining rows; e is the number of pivots.
-    """
-    add = _kernel(tower)[0]
-    index = {x: i for i, x in enumerate(tower.subfield)}
-    multiples, heads = multiples.copy(), [list(h) for h in heads]
-    keep = list(range(len(heads)))
-    for t in (0, 1):
-        live = [j for j in keep if heads[j][t]]
-        if not live:
-            continue
-        pivot, rest = live[0], live[1:]
-        keep.remove(pivot)
-        if not rest:
-            continue
-        scales = [tower.div(heads[j][t], heads[pivot][t]) for j in rest]
-        perms = [[index[tower.neg(tower.mul(c, x))] for x in tower.subfield] for c in scales]
-        out = multiples[:, rest]
-        add(out, multiples[:, pivot][:, perms], out, np.empty_like(out))
-        multiples[:, rest] = out
-        for j, c in zip(rest, scales):
-            heads[j] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(heads[j], heads[pivot])]
-    assert not any(any(heads[j]) for j in keep), "coordinate 0 not cleared"
-    return multiples[:, keep]
-
-
 def _side_counts(tower, rows, n, workers):
     """Exact Hamming weight histogram over the GF(q)-span of a side's rows.
 
@@ -286,12 +136,13 @@ def _side_counts(tower, rows, n, workers):
     the shortened side, whose words have c_0 = 0, and lifts its histogram
     S by A_w (n - w) = n S_w as in the module docstring.
     """
+    from . import packed  # numpy loads with the first sweep
     q, r = tower.q, len(rows)
     heads = [trace_pair(tower, row[0]) for row in rows]
-    short = _shorten(tower, _multiples(tower, rows, n), heads)
+    short = packed._shorten(tower, packed._multiples(tower, rows, n), heads)
     # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
     assert r == 0 or short.shape[1] < r, "a nonzero side vanishes at coordinate 0"
-    short_counts = _sweep(tower, short, n, workers)
+    short_counts = packed._sweep(tower, short, n, workers)
     counts = []
     for w in range(n):
         assert n * short_counts[w] % (n - w) == 0, "the lift is not integral"

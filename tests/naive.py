@@ -59,9 +59,9 @@ def span_counts(tower, rows, n, workers):
     The rows must be GF(q)-independent so that messages and words are in
     bijection.
     """
-    from conjucyclic import weights
+    from conjucyclic import packed
 
-    return weights._sweep(tower, weights._multiples(tower, rows, n), n, workers)
+    return packed._sweep(tower, packed._multiples(tower, rows, n), n, workers)
 
 
 def neg(tower, a: int) -> int:

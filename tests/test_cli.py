@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import conjucyclic
 from conjucyclic import build_tower, cli, enumerate_divisors, factor_x2n_minus_1, tower_for_q
 
 # sha256 of the concatenated stdout of `code` and `dual`, text then JSON,
@@ -283,3 +287,29 @@ def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_
     monkeypatch.setenv("CONJUCYCLIC_CONWAY_TABLE", str(path))
     build_tower.cache_clear()
     assert outputs() == canonical
+
+
+# factor, code and dual at q <= 512 build their towers in pure Python, and
+# numpy's import waits for the first weight sweep
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+from conjucyclic import cli
+assert "numpy" not in sys.modules, "after import"
+with contextlib.redirect_stdout(io.StringIO()):
+    for q in (3, 4, 512):
+        g = f"{q % 2 + 1},1"  # x - 1
+        for argv in (["factor"], ["code", "--g", g], ["dual", "--g", g]):
+            assert cli.main(argv + ["--q", str(q), "--n", "3"]) == 0, argv
+    assert "numpy" not in sys.modules, "after factor, code and dual"
+    assert cli.main(["weights", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
+assert "numpy" in sys.modules, "after weights"
+"""
+
+
+def test_numpy_loads_with_the_first_sweep():
+    src = os.path.dirname(os.path.dirname(conjucyclic.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -272,6 +272,7 @@ def test_tables_match_shift_register(p, m):
         (2, (1, 1, 1, 1, 1)),  # irreducible, x has order 5 in GF(16)*
         (1, (1, 0, 1)),  # (x + 1)^2
         (1, (0, 1, 1)),  # f(0) = 0
+        (10, (1,) + (0,) * 19 + (1,)),  # x^20 + 1 = (x^5 + 1)^4, on numpy's route
     ],
 )
 def test_both_builders_reject_non_primitive_moduli(m, modulus):
@@ -279,6 +280,18 @@ def test_both_builders_reject_non_primitive_moduli(m, modulus):
         FieldTower(2, m, modulus)
     with pytest.raises(NoPrimitivePolynomialError, match="not primitive"):
         naive.tower_tables(2, 2 * m, modulus)
+
+
+@pytest.mark.parametrize("q", [243, 512, 1024])
+def test_table_routes_agree_across_the_threshold(q, monkeypatch):
+    # 3^10 and 2^18 take the pure-Python recurrence and 2^20 numpy's
+    # doubling; moving the threshold sends the same modulus the other way
+    t = tower_for_q(q)
+    assert (t.q2 <= field.PURE_TABLE_SIZE) == (q < 1024)
+    monkeypatch.setattr(field, "PURE_TABLE_SIZE", 0 if q < 1024 else t.q2)
+    other = FieldTower(t.p, t.m, t.modulus)
+    assert other.exp == t.exp
+    assert other.log == t.log
 
 
 def test_tower_tables_at_q2_2_20():

@@ -14,6 +14,7 @@ from conjucyclic import (
     expand,
     is_alternating_dual_containing,
     is_conjucyclic,
+    packed,
     stabilizer_params,
     tower_for_q,
     weight_distribution,
@@ -112,13 +113,13 @@ def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(weights, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(packed, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     base = weight_distribution(ternary_code, workers=1).counts
     assert weight_distribution(ternary_code, workers=10 ** 6).counts == base
     assert recorded == []
-    monkeypatch.setattr(weights, "_CHUNK_WORDS", 1 << 8)
+    monkeypatch.setattr(packed, "_CHUNK_WORDS", 1 << 8)
     assert weight_distribution(ternary_code, workers=10 ** 6).counts == base
     assert recorded == [2]
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -162,13 +163,13 @@ def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
     # the enumerated side's words with c_0 = 0, and visits no word at r' = 0.
     # Sides of up to 5 rows at q <= 3 give an outer half of 3 rows, whose
     # representatives reach past the span's columns [q, 2q)
-    histogram, visited = weights._histogram, []
+    histogram, visited = packed._histogram, []
 
     def recording(outer, inner, kernel, n):
         visited.append(outer.shape[1] * inner.shape[1])
         return histogram(outer, inner, kernel, n)
 
-    monkeypatch.setattr(weights, "_histogram", recording)
+    monkeypatch.setattr(packed, "_histogram", recording)
     grid = (2, 3, 4, 5, 7, 8, 9)
     seen, shortened = set(), set()
     for code in naive.divisor_codes([(q, n) for q in grid for n in (1, 2, 3)]):
@@ -209,13 +210,13 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
     # against the sweep of the whole span, on both sides of every divisor
     # code of a small grid; e = 1 and 2 occur, as do n = 1, sides with
     # nothing left to sweep (r = e) and odd-q duals closed under T- only
-    sweep, swept = weights._sweep, []
+    sweep, swept = packed._sweep, []
 
     def recording(tower, multiples, n, workers):
         swept.append(multiples.shape[1])
         return sweep(tower, multiples, n, workers)
 
-    monkeypatch.setattr(weights, "_sweep", recording)
+    monkeypatch.setattr(packed, "_sweep", recording)
     seen = set()
     pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)] + [(2, 4), (2, 5), (3, 4)]
     for code in naive.divisor_codes(pairs):
