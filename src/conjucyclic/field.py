@@ -194,9 +194,9 @@ class FieldTower:
         """exp and log by exp[i + 1] = beta exp[i]; above PURE_TABLE_SIZE by numpy.
 
         beta v is v's digits shifted up one place plus -t f, t the digit
-        shifted out: two digits' arithmetic for d = 2, else two lookups on
-        v = h p^k + lo, as digits 0 .. k of beta v depend only on lo and t
-        and the others only on h, which holds t.
+        shifted out: two lookups on v = h p^k + lo, as digits 0 .. k of
+        beta v depend only on lo and t and the others only on h, which
+        holds t (for d = 2, h is t and the second lookup adds 0).
         """
         p, d, f, n = self.p, self.ext_degree, self.modulus, self.q2 - 1
         if self.q2 > PURE_TABLE_SIZE:  # the one place outside a sweep that loads numpy
@@ -206,24 +206,19 @@ class FieldTower:
             return
 
         def part(t, j0, j1, out):  # digits j0 .. j1 - 1 of beta v, over the digits shifted in
-            for j in range(j0, j1):
-                out = [y + (a - t * f[j]) % p * p ** j for a in range(p) for y in out]
+            for j in range(j0, j1):  # digit a - t f_j at place j: col rotated by t f_j
+                col, s = range(0, p ** (j + 1), p ** j), t * f[j] % p
+                out = [y + z for z in [*col[p - s:], *col[:p - s]] for y in out]
             return out
 
+        k, pk = d // 2, p ** (d // 2)
+        rows = [part(t, 1, k + 1, [-t * f[0] % p]) for t in range(p)]
+        low = [rows[h // p ** (d - 1 - k)] for h in range(p ** (d - k))]
+        high = [y for t in range(p) for y in part(t, k + 1, d, [0])]
         exp, log, v = [0] * n, [-1] * (n + 1), 1
-        if d == 2:
-            c0, c1 = -f[0] % p, -f[1] % p
-            for i in range(n):
-                exp[i], log[v] = v, i
-                v = (t := v // p) * c0 % p + (v + t * c1) % p * p
-        else:
-            k, pk = d // 2, p ** (d // 2)
-            rows = [part(t, 1, k + 1, [-t * f[0] % p]) for t in range(p)]
-            low = [rows[h // p ** (d - 1 - k)] for h in range(p ** (d - k))]
-            high = [y for t in range(p) for y in part(t, k + 1, d, [0])]
-            for i in range(n):
-                exp[i], log[v] = v, i
-                v = low[h := v // pk][v % pk] + high[h]
+        for i in range(n):
+            exp[i], log[v] = v, i
+            v = low[h := v // pk][v % pk] + high[h]
         if v != 1 or log[1] != 0:  # beta^n != 1, or beta^i = 1 for some 0 < i < n
             raise NoPrimitivePolynomialError(f"modulus {f} over GF({p}) is not primitive")
         self.exp, self.log = exp, log
