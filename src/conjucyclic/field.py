@@ -41,11 +41,15 @@ from .errors import (
 from .poly import ZechLogs
 
 #: Hard cap on q^2 so the exp/log tables stay in memory.  Up to
-#: PURE_TABLE_SIZE the tables come from the pure-Python recurrence (q = 512:
-#: 0.05 s, numpy 0.03 s plus its 0.13 s import), above it from numpy's
-#: doubling (q = 1024: 0.18 s, pure 0.27 s).  Build time, resident and peak
-#: RSS: q = 4096 (the cap) 3.9 s, 0.82 / 1.07 GB; q = 2048 0.8 s, 0.23 / 0.29 GB;
-#: q = 3^7 1.6 s, 0.26 / 0.34 GB (one core of a 2-core Xeon, Python 3.11, numpy 2.4).
+#: PURE_TABLE_SIZE the tables come from the pure-Python recurrence, above it
+#: from numpy's doubling.  tower_for_q in a fresh process, imports (numpy's
+#: too) included, pure against numpy: q = 512 0.07 against 0.20 s; q = 1024
+#: 0.31-0.42 against 0.45-0.50 s; q = 3^7 1.7-2.2 against 2.4-2.6 s; prime
+#: q = 2039 4.0-4.4 against 1.1-1.3 s (the p^2-entry low table at d = 2);
+#: q = 4096, the cap, 8.3 against 6.1 s at 1.30 against 1.07 GB peak RSS
+#: (2-core Xeon, Python 3.11, numpy 2.4).  Above 2^18 the faster route thus
+#: depends on p and d, not on the size alone, and no benchmark workload builds
+#: such a tower; the one size rule, numpy at the cap, stays until one does.
 MAX_FIELD_SIZE = 1 << 24
 PURE_TABLE_SIZE = 1 << 18
 

@@ -1,5 +1,6 @@
 """numpy's one module: packed digit vectors, c bits a base-p digit in uint64
-words, for the tower tables above field.PURE_TABLE_SIZE and the weight sweep."""
+words, for the tower tables above field.PURE_TABLE_SIZE and the weight sweep,
+which packs rows that weights._shorten has already shortened and counts."""
 
 from __future__ import annotations
 
@@ -129,13 +130,6 @@ def _multiples(tower, rows, n):
     return packed.reshape(len(packed), len(rows), tower.q)
 
 
-def _kernel(tower):
-    """(add, low, top): packed addition and the nonzero-coordinate masks."""
-    c, width, per = _layout(tower.p, tower.ext_degree)
-    top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
-    return packed_add(tower.p, c, per * tower.ext_degree), ~top, top
-
-
 def _block(outer_words, inner):
     """Outer words per histogram block: about _CHUNK_WORDS sums at a time."""
     return max(1, min(outer_words, _CHUNK_WORDS // inner.size))
@@ -170,26 +164,30 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _sweep(tower, multiples, n, workers):
-    """Exact Hamming weight histogram over the span of packed multiples.
+def _sweep(tower, rows, n, workers):
+    """Exact Hamming weight histogram over the GF(q)-span of the rows.
 
-    multiples is an (nw, r, q) array as built by _multiples, of r
-    GF(q)-independent rows.  The outer half runs over one representative
-    per projective point and Z over the zero word, so A = (q - 1) H + Z as
-    in the weights docstring.  Those representatives, the messages whose
-    first nonzero digit is 1, are the columns [q^i, 2 q^i) of the outer
-    half's span: packed_span's first pick varies slowest, and column 1 of
-    each multiples array is the row itself (see _multiples).  No more
-    threads start than the histogram has outer blocks, so a one-block
-    sweep starts no pool.
+    The r rows must be GF(q)-independent; they are packed by _multiples.
+    The outer half runs over one representative per projective point and
+    Z over the zero word, so A = (q - 1) H + Z as in the weights docstring.
+    Those representatives, the messages whose first nonzero digit is 1,
+    are the columns [q^i, 2 q^i) of the outer half's span: packed_span's
+    first pick varies slowest, and column 1 of each multiples array is the
+    row itself (see _multiples).  No more threads start than the histogram
+    has outer blocks, so a one-block sweep starts no pool.
     """
-    nw, r, q = multiples.shape
+    r, q = len(rows), tower.q
     if r == 0:
         return [1] + [0] * n
-    rows = [multiples[:, j] for j in range(r)]
-    kernel = _kernel(tower)
-    inner = packed_span(kernel[0], rows[: r // 2], nw)
-    span = packed_span(kernel[0], rows[r // 2 :], nw)
+    multiples = _multiples(tower, rows, n)
+    nw = len(multiples)
+    c, width, per = _layout(tower.p, tower.ext_degree)
+    add = packed_add(tower.p, c, per * tower.ext_degree)
+    top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
+    kernel = add, ~top, top  # packed addition and the nonzero-coordinate masks
+    cols = [multiples[:, j] for j in range(r)]
+    inner = packed_span(add, cols[: r // 2], nw)
+    span = packed_span(add, cols[r // 2 :], nw)
     outer = np.concatenate([span[:, q ** i : 2 * q ** i] for i in range(r - r // 2)], axis=1)
     blocks = -(-outer.shape[1] // _block(outer.shape[1], inner))
     workers = min(max(1, int(workers)), _cores(), blocks)
@@ -203,39 +201,3 @@ def _sweep(tower, multiples, n, workers):
     counts = [int(c) for c in (q - 1) * total + zero]
     assert sum(counts) == q ** r, "histogram does not cover the span"
     return counts
-
-
-def _shorten(tower, multiples, heads):
-    """Multiples of a GF(q)-basis of the words of the span that vanish at 0.
-
-    multiples is an (nw, r, q) array as built by _multiples, and heads[j]
-    the trace pair of row j's coordinate 0.  Each trace-pair component is
-    eliminated in turn over GF(q): the first row with a nonzero component
-    is the pivot and leaves, and every other row with a nonzero component
-    subtracts the GF(q)-multiple of the pivot that clears it.  Only those
-    rows change, each by one packed addition: the multiples of
-    row - c pivot are those of the row plus the pivot's, permuted by
-    lambda -> -c lambda.  Returns the (nw, r - e, q) multiples of the
-    remaining rows; e is the number of pivots.
-    """
-    add = _kernel(tower)[0]
-    index = {x: i for i, x in enumerate(tower.subfield)}
-    multiples, heads = multiples.copy(), [list(h) for h in heads]
-    keep = list(range(len(heads)))
-    for t in (0, 1):
-        live = [j for j in keep if heads[j][t]]
-        if not live:
-            continue
-        pivot, rest = live[0], live[1:]
-        keep.remove(pivot)
-        if not rest:
-            continue
-        scales = [tower.div(heads[j][t], heads[pivot][t]) for j in rest]
-        perms = [[index[tower.neg(tower.mul(c, x))] for x in tower.subfield] for c in scales]
-        out = multiples[:, rest]
-        add(out, multiples[:, pivot][:, perms], out, np.empty_like(out))
-        multiples[:, rest] = out
-        for j, c in zip(rest, scales):
-            heads[j] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(heads[j], heads[pivot])]
-    assert not any(any(heads[j]) for j in keep), "coordinate 0 not cleared"
-    return multiples[:, keep]

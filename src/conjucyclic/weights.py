@@ -16,7 +16,8 @@ C under T and C^perp under T- (conju).  Each shift maps every entry
 through a bijection that fixes 0, so it acts transitively on the
 coordinates and keeps the weight.  The sweep therefore covers only the
 shortened side, the words with c_0 = 0: GF(q)-elimination on the two
-trace-pair components of coordinate 0 leaves a basis of r - e rows, e in
+trace-pair components of coordinate 0, run on the side's r GF(q^2) rows
+before anything is packed (_shorten), leaves a basis of r - e rows, e in
 {1, 2} (e = 0 would make a nonzero side vanish everywhere).  Counting the
 pairs (word, zero coordinate) twice gives A_w (n - w) = n S_w, with S_w
 the shortened side's words of weight w, the same at every coordinate by
@@ -129,19 +130,47 @@ class StabilizerParams:
         }
 
 
+def _shorten(tower, rows):
+    """A GF(q)-basis of the words of the rows' span that vanish at 0.
+
+    Each trace-pair component of coordinate 0 is eliminated in turn over
+    GF(q): the first row with a nonzero component is the pivot and leaves,
+    and every other row with a nonzero component becomes row - c pivot,
+    c in GF(q), which clears it (each distinct -c pivot is formed once).
+    trace_pair is a GF(q)-linear bijection, so the heads are read off the
+    rows each time, and both vanish exactly when coordinate 0 does.
+    Returns the r - e remaining rows; e is the number of pivots.
+    """
+    rows = list(rows)
+    for t in (0, 1):
+        heads = [trace_pair(tower, row[0])[t] for row in rows]
+        i = next((j for j, h in enumerate(heads) if h), None)
+        if i is None:
+            continue
+        pivot, h = rows.pop(i), heads.pop(i)
+        scales = [tower.neg(tower.div(g, h)) for g in heads]  # -c
+        times = {c: [tower.mul(c, b) for b in pivot] for c in set(scales) - {0}}
+        rows = [
+            [tower.add(a, b) for a, b in zip(row, times[c])] if c else row
+            for row, c in zip(rows, scales)
+        ]
+    assert not any(row[0] for row in rows), "coordinate 0 not cleared"
+    return rows
+
+
 def _side_counts(tower, rows, n, workers):
     """Exact Hamming weight histogram over the GF(q)-span of a side's rows.
 
-    The side must be closed under T or T-, as both sides are.  Sweeps only
-    the shortened side, whose words have c_0 = 0, and lifts its histogram
-    S by A_w (n - w) = n S_w as in the module docstring.
+    The side must be closed under T or T-, as both sides are.  Shortens
+    the rows to the words with c_0 = 0 before anything is packed, sweeps
+    that shortened side and lifts its histogram S by A_w (n - w) = n S_w
+    as in the module docstring.
     """
     from . import packed  # numpy loads with the first sweep
     q, r = tower.q, len(rows)
-    heads = [trace_pair(tower, row[0]) for row in rows]
-    short = packed._shorten(tower, packed._multiples(tower, rows, n), heads)
+    short = _shorten(tower, rows)
     # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
-    assert r == 0 or short.shape[1] < r, "a nonzero side vanishes at coordinate 0"
+    assert r == 0 or len(short) < r, "a nonzero side vanishes at coordinate 0"
     short_counts = packed._sweep(tower, short, n, workers)
     counts = []
     for w in range(n):

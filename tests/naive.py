@@ -61,7 +61,7 @@ def span_counts(tower, rows, n, workers):
     """
     from conjucyclic import packed
 
-    return packed._sweep(tower, packed._multiples(tower, rows, n), n, workers)
+    return packed._sweep(tower, rows, n, workers)
 
 
 def neg(tower, a: int) -> int:

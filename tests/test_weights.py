@@ -209,12 +209,13 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
     # the histogram lifted from the words with c_0 = 0 by A_w (n - w) = n S_w
     # against the sweep of the whole span, on both sides of every divisor
     # code of a small grid; e = 1 and 2 occur, as do n = 1, sides with
-    # nothing left to sweep (r = e) and odd-q duals closed under T- only
+    # nothing left to sweep (r = e) and odd-q duals closed under T- only;
+    # the shortened rows span exactly the words with c_0 = 0
     sweep, swept = packed._sweep, []
 
-    def recording(tower, multiples, n, workers):
-        swept.append(multiples.shape[1])
-        return sweep(tower, multiples, n, workers)
+    def recording(tower, rows, n, workers):
+        swept.append(len(rows))
+        return sweep(tower, rows, n, workers)
 
     monkeypatch.setattr(packed, "_sweep", recording)
     seen = set()
@@ -228,6 +229,10 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
             lifted = weights._side_counts(tower, rows, n, 1)
             e = len(rows) - swept[0]
             assert lifted == naive.span_counts(tower, rows, n, 1)
+            short = weights._shorten(tower, rows)
+            words = naive.span(tower, rows, n)
+            assert naive.span(tower, short, n) == {w for w in words if w[0] == 0}
+            assert len(short) == len(rows) - e and e in (1, 2)
             seen |= {("e", e), ("n", n), ("r = e", len(rows) == e)}
             if side == "dual" and tower.p != 2 and not is_conjucyclic(tower, rows):
                 seen.add("T- only")
