@@ -14,9 +14,14 @@ Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
 d | n0, split each Phi_d into its irreducible factors of degree ord_d(q) by
 Cantor-Zassenhaus equal-degree factorization, and raise everything to the
-p^ell-th power.  The trial polynomials of the randomized split come from a
-generator seeded afresh in every call, and the factors are unique and
-sorted, so repeated runs agree bit for bit.
+p^ell-th power.  Every polynomial f that the split sees divides x^d - 1
+with gcd(d, p) = 1, so for s a power of p the Frobenius image a^s mod f is
+a permutation of coefficient positions, i -> i*s mod d, with each log
+scaled by s, then one division by f.  The probe a^((q^r - 1)/2) (odd p) or
+the GF(2) trace (p = 2) is folded from about log2 r such images, as in von
+zur Gathen-Shoup, not from r log2 q squarings.  The trial polynomials of
+the randomized split come from a generator seeded afresh in every call,
+and the factors are unique and sorted, so repeated runs agree bit for bit.
 
 Every divisor comes from one table, Factorization.powers, holding each
 factor's powers up to the multiplicity: Factorization.divisor,
@@ -241,32 +246,63 @@ def _multiplicative_order(q: int, n0: int) -> int:
     return order
 
 
-def _split_equal_degree(tower, f, r: int, rng) -> list:
+def _frobenius(z, a, s: int, d: int, divisor) -> list:
+    """a^s mod f for s a power of p and f | x^d - 1: a(x)^s is
+    sum a_i^s x^(i*s mod d) modulo x^d - 1, hence modulo f."""
+    out, step, scale, q1 = [-1] * d, s % d, s % z.q1, z.q1
+    for i, c in enumerate(a):
+        if c >= 0:
+            out[i * step % d] = c * scale % q1
+    return z.divide(out, divisor)[1]
+
+
+def _probe(tower, a, f, d: int, r: int) -> list:
+    """a^((q^r - 1)/2) - 1 modulo f | x^d - 1 for odd p, the trace
+    a + a^2 + ... + a^(2^(mr-1)) for p = 2.
+
+    Either folds b^(s^i), i < k: by product with b = a^((q-1)/2), s = q,
+    k = r, as (q^r - 1)/2 = (q - 1)/2 * (1 + q + ... + q^(r-1)); by sum
+    with b = a, s = 2, k = mr.  Doubling over the bits of k, the fold of
+    2j images is acc combined with acc^(s^j), of 2j + 1 is b combined
+    with the s-th power of that.
+    """
+    z, divisor = tower.zech, tower.zech.divisor(f)
+    if tower.p == 2:
+        b, s, k, combine = a, 2, tower.m * r, z.add
+    else:
+        b, s, k = z.powmod(a, (tower.q - 1) // 2, f), tower.q, r
+
+        def combine(u, v):
+            return z.divide(z.product(u, v), divisor)[1]
+
+    acc, j = b, 1
+    for bit in bin(k)[3:]:
+        acc, j = combine(acc, _frobenius(z, acc, s ** j, d, divisor)), 2 * j
+        if bit == "1":
+            acc, j = combine(b, _frobenius(z, acc, s, d, divisor)), j + 1
+    return acc if tower.p == 2 else z.add(acc, [z.minus_one])
+
+
+def _split_equal_degree(tower, f, d: int, r: int, rng) -> list:
     """Monic irreducible factors of the log list f, a squarefree product of
-    degree-r ones.
+    degree-r ones dividing x^d - 1, gcd(d, p) = 1.
 
     Cantor-Zassenhaus: for a random a of degree < deg f, the gcd of f with
-    a^((q^r - 1)/2) - 1 (odd p) or with the trace a + a^2 + ... + a^(2^(mr-1))
-    (p = 2) is a proper factor with probability about 1/2.
+    the probe a^((q^r - 1)/2) - 1 (odd p) or the trace
+    a + a^2 + ... + a^(2^(mr-1)) (p = 2) is a proper factor with
+    probability about 1/2.  As f | x^d - 1, each p-power Frobenius image
+    mod f permutes coefficient positions mod x^d - 1, then divides once,
+    so the probe takes about log2 r images, not r log2 q squarings.
     """
     z = tower.zech
     if len(f) - 1 == r:
         return [f]
-    divisor = z.divisor(f)
     while True:
         a = z.reduce([z.log[rng.choice(tower.subfield)] for _ in range(len(f) - 1)])
-        if tower.p == 2:
-            term = probe = a
-            for _ in range(tower.m * r - 1):
-                term = z.divide(z.square(term), divisor)[1]
-                probe = z.add(probe, term)
-        else:
-            power = z.powmod(a, (tower.q ** r - 1) // 2, f)
-            probe = z.add(power, [z.minus_one])
-        g = z.gcd(f, probe)
+        g = z.gcd(f, _probe(tower, a, f, d, r))
         if 0 < len(g) - 1 < len(f) - 1:
-            return _split_equal_degree(tower, g, r, rng) + _split_equal_degree(
-                tower, z.divmod(f, g)[0], r, rng
+            return _split_equal_degree(tower, g, d, r, rng) + _split_equal_degree(
+                tower, z.divmod(f, g)[0], d, r, rng
             )
 
 
@@ -357,7 +393,7 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
             if d % e == 0:
                 phi = z.divmod(phi, phi_e)[0]
         cyclotomic[d] = phi
-        base += _split_equal_degree(tower, phi, _multiplicative_order(tower.q, d), rng)
+        base += _split_equal_degree(tower, phi, d, _multiplicative_order(tower.q, d), rng)
     base = sorted([z.to_codes(g) for g in base], key=lambda g: (degree(g), g))
     fac = Factorization(
         tower=tower, n=n, n0=n0, ell=ell, multiplicity=p ** ell, base=tuple(base)

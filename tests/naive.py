@@ -414,6 +414,22 @@ def poly_powmod(field, a, e: int, f) -> tuple:
     return result
 
 
+def edf_probe(tower, a, f, r: int) -> list:
+    """The Cantor-Zassenhaus probe of the log list a modulo f on the tower's
+    ZechLogs, by square and multiply: a^((q^r - 1)/2) - 1 for odd p, and
+    for p = 2 the trace a + a^2 + ... + a^(2^(mr-1)), one squaring and
+    reduction per term."""
+    z = tower.zech
+    if tower.p != 2:
+        return z.add(z.powmod(a, (tower.q ** r - 1) // 2, f), [z.minus_one])
+    divisor = z.divisor(f)
+    term = probe = a
+    for _ in range(tower.m * r - 1):
+        term = z.divide(z.square(term), divisor)[1]
+        probe = z.add(probe, term)
+    return probe
+
+
 def monic_reciprocal(field, h) -> tuple:
     return monic(field, tuple(reversed(_trim(h))))
 

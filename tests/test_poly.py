@@ -22,6 +22,7 @@ from conjucyclic import (
 from conjucyclic.field import _prime_zech, factorize, is_prime
 from conjucyclic.poly import (
     _multiplicative_order,
+    _probe,
     check_divisor,
     degree,
     normalize,
@@ -32,6 +33,7 @@ from conjucyclic.poly import (
 )
 from conjucyclic.refdata import QUATERNARY_N11, TERNARY_N11, decode_vector
 from naive import poly_eval, poly_mul, poly_pow
+from test_cli import FACTOR_QS
 
 
 def zech_mul(field, a, b) -> tuple:
@@ -305,16 +307,67 @@ def test_larger_factorizations_are_pinned():
     assert digest.hexdigest() == LARGE_FACTOR_DIGEST
 
 
+# the same digest over (3, 500) and (49, 200), computed with the square-and-
+# multiply probe before the Frobenius-image one replaced it
+LONG_FACTOR_PAIRS = ((3, 500), (49, 200))
+LONG_FACTOR_DIGEST = "b9b7c1455287d71eb5ca2fe49499928b9368c7038e1812fe41f5387c202185a0"
+
+
+def test_long_factorizations_are_pinned():
+    digest = hashlib.sha256()
+    for q, n in LONG_FACTOR_PAIRS:
+        fac = factor_x2n_minus_1(tower_for_q(q), n)
+        digest.update(json.dumps(fac.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == LONG_FACTOR_DIGEST
+
+
 def test_factorization_leaves_no_allocations_behind():
     # result tuples built from generator expressions strand blocks on
-    # CPython's per-length tuple free lists; list-built ones do not
-    tower = tower_for_q(9)
-    for _ in range(3):
-        factor_x2n_minus_1(tower, 11)
-    before = sys.getallocatedblocks()
-    for _ in range(50):
-        factor_x2n_minus_1(tower, 11)
-    assert sys.getallocatedblocks() - before < 1000
+    # CPython's per-length tuple free lists; list-built ones do not.  Odd p
+    # and p = 2 take different probes
+    for q, n in ((9, 11), (4, 35)):
+        tower = tower_for_q(q)
+        for _ in range(3):
+            factor_x2n_minus_1(tower, n)
+        before = sys.getallocatedblocks()
+        for _ in range(50):
+            factor_x2n_minus_1(tower, n)
+        assert sys.getallocatedblocks() - before < 1000, (q, n)
+
+
+def _cyclotomic(tower, n0):
+    """{d: Phi_d as a log list} for every d | n0."""
+    z, phis = tower.zech, {}
+    for d in range(1, n0 + 1):
+        if n0 % d == 0:
+            phi = z.to_logs(x_pow_minus_one(tower, d))
+            for e in phis:
+                if d % e == 0:
+                    phi = z.divmod(phi, phis[e])[0]
+            phis[d] = phi
+    return phis
+
+
+# the CLI digest's grid, two long lengths, and q = 512 (p = 2, m = 9), where
+# every 2^j-th power scales the coefficient logs by 2^j mod 511
+PROBE_CASES = [(q, n) for q in FACTOR_QS for n in range(1, 13)] + [
+    (3, 121), (4, 255), (512, 35), (512, 51)
+]
+
+
+@pytest.mark.parametrize("q", sorted({q for q, _ in PROBE_CASES}))
+def test_probe_matches_square_and_multiply(q):
+    tower = tower_for_q(q)
+    z, rng = tower.zech, random.Random(q)
+    for n in [n for q2, n in PROBE_CASES if q2 == q]:
+        n0 = 2 * n
+        while n0 % tower.p == 0:
+            n0 //= tower.p
+        for d, phi in _cyclotomic(tower, n0).items():
+            r = _multiplicative_order(q, d)
+            for _ in range(3):
+                a = z.to_logs([rng.choice(tower.subfield) for _ in range(len(phi) - 1)])
+                assert _probe(tower, a, phi, d, r) == naive.edf_probe(tower, a, phi, r), (n, d, a)
 
 
 def _oracle_fields():
