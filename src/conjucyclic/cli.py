@@ -66,6 +66,15 @@ def _int_list(text: str):
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _add_common(parser, needs_g: bool):
     parser.add_argument("--q", type=int, required=True, help="subfield size, a prime power")
     parser.add_argument("--n", type=int, required=True, help="code length over GF(q^2)")
@@ -85,7 +94,7 @@ def _add_common(parser, needs_g: bool):
 
 
 def _add_enum_flags(parser):
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="cap on the words of the enumerated side: q^min(k, 2n-k), the "

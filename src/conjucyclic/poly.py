@@ -17,9 +17,10 @@ Cantor-Zassenhaus equal-degree factorization, and raise everything to the
 p^ell-th power.  Every polynomial f that the split sees divides x^d - 1
 with gcd(d, p) = 1, so for s a power of p the Frobenius image a^s mod f is
 a permutation of coefficient positions, i -> i*s mod d, with each log
-scaled by s, then one division by f.  The probe a^((q^r - 1)/2) (odd p) or
-the GF(2) trace (p = 2) is folded from about log2 r such images, as in von
-zur Gathen-Shoup, not from r log2 q squarings.  The trial polynomials of
+scaled by s, then one division by f.  Each probe takes the trace first,
+to GF(q) for odd p and to GF(2) for p = 2, summed from about log2 r such
+images as in von zur Gathen-Shoup, and for odd p the quadratic character
+of the trace second, one power (q - 1)/2.  The trial polynomials of
 the randomized split come from a generator seeded afresh in every call,
 and the factors are unique and sorted, so repeated runs agree bit for bit.
 
@@ -257,42 +258,37 @@ def _frobenius(z, a, s: int, d: int, divisor) -> list:
 
 
 def _probe(tower, a, f, d: int, r: int) -> list:
-    """a^((q^r - 1)/2) - 1 modulo f | x^d - 1 for odd p, the trace
-    a + a^2 + ... + a^(2^(mr-1)) for p = 2.
+    """The trace t = a + a^s + ... + a^(s^(k-1)) modulo f | x^d - 1: for
+    p = 2 t itself, the trace to GF(2) (s = 2, k = mr); for odd p the
+    quadratic character t^((q-1)/2) - 1 of the trace to GF(q) (s = q, k = r).
 
-    Either folds b^(s^i), i < k: by product with b = a^((q-1)/2), s = q,
-    k = r, as (q^r - 1)/2 = (q - 1)/2 * (1 + q + ... + q^(r-1)); by sum
-    with b = a, s = 2, k = mr.  Doubling over the bits of k, the fold of
-    2j images is acc combined with acc^(s^j), of 2j + 1 is b combined
-    with the s-th power of that.
+    Doubling over the bits of k, the trace of 2j terms is acc + acc^(s^j),
+    of 2j + 1 terms a + (that)^s.
     """
     z, divisor = tower.zech, tower.zech.divisor(f)
-    if tower.p == 2:
-        b, s, k, combine = a, 2, tower.m * r, z.add
-    else:
-        b, s, k = z.powmod(a, (tower.q - 1) // 2, f), tower.q, r
-
-        def combine(u, v):
-            return z.divide(z.product(u, v), divisor)[1]
-
-    acc, j = b, 1
+    s, k = (2, tower.m * r) if tower.p == 2 else (tower.q, r)
+    acc, j = a, 1
     for bit in bin(k)[3:]:
-        acc, j = combine(acc, _frobenius(z, acc, s ** j, d, divisor)), 2 * j
+        acc, j = z.add(acc, _frobenius(z, acc, s ** j, d, divisor)), 2 * j
         if bit == "1":
-            acc, j = combine(b, _frobenius(z, acc, s, d, divisor)), j + 1
-    return acc if tower.p == 2 else z.add(acc, [z.minus_one])
+            acc, j = z.add(a, _frobenius(z, acc, s, d, divisor)), j + 1
+    if tower.p == 2:
+        return acc
+    return z.add(z.powmod(acc, (tower.q - 1) // 2, f), [z.minus_one])
 
 
 def _split_equal_degree(tower, f, d: int, r: int, rng) -> list:
     """Monic irreducible factors of the log list f, a squarefree product of
     degree-r ones dividing x^d - 1, gcd(d, p) = 1.
 
-    Cantor-Zassenhaus: for a random a of degree < deg f, the gcd of f with
-    the probe a^((q^r - 1)/2) - 1 (odd p) or the trace
-    a + a^2 + ... + a^(2^(mr-1)) (p = 2) is a proper factor with
-    probability about 1/2.  As f | x^d - 1, each p-power Frobenius image
-    mod f permutes coefficient positions mod x^d - 1, then divides once,
-    so the probe takes about log2 r images, not r log2 q squarings.
+    Cantor-Zassenhaus: for a random a of degree < deg f, take the trace
+    t = a + a^q + ... + a^(q^(r-1)) first, then its quadratic character:
+    the gcd of f with t^((q-1)/2) - 1 (odd p), or with the GF(2) trace
+    a + a^2 + ... + a^(2^(mr-1)) (p = 2), is a proper factor with
+    probability about 1/2, as a is uniform and independent modulo each
+    factor and so is its trace in GF(q).  As f | x^d - 1, each p-power
+    Frobenius image mod f permutes coefficient positions mod x^d - 1, then
+    divides once, so the trace is a sum of about log2 r images.
     """
     z = tower.zech
     if len(f) - 1 == r:

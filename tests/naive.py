@@ -416,12 +416,16 @@ def poly_powmod(field, a, e: int, f) -> tuple:
 
 def edf_probe(tower, a, f, r: int) -> list:
     """The Cantor-Zassenhaus probe of the log list a modulo f on the tower's
-    ZechLogs, by square and multiply: a^((q^r - 1)/2) - 1 for odd p, and
-    for p = 2 the trace a + a^2 + ... + a^(2^(mr-1)), one squaring and
-    reduction per term."""
+    ZechLogs, with no Frobenius fold: for odd p the trace
+    t = a + a^q + ... + a^(q^(r-1)), each term by its own square and
+    multiply, then t^((q-1)/2) - 1; for p = 2 the trace
+    a + a^2 + ... + a^(2^(mr-1)), one squaring and reduction per term."""
     z = tower.zech
     if tower.p != 2:
-        return z.add(z.powmod(a, (tower.q ** r - 1) // 2, f), [z.minus_one])
+        trace = []
+        for i in range(r):
+            trace = z.add(trace, z.powmod(a, tower.q ** i, f))
+        return z.add(z.powmod(trace, (tower.q - 1) // 2, f), [z.minus_one])
     divisor = z.divisor(f)
     term = probe = a
     for _ in range(tower.m * r - 1):

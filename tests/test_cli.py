@@ -179,6 +179,14 @@ def test_usage_error_exits_2(capsys):
             assert "_int_list" not in err
 
 
+def test_workers_below_one_exits_2(capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weights", "--q", "4", "--n", "11", "--exps", "0,2,0", "--workers", value])
+        assert exc.value.code == 2
+        assert "argument --workers: expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_verify_budget_failure_exits_1(capsys):
     code, out, _ = run(capsys, "verify", "--budget", "100")
     assert code == cli.EXIT_VERIFY_FAILED

@@ -292,6 +292,14 @@ def test_json_shape():
     assert blob["t"] == len(blob["factors"])
 
 
+def _factor_digest(pairs) -> str:
+    digest = hashlib.sha256()
+    for q, n in pairs:
+        fac = factor_x2n_minus_1(tower_for_q(q), n)
+        digest.update(json.dumps(fac.to_json(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 # sha256 of json.dumps(Factorization.to_json(), sort_keys=True) over these
 # (q, n), concatenated in order; pins factor lists beyond the n <= 12 of
 # the CLI's FACTOR_DIGEST, at splitting fields up to GF(3^100).
@@ -300,11 +308,7 @@ LARGE_FACTOR_DIGEST = "19e923a5f81faf0e6453e2e1e8f0a03f0f1a4c9bad20bb163640bb97c
 
 
 def test_larger_factorizations_are_pinned():
-    digest = hashlib.sha256()
-    for q, n in LARGE_FACTOR_PAIRS:
-        fac = factor_x2n_minus_1(tower_for_q(q), n)
-        digest.update(json.dumps(fac.to_json(), sort_keys=True).encode())
-    assert digest.hexdigest() == LARGE_FACTOR_DIGEST
+    assert _factor_digest(LARGE_FACTOR_PAIRS) == LARGE_FACTOR_DIGEST
 
 
 # the same digest over (3, 500) and (49, 200), computed with the square-and-
@@ -314,11 +318,17 @@ LONG_FACTOR_DIGEST = "b9b7c1455287d71eb5ca2fe49499928b9368c7038e1812fe41f5387c20
 
 
 def test_long_factorizations_are_pinned():
-    digest = hashlib.sha256()
-    for q, n in LONG_FACTOR_PAIRS:
-        fac = factor_x2n_minus_1(tower_for_q(q), n)
-        digest.update(json.dumps(fac.to_json(), sort_keys=True).encode())
-    assert digest.hexdigest() == LONG_FACTOR_DIGEST
+    assert _factor_digest(LONG_FACTOR_PAIRS) == LONG_FACTOR_DIGEST
+
+
+# the same digest over (3, 1000) and (7, 250), computed with the product fold
+# of a^((q^r - 1)/2) before the trace fold replaced it
+LONGEST_FACTOR_PAIRS = ((3, 1000), (7, 250))
+LONGEST_FACTOR_DIGEST = "8d828676f92ec9bd830dab5d22e761e3e267eb0178c245932ebb1b2539938d39"
+
+
+def test_longest_factorizations_are_pinned():
+    assert _factor_digest(LONGEST_FACTOR_PAIRS) == LONGEST_FACTOR_DIGEST
 
 
 def test_factorization_leaves_no_allocations_behind():
