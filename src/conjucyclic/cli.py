@@ -96,7 +96,7 @@ def _add_common(parser, needs_g: bool):
 def _add_enum_flags(parser):
     parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET,
+        "--budget", type=_positive_int, default=DEFAULT_BUDGET,
         help="cap on the words of the enumerated side: q^min(k, 2n-k), the "
         "smaller of the code and its alternating dual (default 2^28); the "
         "sweep visits about 1/(q^e (q-1)) of them, e = 1 or 2",

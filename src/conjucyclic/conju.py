@@ -25,14 +25,17 @@ trace-Hermitian-style form.  The alternating dual is the orbit of one
 contracted row under a negated shift T-, and dual containment is decided
 here by one division, g | tau(h*) on the mirror.  The largest plain-cyclic
 subcode is the length-n cyclic code <g / gcd(g, x^n + 1)>, in closed form.
+
+The mirror's polynomials are Zech log lists of GF(q) from the code's
+construction on (cyclic.CyclicCode), and everything above runs on them;
+contraction maps a pair of logs to a GF(q^2) code by two exp lookups.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .cyclic import CyclicCode, shift_iterates, symplectic_swap
+from .cyclic import CyclicCode, shift_iterates
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
-from .poly import degree, poly_divmod, poly_gcd, x_power_remainders
 
 
 def _inversion_constants(tower):
@@ -55,16 +58,27 @@ def expand(tower, vec) -> tuple:
     return tuple(first for first, _ in pairs) + tuple(second for _, second in pairs)
 
 
+def _contract_logs(tower, firsts, seconds, unit: int) -> tuple:
+    """contract on logs: entry i is A x - B y for x = beta^(unit * firsts[i])
+    and y = beta^(unit * seconds[i]), a negative log standing for zero;
+    unit is 1 for tower logs and q + 1 for the Zech logs of GF(q)."""
+    a, b = _inversion_constants(tower)
+    exp, log, modulus = tower.exp, tower.log, tower.q2 - 1
+    # logs of A and of -B; -1 = beta^(modulus / 2) for odd p
+    la, lb = log[a], (log[b] + (modulus // 2 if tower.p > 2 else 0)) % modulus
+    xs = [exp[(la + unit * c) % modulus] if c >= 0 else 0 for c in firsts]
+    ys = [exp[(lb + unit * c) % modulus] if c >= 0 else 0 for c in seconds]
+    if tower.p == 2:
+        return tuple([x ^ y for x, y in zip(xs, ys)])
+    return tuple(map(tower.add, xs, ys))
+
+
 def contract(tower, vec) -> tuple:
     """Inverse of expand; raises OddLengthError on odd-length input."""
     if len(vec) % 2:
         raise OddLengthError("contract needs an even-length q-ary vector")
-    n = len(vec) // 2
-    a, b = _inversion_constants(tower)
-    return tuple(
-        tower.sub(tower.mul(a, first), tower.mul(b, second))
-        for first, second in zip(vec[:n], vec[n:])
-    )
+    n, log = len(vec) // 2, tower.log
+    return _contract_logs(tower, [log[x] for x in vec[:n]], [log[x] for x in vec[n:]], 1)
 
 
 def conjucyclic_shift(tower, vec) -> tuple:
@@ -103,10 +117,13 @@ def is_conjucyclic(tower, rows) -> bool:
     )
 
 
-def _dual_row(code):
-    """tau(h*): the first row of the mirror's symplectic dual."""
-    mirror = code.cyclic
-    return symplectic_swap(code.tower, mirror.coefficient_vector(mirror.h_star))
+def _dual_logs(code) -> list:
+    """tau(h*), the first row of the mirror's symplectic dual, as logs: h*
+    padded with zeros (-1) or truncated to 2n entries as coefficient_vector
+    does; negating an entry adds log(-1)."""
+    n, minus_one = code.n, code.tower.zech.minus_one
+    v = (code.cyclic.h_star_logs + [-1] * (2 * n))[: 2 * n]
+    return [c + minus_one if c >= 0 else -1 for c in v[n:]] + v[:n]
 
 
 def is_alternating_dual_containing(code) -> bool:
@@ -123,7 +140,7 @@ def is_alternating_dual_containing(code) -> bool:
     h+* (h-* mod g+*) up to a unit (* the monic reciprocal), so g- divides
     h-* mod g+*, nonzero of degree below deg g+; likewise deg g+ < deg g-.
     """
-    return code.cyclic.contains(_dual_row(code))
+    return not code.tower.zech.divide(_dual_logs(code), code.cyclic.g_divisor)[1]
 
 
 def largest_cyclic_subcode(code):
@@ -139,24 +156,34 @@ def largest_cyclic_subcode(code):
     x^(d1 + i) - (x^(d1 + i) mod g1), rotated right by s - d1, and scaled
     by contract((1, 1)), the GF(q) constant that maps (a, a) back to a
     vector over GF(q^2); each entry is written straight to its rotated
-    position.  The remainders come from one sequence,
-    x^(d1 + i + 1) mod g1 = x * (x^(d1 + i) mod g1) mod g1.
+    position.  The remainders are one register stepped in place, on the
+    logs of g: x^(d1 + i + 1) mod g1 is x * (x^(d1 + i) mod g1) with the
+    coefficient c shifted out to x^d1 replaced by -c (g1 - x^d1).
     """
-    tower, n = code.tower, code.n
-    x_n_plus_1 = (1,) + (0,) * (n - 1) + (1,)
-    g1, _ = poly_divmod(tower, code.g, poly_gcd(tower, code.g, x_n_plus_1))
-    d1 = degree(g1)
+    tower, n, z = code.tower, code.n, code.tower.zech
+    g, q1 = code.cyclic.g_logs, z.q1
+    g1 = z.divmod(g, z.gcd(g, [0] + [-1] * (n - 1) + [0]))[0]
+    d1 = len(g1) - 1
     k1 = n - d1
     s = (code.card_log_q - k1) % n
     scale = contract(tower, (1, 1))[0]
-    neg_scale, mul = tower.neg(scale), tower.mul
+    log_neg_scale = (z.log[scale] + z.minus_one) % q1
+    # g1 is monic, so its divisor terms are (j, log(-g1_j)), and x^d1 mod g1
+    # is g1 - x^d1 negated
+    terms = z.divisor(g1)[2]
+    rem = [c + z.minus_one if c >= 0 else -1 for c in g1[:-1]]
     rows = []
-    for i, rem in enumerate(x_power_remainders(tower, g1, d1, k1)):
+    for i in range(k1):
         row = [0] * n
         row[(s + i) % n] = scale
         for j, c in enumerate(rem):
-            row[(j + s - d1) % n] = mul(neg_scale, c)
+            if c >= 0:
+                row[(j + s - d1) % n] = z.code[(log_neg_scale + c) % q1]
         rows.append(tuple(row))
+        rem.insert(0, -1)
+        top = rem.pop()
+        if top >= 0:
+            z.add_scaled(rem, 0, top % q1, terms)
     return rows
 
 
@@ -179,7 +206,8 @@ class ConjucyclicCode:
         self.cyclic = CyclicCode(tower, n, g)
         self.g = self.cyclic.g
         self.card_log_q = self.cyclic.dim
-        g_row = contract(tower, self.cyclic.coefficient_vector(self.g))
+        v = (self.cyclic.g_logs + [-1] * (2 * n))[: 2 * n]
+        g_row = _contract_logs(tower, v[:n], v[n:], tower.q + 1)
         self.gen_matrix = shift_iterates(g_row, self.card_log_q, tower.conjugate)
 
     @property
@@ -198,8 +226,9 @@ class ConjucyclicCode:
         twisted shift into T-.  So the dual is closed under T-, and under T
         in general only in characteristic 2, where T- = T.
         """
-        neg, conj = self.tower.neg, self.tower.conjugate
-        first = contract(self.tower, _dual_row(self))
+        neg, conj, n = self.tower.neg, self.tower.conjugate, self.n
+        r = _dual_logs(self)
+        first = _contract_logs(self.tower, r[:n], r[n:], self.tower.q + 1)
         return shift_iterates(first, self.k, lambda x: neg(conj(x)))
 
     def trace_dual_matrix(self):

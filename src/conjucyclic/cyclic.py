@@ -9,7 +9,9 @@ the monic reciprocal of h = (x^(2n) - 1)/g; applying the half-swap map
 
 to those rows turns them into a generator matrix of the symplectic dual.
 Codewords are tuples of element codes drawn from the subfield GF(q) of the
-ambient tower.
+ambient tower.  A code works g, its prepared divisor and h* out once, at
+construction, as Zech log lists of GF(q) (poly.ZechLogs), which conju.py's
+questions run on; the tuples g, h and h_star are their codes.
 
 Degenerate divisors are legal and round-trip everywhere: g = x^(2n) - 1
 gives the zero code (no generator rows) and g = 1 the full space.
@@ -18,7 +20,7 @@ gives the zero code (no generator rows) and g = 1 the full space.
 from __future__ import annotations
 
 from .errors import LengthMismatchError
-from .poly import check_divisor, degree, monic_reciprocal, normalize, poly_mod
+from .poly import check_divisor, normalize, poly_mod
 
 
 def shift_iterates(row, count: int, twist=None) -> list:
@@ -57,18 +59,23 @@ class CyclicCode:
         g: monic generator polynomial, a divisor of x^(2n) - 1.
         h: cofactor (x^(2n) - 1) / g.
         h_star: monic reciprocal of h.
+        g_logs, h_star_logs: g and h* as log lists of tower.zech.
+        g_divisor: g prepared for ZechLogs.divide.
         k: deg g.  dim: 2n - k, so the code has q^dim codewords.
     """
 
     def __init__(self, tower, n: int, g) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        z = tower.zech
         self.tower = tower
         self.n = n
-        self.g, self.h = check_divisor(tower, n, g)
-        self.k = degree(self.g)
+        self.g_logs, self.g_divisor, h = check_divisor(tower, n, g)
+        self.k = len(self.g_logs) - 1
         self.dim = 2 * n - self.k
-        self.h_star = monic_reciprocal(tower, self.h)
+        # the monic reciprocal; h(0) != 0 as h divides x^(2n) - 1
+        self.h_star_logs = [(c - h[0]) % z.q1 if c >= 0 else -1 for c in reversed(h)]
+        self.g, self.h, self.h_star = map(z.to_codes, (self.g_logs, h, self.h_star_logs))
 
     def coefficient_vector(self, poly) -> tuple:
         """Pad a polynomial of degree < 2n out to a length-2n tuple."""

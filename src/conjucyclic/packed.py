@@ -123,9 +123,16 @@ def _multiples(tower, rows, n):
     """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
 
     tower.subfield is sorted, so column 0 is the zero word and column 1 the
-    row itself.
+    row itself.  Each product is one exp lookup on the sum of the logs.
     """
-    scaled = [[tower.mul(k, x) for x in row] for row in rows for k in tower.subfield]
+    exp, log, modulus = tower.exp, tower.log, tower.q2 - 1
+    scaled = []
+    for row in rows:
+        logs = [log[x] for x in row]
+        scaled.append([0] * len(row))
+        for k in tower.subfield[1:]:
+            lk = log[k]
+            scaled.append([exp[(lk + c) % modulus] if c >= 0 else 0 for c in logs])
     packed = _pack(tower, scaled, n)
     return packed.reshape(len(packed), len(rows), tower.q)
 

@@ -8,7 +8,10 @@ their logs to a generator gamma of GF(q)*, and a coefficient outside GF(q)
 (its tower log no multiple of q + 1) raises ValueError.  The functions
 take a FieldTower and run on its `zech`, a ZechLogs table of GF(q) with
 gamma = beta^(q+1); the modulus search in field.py runs ZechLogs on GF(p)
-directly.  Codes become logs on entry and codes on exit.
+directly.  The functions here take and return codes, converting at their
+edges; a code's own polynomials (cyclic.CyclicCode: g, its prepared
+divisor and h*) are logs from construction on, and every question asked of
+the code runs on those lists.
 
 Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
@@ -200,18 +203,6 @@ def monic_reciprocal(tower, h) -> tuple:
         raise ZeroConstantTermError("reciprocal needs a nonzero constant term")
     z = tower.zech
     return z.to_codes(z.gcd(z.to_logs(h)[::-1], []))  # gcd(h*, 0) = monic h*
-
-
-def x_power_remainders(tower, g, start: int, count: int) -> list:
-    """x^(start + i) mod g for 0 <= i < count: one long division for the
-    first, then each is x times the one before, less a multiple of g."""
-    z = tower.zech
-    g, r, out = z.divisor(z.to_logs(g)), [-1] * start + [0], []
-    for _ in range(count):
-        r = z.divide(r, g)[1]
-        out.append(z.to_codes(r))
-        r = [-1] + r
-    return out
 
 
 def poly_str(tower, a) -> str:
@@ -406,20 +397,25 @@ def enumerate_divisors(fac: Factorization):
 
 
 def check_divisor(tower, n: int, g) -> tuple:
-    """Validate that g divides x^(2n) - 1; return (monic g, cofactor h).
+    """Validate that g divides x^(2n) - 1; return the log lists of monic g
+    and of the cofactor h, with g's prepared ZechLogs.divisor between them.
     g is made monic first, so a GF(q^2) multiple of a GF(q) divisor passes."""
     g = normalize(g)
     if not g:
         raise NotADivisorError("the zero polynomial is not a divisor")
-    g = tuple([tower.div(c, g[-1]) for c in g])
-    for c in g:
-        if not tower.in_subfield(c):
-            raise NotADivisorError(
-                "generator coefficients must lie in the subfield GF(q)"
-            )
-    quotient, remainder = poly_divmod(tower, x_pow_minus_one(tower, 2 * n), g)
+    if g[-1] != 1:
+        g = tuple([tower.div(c, g[-1]) for c in g])
+    z = tower.zech
+    try:
+        g = z.to_logs(g)
+    except ValueError:
+        raise NotADivisorError(
+            "generator coefficients must lie in the subfield GF(q)"
+        ) from None
+    divisor = z.divisor(g)
+    quotient, remainder = z.divide([z.minus_one] + [-1] * (2 * n - 1) + [0], divisor)
     if remainder:
         raise NotADivisorError(
             f"polynomial of degree {degree(g)} does not divide x^{2 * n} - 1"
         )
-    return g, quotient
+    return g, divisor, z.reduce(quotient)

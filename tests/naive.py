@@ -145,6 +145,19 @@ def min_positive_weight(words, weight_fn):
     return weights[0] if weights else None
 
 
+def contract_per_entry(tower, vec) -> tuple:
+    """The inverse of expand one entry at a time: A * first - B * second by
+    the tower's own mul and sub, with (A, B) the inversion constants."""
+    from conjucyclic.conju import _inversion_constants
+
+    n = len(vec) // 2
+    a, b = _inversion_constants(tower)
+    return tuple(
+        tower.sub(tower.mul(a, first), tower.mul(b, second))
+        for first, second in zip(vec[:n], vec[n:])
+    )
+
+
 def trace_dual(tower, generators, n):
     """{v in GF(q^2)^n : Tr(<u, v>_e) = 0 for all u}, by ambient scan.
 
@@ -173,7 +186,6 @@ def trace_dual_kernel_basis(tower, generators, n):
     GF(q)-linear functional of the 2n expansion coordinates of v; the dual
     is the kernel of one linear condition per generator row.
     """
-    from conjucyclic import contract
     from conjucyclic import linalg
     from conjucyclic.conju import _inversion_constants
 
@@ -184,7 +196,7 @@ def trace_dual_kernel_basis(tower, generators, n):
         second = [tower.neg(tower.trace(tower.mul(u[i], b_const))) for i in range(n)]
         rows.append(tuple(first + second))
     kernel = linalg.right_kernel(tower, rows, 2 * n)
-    return [contract(tower, d) for d in kernel]
+    return [contract_per_entry(tower, d) for d in kernel]
 
 
 def trace_dual_kernel(tower, generators, n):
@@ -201,7 +213,7 @@ def cyclic_subcode_by_elimination(tower, rows):
     rref of the expanded rows; contracting back yields vectors whose
     entries all lie in GF(q).
     """
-    from conjucyclic import contract, expand
+    from conjucyclic import expand
     from conjucyclic import linalg
 
     rows = [tuple(r) for r in rows]
@@ -220,7 +232,7 @@ def cyclic_subcode_by_elimination(tower, rows):
         for c, row in zip(a, basis):
             if c:
                 word = [tower.add(w, tower.mul(c, x)) for w, x in zip(word, row)]
-        vec = contract(tower, tuple(word))
+        vec = contract_per_entry(tower, tuple(word))
         assert all(tower.in_subfield(x) for x in vec)
         out.append(vec)
     return out
@@ -241,11 +253,9 @@ def dual_containing_by_elimination(code):
 
 
 def alternating_dual_by_contraction(code):
-    """The alternating dual matrix row by row: the contraction of every
-    symplectic-dual row of the q-ary mirror."""
-    from conjucyclic import contract
-
-    return [contract(code.tower, row) for row in code.cyclic.symplectic_dual_matrix()]
+    """The alternating dual matrix row by row: the per-entry contraction of
+    every symplectic-dual row of the q-ary mirror."""
+    return [contract_per_entry(code.tower, row) for row in code.cyclic.symplectic_dual_matrix()]
 
 
 def dual_containing_all_rows(code):
@@ -261,12 +271,7 @@ def alternating_dual_matrix_char2(code):
     iterates T; row-for-row equal to code.alternating_dual_matrix()
     because the half-swap and the cyclic shift commute when -1 = 1.
     """
-    from conjucyclic import (
-        WrongCharacteristicError,
-        conjucyclic_shift,
-        contract,
-        symplectic_swap,
-    )
+    from conjucyclic import WrongCharacteristicError, conjucyclic_shift, symplectic_swap
 
     tower = code.tower
     if tower.p != 2:
@@ -274,7 +279,7 @@ def alternating_dual_matrix_char2(code):
     rows = []
     if code.k:
         vec = symplectic_swap(tower, code.cyclic.coefficient_vector(code.cyclic.h_star))
-        row = contract(tower, vec)
+        row = contract_per_entry(tower, vec)
         for _ in range(code.k):
             rows.append(row)
             row = conjucyclic_shift(tower, row)
@@ -454,15 +459,13 @@ def largest_cyclic_subcode_by_division(code):
     """Closed-form cyclic subcode basis with one long division per row:
     row i is x^(d1+i) - (x^(d1+i) mod g1), rotated right by s - d1 and
     scaled by contract((1, 1))."""
-    from conjucyclic import contract
-
     tower, n = code.tower, code.n
     x_n_plus_1 = (1,) + (0,) * (n - 1) + (1,)
     g1 = poly_divmod(tower, code.g, poly_gcd(tower, code.g, x_n_plus_1))[0]
     d1 = len(g1) - 1
     k1 = n - d1
     s = (code.card_log_q - k1) % n
-    scale = contract(tower, (1, 1))[0]
+    scale = contract_per_entry(tower, (1, 1))[0]
     rows = []
     for i in range(k1):
         word = [0] * (d1 + i) + [1] + [0] * (k1 - 1 - i)

@@ -187,6 +187,14 @@ def test_workers_below_one_exits_2(capsys):
         assert "argument --workers: expected an integer >= 1" in capsys.readouterr().err
 
 
+def test_budget_below_one_exits_2(capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weights", "--q", "2", "--n", "3", "--exps", "0,0", "--budget", value])
+        assert exc.value.code == 2
+        assert "argument --budget: expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_verify_budget_failure_exits_1(capsys):
     code, out, _ = run(capsys, "verify", "--budget", "100")
     assert code == cli.EXIT_VERIFY_FAILED

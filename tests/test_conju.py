@@ -407,6 +407,36 @@ def test_subcode_remainder_sequence_matches_one_division_per_row():
     assert checked == 544
 
 
+def test_log_space_mirror_matches_oracles():
+    # h, h*, the generator matrix and the alternating dual, all built on
+    # Zech logs, against schoolbook division and per-entry contraction on
+    # every divisor code of the small property grid
+    grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
+    pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
+    checked = 0
+    for code in naive.divisor_codes(pairs):
+        tower, mirror = code.tower, code.cyclic
+        x2n_minus_1 = (naive.neg(tower, 1),) + (0,) * (2 * code.n - 1) + (1,)
+        assert naive.poly_divmod(tower, x2n_minus_1, code.g) == (mirror.h, ())
+        assert mirror.h_star == naive.monic_reciprocal(tower, mirror.h)
+        rows = naive.cyclic_generator_matrix(mirror)
+        assert code.gen_matrix == [naive.contract_per_entry(tower, row) for row in rows]
+        assert code.alternating_dual_matrix() == naive.alternating_dual_by_contraction(code)
+        checked += 1
+    assert checked == 544
+
+
+def test_contract_matches_per_entry_oracle():
+    # every pair of GF(q) for q <= 16, as one vector, and for q <= 4 every
+    # pair of GF(q^2)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        tower = tower_for_q(q)
+        elements = tower.subfield if q > 4 else range(tower.q2)
+        firsts, seconds = zip(*itertools.product(elements, repeat=2))
+        vec = firsts + seconds
+        assert contract(tower, vec) == naive.contract_per_entry(tower, vec)
+
+
 def test_subcode_of_single_parity_code_is_everything():
     # mirror <x+1> in characteristic 2: the subcode fills GF(q)^n
     for q, n in [(2, 2), (2, 3), (4, 2)]:
