@@ -120,10 +120,10 @@ def is_conjucyclic(tower, rows) -> bool:
 def _dual_logs(code) -> list:
     """tau(h*), the first row of the mirror's symplectic dual, as logs: h*
     padded with zeros (-1) or truncated to 2n entries as coefficient_vector
-    does; negating an entry adds log(-1)."""
-    n, minus_one = code.n, code.tower.zech.minus_one
+    does."""
+    n, z = code.n, code.tower.zech
     v = (code.cyclic.h_star_logs + [-1] * (2 * n))[: 2 * n]
-    return [c + minus_one if c >= 0 else -1 for c in v[n:]] + v[:n]
+    return z.scale(v[n:], z.minus_one) + v[:n]
 
 
 def is_alternating_dual_containing(code) -> bool:
@@ -162,7 +162,7 @@ def largest_cyclic_subcode(code):
     """
     tower, n, z = code.tower, code.n, code.tower.zech
     g, q1 = code.cyclic.g_logs, z.q1
-    g1 = z.divmod(g, z.gcd(g, [0] + [-1] * (n - 1) + [0]))[0]
+    g1 = z.divmod(g, z.gcd(g, z.binomial(n, 0)))[0]
     d1 = len(g1) - 1
     k1 = n - d1
     s = (code.card_log_q - k1) % n
@@ -171,7 +171,7 @@ def largest_cyclic_subcode(code):
     # g1 is monic, so its divisor terms are (j, log(-g1_j)), and x^d1 mod g1
     # is g1 - x^d1 negated
     terms = z.divisor(g1)[2]
-    rem = [c + z.minus_one if c >= 0 else -1 for c in g1[:-1]]
+    rem = z.scale(g1[:-1], z.minus_one)
     rows = []
     for i in range(k1):
         row = [0] * n

@@ -74,7 +74,7 @@ class CyclicCode:
         self.k = len(self.g_logs) - 1
         self.dim = 2 * n - self.k
         # the monic reciprocal; h(0) != 0 as h divides x^(2n) - 1
-        self.h_star_logs = [(c - h[0]) % z.q1 if c >= 0 else -1 for c in reversed(h)]
+        self.h_star_logs = z.monic(h[::-1])
         self.g, self.h, self.h_star = map(z.to_codes, (self.g_logs, h, self.h_star_logs))
 
     def coefficient_vector(self, poly) -> tuple:

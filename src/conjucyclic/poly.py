@@ -5,13 +5,14 @@ trailing zeros; the zero polynomial is the empty tuple.  Coefficients must
 lie in the subfield GF(q) of the ambient tower, where all generator
 polynomials of the cyclic codes of interest live: the arithmetic runs on
 their logs to a generator gamma of GF(q)*, and a coefficient outside GF(q)
-(its tower log no multiple of q + 1) raises ValueError.  The functions
-take a FieldTower and run on its `zech`, a ZechLogs table of GF(q) with
-gamma = beta^(q+1); the modulus search in field.py runs ZechLogs on GF(p)
-directly.  The functions here take and return codes, converting at their
-edges; a code's own polynomials (cyclic.CyclicCode: g, its prepared
-divisor and h*) are logs from construction on, and every question asked of
-the code runs on those lists.
+(its tower log no multiple of q + 1) raises ValueError.  ZechLogs is the
+arithmetic, and the one place that knows its log-list encoding: a FieldTower
+carries one for GF(q) as `zech`, with gamma = beta^(q+1), and the modulus
+search in field.py runs one on GF(p) directly.  A code's own polynomials
+(cyclic.CyclicCode: g, its prepared divisor and h*) are log lists from
+construction on, and every question asked of the code runs on those lists;
+the few functions here that take and return codes (poly_mod,
+monic_reciprocal) convert at their edges.
 
 Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
@@ -36,6 +37,7 @@ all multiply its entries.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 
@@ -53,7 +55,9 @@ class ZechLogs:
     and any negative value is zero: `zech` repeats Z three times, so no
     index a - b needs reducing, and holds -2 q1 where 1 + gamma^k = 0.
     code[i] is the code of gamma^i, code[-1] = 0, log inverts code, and
-    minus_one is log(-1).
+    minus_one is log(-1).  Other modules make, scale and normalize log
+    lists by these methods: binomial for x^d + gamma^c (x^d - 1 included),
+    scale to multiply by a constant or negate, monic to divide by the lead.
     """
 
     def __init__(self, p: int, powers, one_plus) -> None:
@@ -93,6 +97,19 @@ class ZechLogs:
             o = out[k]
             out[k] = t + zech[o - t] if o >= 0 else t
 
+    def monic(self, a) -> list:
+        """a divided by its lead; a reduced, and [] stays []."""
+        lead, q1 = a[-1] if a else 0, self.q1
+        return [(c - lead) % q1 if c >= 0 else -1 for c in a]
+
+    def scale(self, a, c: int) -> list:
+        """gamma^c * a, unreduced; c = minus_one negates."""
+        return [t + c if t >= 0 else -1 for t in a]
+
+    def binomial(self, d: int, c: int) -> list:
+        """x^d + gamma^c for d >= 1; binomial(d, minus_one) is x^d - 1."""
+        return [c] + [-1] * (d - 1) + [0]
+
     def add(self, a, b) -> list:
         out = list(a) + [-1] * (len(b) - len(a))
         self.add_scaled(out, 0, 0, [(j, c) for j, c in enumerate(b) if c >= 0])
@@ -105,14 +122,6 @@ class ZechLogs:
         for i, c in enumerate(a):
             if c >= 0:
                 self.add_scaled(out, i, c, terms)
-        return out
-
-    def square(self, a) -> list:
-        """a * a, unreduced; for p = 2 the Frobenius map, sum a_i^2 x^(2i)."""
-        if self.p != 2:
-            return self.product(a, a)
-        out = [-1] * (2 * len(a) - 1)
-        out[::2] = [2 * c % self.q1 if c >= 0 else -1 for c in a]
         return out
 
     def divisor(self, b) -> tuple:
@@ -143,7 +152,7 @@ class ZechLogs:
         """Monic gcd."""
         while b:
             a, b = b, self.divide(list(a), self.divisor(b))[1]
-        return [(c - a[-1]) % self.q1 if c >= 0 else -1 for c in a]
+        return self.monic(a)
 
     def powmod(self, a, e: int, f) -> list:
         """a^e mod f by square and multiply; a must already be reduced mod f."""
@@ -153,7 +162,7 @@ class ZechLogs:
                 result = self.divide(self.product(result, a), f)[1]
             e >>= 1
             if e:
-                a = self.divide(self.square(a), f)[1]
+                a = self.divide(self.product(a, a), f)[1]
         return result
 
 
@@ -169,27 +178,10 @@ def degree(a) -> int:
     return len(a) - 1
 
 
-def poly_divmod(tower, a, b) -> tuple:
-    """Quotient and remainder with deg r < deg b."""
-    z = tower.zech
-    quot, rem = z.divmod(z.to_logs(a), z.to_logs(b))
-    return z.to_codes(quot), z.to_codes(rem)
-
-
 def poly_mod(tower, a, b) -> tuple:
-    return poly_divmod(tower, a, b)[1]
-
-
-def poly_gcd(tower, a, b) -> tuple:
-    """Monic gcd; the empty tuple when both are zero."""
+    """Remainder of a by b, deg r < deg b."""
     z = tower.zech
-    return z.to_codes(z.gcd(z.to_logs(a), z.to_logs(b)))
-
-
-def x_pow_minus_one(tower, n: int) -> tuple:
-    """x^n - 1 as a coefficient tuple."""
-    z = tower.zech
-    return (z.code[z.minus_one],) + (0,) * (n - 1) + (1,)
+    return z.to_codes(z.divide(z.to_logs(a), z.divisor(z.to_logs(b)))[1])
 
 
 def monic_reciprocal(tower, h) -> tuple:
@@ -202,7 +194,7 @@ def monic_reciprocal(tower, h) -> tuple:
     if not h or h[0] == 0:
         raise ZeroConstantTermError("reciprocal needs a nonzero constant term")
     z = tower.zech
-    return z.to_codes(z.gcd(z.to_logs(h)[::-1], []))  # gcd(h*, 0) = monic h*
+    return z.to_codes(z.monic(z.to_logs(h)[::-1]))
 
 
 def poly_str(tower, a) -> str:
@@ -329,7 +321,7 @@ class Factorization:
 
     def divisor(self, exponents) -> tuple:
         """Expand the divisor prod base[i]^exponents[i]."""
-        exponents = tuple([int(e) for e in exponents])
+        exponents = tuple([operator.index(e) for e in exponents])
         if len(exponents) != self.t or any(
             e < 0 or e > self.multiplicity for e in exponents
         ):
@@ -375,7 +367,7 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
         if n0 % d:
             continue
         # Phi_d = (x^d - 1) / prod of Phi_e over the proper divisors e of d
-        phi = z.to_logs(x_pow_minus_one(tower, d))
+        phi = z.binomial(d, z.minus_one)
         for e, phi_e in cyclotomic.items():
             if d % e == 0:
                 phi = z.divmod(phi, phi_e)[0]
@@ -386,7 +378,7 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
         tower=tower, n=n, n0=n0, ell=ell, multiplicity=p ** ell, base=tuple(base)
     )
     full = fac.divisor((fac.multiplicity,) * fac.t)
-    assert full == x_pow_minus_one(tower, two_n), "factorization self-check failed"
+    assert full == z.to_codes(z.binomial(two_n, z.minus_one)), "factorization self-check failed"
     return fac
 
 
@@ -403,6 +395,8 @@ def check_divisor(tower, n: int, g) -> tuple:
     g = normalize(g)
     if not g:
         raise NotADivisorError("the zero polynomial is not a divisor")
+    for c in g:
+        tower.check_element(c)
     if g[-1] != 1:
         g = tuple([tower.div(c, g[-1]) for c in g])
     z = tower.zech
@@ -413,7 +407,7 @@ def check_divisor(tower, n: int, g) -> tuple:
             "generator coefficients must lie in the subfield GF(q)"
         ) from None
     divisor = z.divisor(g)
-    quotient, remainder = z.divide([z.minus_one] + [-1] * (2 * n - 1) + [0], divisor)
+    quotient, remainder = z.divide(z.binomial(2 * n, z.minus_one), divisor)
     if remainder:
         raise NotADivisorError(
             f"polynomial of degree {degree(g)} does not divide x^{2 * n} - 1"

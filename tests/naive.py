@@ -434,7 +434,7 @@ def edf_probe(tower, a, f, r: int) -> list:
     divisor = z.divisor(f)
     term = probe = a
     for _ in range(tower.m * r - 1):
-        term = z.divide(z.square(term), divisor)[1]
+        term = z.divide(z.product(term, term), divisor)[1]
         probe = z.add(probe, term)
     return probe
 

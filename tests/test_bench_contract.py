@@ -9,6 +9,7 @@ any other test.
 
 import importlib
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +46,23 @@ def test_every_tracer_target_resolves():
         assert spans._saved
     finally:
         spans.uninstall()
+
+
+def test_tracer_installs_after_the_workers_imports_alone():
+    # Tracer.install looks each target module up in sys.modules, so every
+    # module it targets must be loaded by the imports a benchmark worker
+    # makes; a fresh interpreter sees what the test process's imports hide
+    script = (
+        "import worker\n"
+        "worker.load_library()\n"
+        "spans = worker.Tracer()\n"
+        "spans.install()\n"
+        "assert spans._saved\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=PERFBENCH, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("name", ["sweep", "classify", "longcode"])

@@ -10,6 +10,10 @@ RETIRED = (
     (field, "PrimeField"),
     (poly, "poly_mul"),
     (poly, "poly_powmod"),
+    (poly, "poly_divmod"),
+    (poly, "poly_gcd"),
+    (poly, "x_pow_minus_one"),
+    (poly.ZechLogs, "square"),
     (cyclic, "euclidean_inner"),
     (cyclic, "symplectic_inner"),
     (cyclic.CyclicCode, "euclidean_dual_matrix"),

@@ -26,10 +26,7 @@ from conjucyclic.poly import (
     check_divisor,
     degree,
     normalize,
-    poly_divmod,
-    poly_gcd,
     poly_mod,
-    x_pow_minus_one,
 )
 from conjucyclic.refdata import QUATERNARY_N11, TERNARY_N11, decode_vector
 from naive import poly_eval, poly_mul, poly_pow
@@ -40,6 +37,23 @@ def zech_mul(field, a, b) -> tuple:
     """a * b on the field's ZechLogs, codes in and out."""
     z = field.zech
     return z.to_codes(z.reduce(z.product(z.to_logs(a), z.to_logs(b))))
+
+
+def zech_divmod(field, a, b) -> tuple:
+    """Quotient and remainder on the field's ZechLogs, codes in and out."""
+    z = field.zech
+    return tuple(map(z.to_codes, z.divmod(z.to_logs(a), z.to_logs(b))))
+
+
+def zech_gcd(field, a, b) -> tuple:
+    """Monic gcd on the field's ZechLogs, codes in and out."""
+    z = field.zech
+    return z.to_codes(z.gcd(z.to_logs(a), z.to_logs(b)))
+
+
+def x_pow_minus_one(tower, n: int) -> tuple:
+    """x^n - 1 as codes, negating 1 digit by digit."""
+    return (naive.neg(tower, 1),) + (0,) * (n - 1) + (1,)
 
 
 def zech_powmod(field, a, e: int, f) -> tuple:
@@ -61,19 +75,19 @@ def is_irreducible(tower, g):
         diff = normalize(
             [tower.sub(a, b) for a, b in itertools.zip_longest(frob, x, fillvalue=0)]
         )
-        if degree(poly_gcd(tower, diff, g)) != 0:
+        if degree(naive.poly_gcd(tower, diff, g)) != 0:
             return False
     return True
 
 
 def test_basic_arithmetic():
     t = build_tower(3, 1)
-    assert poly_gcd(t, (2, 0, 1), (2, 1)) == (2, 1)  # gcd(x^2-1, x-1) = x-1... x+2
+    assert zech_gcd(t, (2, 0, 1), (2, 1)) == (2, 1)  # gcd(x^2-1, x-1) = x-1... x+2
     assert zech_mul(t, (1, 1), (2, 1)) == (2, 0, 1)  # (x+1)(x+2) = x^2+2
-    q, r = poly_divmod(t, (2, 0, 1), (1, 1))
+    q, r = zech_divmod(t, (2, 0, 1), (1, 1))
     assert (q, r) == ((2, 1), ())
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(t, (1, 1), ())
+        zech_divmod(t, (1, 1), ())
 
 
 def test_poly_eval():
@@ -102,7 +116,7 @@ def test_factorization_is_deterministic():
 
 def test_divmod_against_reference_cofactor(f9):
     g = decode_vector(f9, TERNARY_N11["g"])
-    q, r = poly_divmod(f9, x_pow_minus_one(f9, 22), g)
+    q, r = zech_divmod(f9, x_pow_minus_one(f9, 22), g)
     assert r == ()
     assert q == decode_vector(f9, TERNARY_N11["h"])
 
@@ -222,6 +236,22 @@ def test_check_divisor_scales_to_monic(f9):
     assert CyclicCode(f9, 1, (f9.beta, f9.beta)).g == (1, 1)
     with pytest.raises(NotADivisorError):
         CyclicCode(f9, 1, (f9.beta, 1))
+
+
+def test_generator_codes_out_of_range_are_refused():
+    # checked before the monic scaling, which would read a negative code
+    # through Python's negative list index and build <x + 1>
+    tower = build_tower(3, 1)
+    for g in ((-1, -1), (9, 9)):
+        with pytest.raises(ValueError, match="out of range"):
+            CyclicCode(tower, 1, g)
+
+
+def test_divisor_exponents_must_be_integers():
+    fac = factor_x2n_minus_1(build_tower(3, 1), 3)
+    for exponent in (1.9, "1"):
+        with pytest.raises(TypeError):
+            fac.divisor((exponent,) + (0,) * (fac.t - 1))
 
 
 def test_large_host_field_path():
@@ -399,16 +429,17 @@ def _random_poly(rng, values, deg):
 @pytest.mark.parametrize("gf, oracle, values", _oracle_fields())
 def test_arithmetic_matches_schoolbook_oracle(gf, oracle, values):
     rng = random.Random(len(values) * gf.p)
+    pick = random.Random(gf.p)  # own stream, so rng draws the inputs it always drew
     for _ in range(12):
         a = _random_poly(rng, values, rng.randrange(0, 14))
         b = _random_poly(rng, values, rng.randrange(0, 8))
         zero_padded = a + (0,) * rng.randrange(3)
         assert zech_mul(gf, zero_padded, b) == naive.poly_mul(oracle, a, b)
-        assert poly_divmod(gf, zero_padded, b) == naive.poly_divmod(oracle, a, b)
+        assert zech_divmod(gf, zero_padded, b) == naive.poly_divmod(oracle, a, b)
         assert poly_mod(gf, a, b) == naive.poly_divmod(oracle, a, b)[1]
-        assert poly_gcd(gf, a, b) == naive.poly_gcd(oracle, a, b)
+        assert zech_gcd(gf, a, b) == naive.poly_gcd(oracle, a, b)
         common = _random_poly(rng, values, rng.randrange(1, 4))
-        assert poly_gcd(gf, zech_mul(gf, a, common), zech_mul(gf, b, common)) == (
+        assert zech_gcd(gf, zech_mul(gf, a, common), zech_mul(gf, b, common)) == (
             naive.poly_gcd(oracle, naive.poly_mul(oracle, a, common), naive.poly_mul(oracle, b, common))
         )
         if degree(b) >= 1:
@@ -417,7 +448,14 @@ def test_arithmetic_matches_schoolbook_oracle(gf, oracle, values):
             assert zech_powmod(gf, base, e, b) == naive.poly_powmod(oracle, base, e, b)
         h = normalize((rng.choice(values[1:]),) + a)
         assert monic_reciprocal(gf, h) == naive.monic_reciprocal(oracle, h)
-    assert zech_mul(gf, (), values[1:2]) == () and poly_gcd(gf, (), ()) == ()
+        z, c = gf.zech, pick.choice(values[1:])
+        assert z.to_codes(z.monic(z.to_logs(a))) == naive.monic(oracle, a)
+        for log_c, scalar in ((z.log[c], c), (z.minus_one, oracle.neg(1))):
+            scaled = z.to_codes(z.reduce(z.scale(z.to_logs(a), log_c)))
+            assert scaled == naive.poly_mul(oracle, (scalar,), a)
+            d = pick.randrange(1, 9)
+            assert z.to_codes(z.binomial(d, log_c)) == (scalar,) + (0,) * (d - 1) + (1,)
+    assert zech_mul(gf, (), values[1:2]) == () and zech_gcd(gf, (), ()) == ()
 
 
 def test_coefficients_outside_the_subfield_are_refused():
@@ -425,8 +463,8 @@ def test_coefficients_outside_the_subfield_are_refused():
     assert not tower.in_subfield(tower.beta)
     for call in (
         lambda: zech_mul(tower, (1, tower.beta), (1, 1)),
-        lambda: poly_divmod(tower, (1, 0, 1), (tower.beta, 1)),
-        lambda: poly_gcd(tower, (tower.beta,), (1, 1)),
+        lambda: zech_divmod(tower, (1, 0, 1), (tower.beta, 1)),
+        lambda: zech_gcd(tower, (tower.beta,), (1, 1)),
         lambda: zech_powmod(tower, (tower.beta,), 3, (1, 1, 1)),
         lambda: monic_reciprocal(tower, (1, tower.beta)),
     ):
