@@ -28,7 +28,7 @@ subcode is the length-n cyclic code <g / gcd(g, x^n + 1)>, in closed form.
 
 The mirror's polynomials are Zech log lists of GF(q) from the code's
 construction on (cyclic.CyclicCode), and everything above runs on them;
-contraction maps a pair of logs to a GF(q^2) code by two exp lookups.
+contraction scales them into GF(q^2) codes with FieldTower.codes.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicErro
 
 def _inversion_constants(tower):
     """(A, B) with alpha = A * Tr(beta*alpha) - B * Tr(beta^q * alpha)."""
-    q, modulus = tower.q, tower.q2 - 1
-    a = tower.inv(tower.sub(tower.beta, tower.exp[(2 * q - 1) % modulus]))
-    return a, tower.mul(tower.exp[(q - 1) % modulus], a)
+    a = tower.inv(tower.sub(tower.beta, tower.power(2 * tower.q - 1)))
+    return a, tower.mul(tower.power(tower.q - 1), a)
 
 
 def trace_pair(tower, alpha: int) -> tuple:
     """(Tr(beta * alpha), Tr(beta^q * alpha)): a GF(q)-linear bijection
-    of GF(q^2) onto GF(q)^2."""
-    beta = tower.beta
+    of GF(q^2) onto GF(q)^2; raises ValueError for a code outside it."""
+    beta, alpha = tower.beta, tower.check_element(alpha)
     return tuple(tower.trace(tower.mul(b, alpha)) for b in (beta, tower.conjugate(beta)))
 
 
@@ -63,22 +62,17 @@ def _contract_logs(tower, firsts, seconds, unit: int) -> tuple:
     and y = beta^(unit * seconds[i]), a negative log standing for zero;
     unit is 1 for tower logs and q + 1 for the Zech logs of GF(q)."""
     a, b = _inversion_constants(tower)
-    exp, log, modulus = tower.exp, tower.log, tower.q2 - 1
-    # logs of A and of -B; -1 = beta^(modulus / 2) for odd p
-    la, lb = log[a], (log[b] + (modulus // 2 if tower.p > 2 else 0)) % modulus
-    xs = [exp[(la + unit * c) % modulus] if c >= 0 else 0 for c in firsts]
-    ys = [exp[(lb + unit * c) % modulus] if c >= 0 else 0 for c in seconds]
-    if tower.p == 2:
-        return tuple([x ^ y for x, y in zip(xs, ys)])
-    return tuple(map(tower.add, xs, ys))
+    la, lb = tower.logs((a, tower.neg(b)))
+    return tuple(tower.add_rows(tower.codes(firsts, la, unit), tower.codes(seconds, lb, unit)))
 
 
 def contract(tower, vec) -> tuple:
-    """Inverse of expand; raises OddLengthError on odd-length input."""
+    """Inverse of expand; raises OddLengthError on odd-length input and
+    ValueError for an entry outside GF(q^2)."""
     if len(vec) % 2:
         raise OddLengthError("contract needs an even-length q-ary vector")
-    n, log = len(vec) // 2, tower.log
-    return _contract_logs(tower, [log[x] for x in vec[:n]], [log[x] for x in vec[n:]], 1)
+    n, logs = len(vec) // 2, tower.logs(map(tower.check_element, vec))
+    return _contract_logs(tower, logs[:n], logs[n:], 1)
 
 
 def conjucyclic_shift(tower, vec) -> tuple:
@@ -96,8 +90,7 @@ def alternating_inner(tower, u, v) -> int:
     """
     if len(u) != len(v):
         raise LengthMismatchError(f"lengths {len(u)} != {len(v)}")
-    modulus = tower.q2 - 1
-    scale = tower.sub(tower.exp[2 % modulus], tower.exp[(2 * tower.q) % modulus])
+    scale = tower.sub(tower.power(2), tower.power(2 * tower.q))
     acc = 0
     for a, b in zip(u, v):
         acc = tower.add(acc, tower.mul(a, tower.conjugate(b)))

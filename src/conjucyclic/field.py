@@ -9,7 +9,8 @@ exp/log tables of size q^2 - 1, Python lists built without numpy by the
 recurrence exp[i + 1] = beta exp[i] up to q^2 = 2^18, and above it by
 numpy doubling: beta^L .. beta^(2L-1) are beta^0 .. beta^(L-1) times
 beta^L, a GF(p)-linear map on packed digits applied as 2^8-entry lookups
-per digit group (q^2 = 2^24: 3.9 s, 1.07 GB peak RSS).
+per digit group (q^2 = 2^24: 3.9 s, 1.07 GB peak RSS).  Other modules
+read them only through FieldTower.power, logs, codes and add_rows.
 Element addition is digitwise mod p on the codes; polynomials over GF(q)
 use the tower's Zech table of GF(q) instead (poly.ZechLogs, q - 1 entries).
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .errors import (
     FieldTooLargeError,
@@ -168,7 +170,8 @@ class FieldTower:
         q, q2: field cardinalities.
         modulus: primitive modulus of GF(q^2) over GF(p), low-degree-first.
         beta: code of the primitive element (residue class of the variable).
-        exp, log: discrete log tables; exp[i] is the code of beta^i.
+        _exp, _log: private log tables (_exp[i] is beta^i, _log[0] = -1),
+            read elsewhere only through power, logs, codes and add_rows.
         subfield: sorted codes of the q elements of GF(q), which are 0 and
             the powers of beta^(q+1).
         zech: GF(q) as logs to beta^(q+1), the arithmetic of poly.py.
@@ -181,14 +184,14 @@ class FieldTower:
         self.q = p ** m
         self.q2 = self.q ** 2
         self.ext_degree = 2 * m
-        self.modulus = tuple(int(c) % p for c in modulus)
+        self.modulus = tuple(operator.index(c) % p for c in modulus)
         if len(self.modulus) != self.ext_degree + 1 or self.modulus[-1] != 1:
             raise ValueError(
                 f"modulus must be monic of degree {self.ext_degree} over GF({p})"
             )
         self._build_tables()
-        self.beta = self.exp[1]
-        gammas = self.exp[:: self.q + 1]
+        self.beta = self._exp[1]
+        gammas = self._exp[:: self.q + 1]
         self.subfield = tuple(sorted([0] + gammas))
         self.zech = ZechLogs(p, gammas, [self.add(1, c) for c in gammas])
 
@@ -206,7 +209,7 @@ class FieldTower:
         if self.q2 > PURE_TABLE_SIZE:  # the one place outside a sweep that loads numpy
             from .packed import doubling_tables
 
-            self.exp, self.log = doubling_tables(p, d, f)
+            self._exp, self._log = doubling_tables(p, d, f)
             return
 
         def part(t, j0, j1, out):  # digits j0 .. j1 - 1 of beta v, over the digits shifted in
@@ -225,7 +228,7 @@ class FieldTower:
             v = low[h := v // pk][v % pk] + high[h]
         if v != 1 or log[1] != 0:  # beta^n != 1, or beta^i = 1 for some 0 < i < n
             raise NoPrimitivePolynomialError(f"modulus {f} over GF({p}) is not primitive")
-        self.exp, self.log = exp, log
+        self._exp, self._log = exp, log
 
     # -- element arithmetic (codes are plain ints) ---------------------
 
@@ -257,15 +260,36 @@ class FieldTower:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q2 - 1)]
+        return self._exp[(self._log[a] + self._log[b]) % (self.q2 - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.exp[-self.log[a] % (self.q2 - 1)]
+        return self._exp[-self._log[a] % (self.q2 - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def power(self, k: int) -> int:
+        """beta^k for any integer k."""
+        return self._exp[k % (self.q2 - 1)]
+
+    def logs(self, vec) -> list:
+        """The log of each entry, -1 for a zero one."""
+        log = self._log
+        return [log[x] for x in vec]
+
+    def codes(self, logs, shift: int = 0, unit: int = 1) -> list:
+        """beta^(shift + unit * t) for each log t, and 0 where t < 0; unit
+        q + 1 reads the Zech logs of GF(q)."""
+        exp, modulus = self._exp, self.q2 - 1
+        return [exp[(shift + unit * t) % modulus] if t >= 0 else 0 for t in logs]
+
+    def add_rows(self, xs, ys) -> list:
+        """Entrywise sums of two rows of codes, by XOR when p = 2."""
+        if self.p == 2:
+            return [x ^ y for x, y in zip(xs, ys)]
+        return list(map(self.add, xs, ys))
 
     # -- conjugation, trace, subfield ----------------------------------
 
@@ -273,7 +297,7 @@ class FieldTower:
         """The field automorphism x -> x^q fixing GF(q); an involution."""
         if a == 0:
             return 0
-        return self.exp[(self.log[a] * self.q) % (self.q2 - 1)]
+        return self._exp[(self._log[a] * self.q) % (self.q2 - 1)]
 
     def trace(self, a: int) -> int:
         """Trace of GF(q^2) down to GF(q): x + x^q."""
@@ -288,13 +312,13 @@ class FieldTower:
         """Display form: prime-subfield constants as digits, else 'b<k>' for beta^k."""
         if a < self.p:
             return str(a)
-        return f"b{self.log[a]}"
+        return f"b{self._log[a]}"
 
     def parse_element(self, token: str) -> int:
         """Inverse of element_str; also accepts plain integer codes."""
         token = token.strip()
         if token.startswith("b"):
-            return self.exp[int(token[1:]) % (self.q2 - 1)]
+            return self.power(int(token[1:]))
         return self.check_element(int(token))
 
     # -- serialization ---------------------------------------------------

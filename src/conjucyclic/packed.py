@@ -123,16 +123,13 @@ def _multiples(tower, rows, n):
     """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
 
     tower.subfield is sorted, so column 0 is the zero word and column 1 the
-    row itself.  Each product is one exp lookup on the sum of the logs.
+    row itself.  Each product is one table lookup on the sum of the logs.
     """
-    exp, log, modulus = tower.exp, tower.log, tower.q2 - 1
-    scaled = []
+    scales, scaled = tower.logs(tower.subfield[1:]), []
     for row in rows:
-        logs = [log[x] for x in row]
+        logs = tower.logs(row)
         scaled.append([0] * len(row))
-        for k in tower.subfield[1:]:
-            lk = log[k]
-            scaled.append([exp[(lk + c) % modulus] if c >= 0 else 0 for c in logs])
+        scaled.extend(tower.codes(logs, lk) for lk in scales)
     packed = _pack(tower, scaled, n)
     return packed.reshape(len(packed), len(rows), tower.q)
 

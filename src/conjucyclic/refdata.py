@@ -18,9 +18,9 @@ from __future__ import annotations
 def decode(tower, token: str) -> int:
     token = token.strip()
     if token == "w":
-        return tower.exp[(tower.q + 1) % (tower.q2 - 1)]
+        return tower.power(tower.q + 1)
     if token == "w2":
-        return tower.exp[(2 * (tower.q + 1)) % (tower.q2 - 1)]
+        return tower.power(2 * (tower.q + 1))
     return tower.parse_element(token)
 
 

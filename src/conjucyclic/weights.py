@@ -149,11 +149,9 @@ def _shorten(tower, rows):
             continue
         pivot, h = rows.pop(i), heads.pop(i)
         scales = [tower.neg(tower.div(g, h)) for g in heads]  # -c
-        times = {c: [tower.mul(c, b) for b in pivot] for c in set(scales) - {0}}
-        rows = [
-            [tower.add(a, b) for a, b in zip(row, times[c])] if c else row
-            for row, c in zip(rows, scales)
-        ]
+        logs, cs = tower.logs(pivot), set(scales) - {0}
+        times = {c: tower.codes(logs, lc) for c, lc in zip(cs, tower.logs(cs))}
+        rows = [tower.add_rows(row, times[c]) if c else row for row, c in zip(rows, scales)]
     assert not any(row[0] for row in rows), "coordinate 0 not cleared"
     return rows
 

@@ -64,7 +64,7 @@ def test_f9_inversion_constants(f9):
     expected = tuple(decode(f9, tok) for tok in F9_INVERSION_CONSTANTS)
     assert _inversion_constants(f9) == expected
     # beta^4 = b3 * 2 - b5 * 2
-    assert contract(f9, (2, 2))[0] == f9.exp[4]
+    assert contract(f9, (2, 2))[0] == f9.power(4)
     assert contract(f9, (0, 0))[0] == 0
 
 
@@ -81,8 +81,8 @@ def test_trace_pair_round_trip_everywhere():
 def test_expand_basics(f9):
     assert expand(f9, (0, 0, 0)) == (0,) * 6
     assert expand(f9, (2, 1, 0)) == (2, 1, 0, 2, 1, 0)
-    b = f9.exp
-    assert expand(f9, (b[2], b[6], b[2])) == (1, 2, 1, 2, 1, 2)
+    b = f9.power
+    assert expand(f9, (b(2), b(6), b(2))) == (1, 2, 1, 2, 1, 2)
 
 
 def test_contract_inverts_expand():
@@ -95,6 +95,19 @@ def test_contract_inverts_expand():
             assert contract(t, expand(t, v)) == v
     with pytest.raises(OddLengthError):
         contract(build_tower(3, 1), (1, 2, 0))
+
+
+@pytest.mark.parametrize("code", [-1, 9])
+def test_codes_outside_gf_q2_are_refused(code):
+    # a negative code must not index the tables from their end
+    t = build_tower(3, 1)
+    with pytest.raises(ValueError, match="out of range for GF"):
+        trace_pair(t, code)
+    with pytest.raises(ValueError, match="out of range for GF"):
+        expand(t, (code,))
+    for vec in ((code, 0), (0, code)):
+        with pytest.raises(ValueError, match="out of range for GF"):
+            contract(t, vec)
 
 
 def test_reference_contractions(f9, f16):

@@ -42,7 +42,7 @@ def test_beta_square_in_f9():
     t = build_tower(3, 1)
     # x^2 + 2x + 2 = 0 means beta^2 = beta + 1, code 4
     assert t.mul(t.beta, t.beta) == 4
-    assert t.exp[2] == 4
+    assert t.power(2) == 4
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
@@ -80,14 +80,14 @@ def test_conjugation_fixed_points():
 
 def test_conjugate_beta_in_f9():
     t = build_tower(3, 1)
-    assert t.conjugate(t.beta) == t.exp[3]
+    assert t.conjugate(t.beta) == t.power(3)
 
 
 def test_trace_values_in_f9():
     t = build_tower(3, 1)
     assert t.trace(0) == 0
     assert t.trace(t.beta) == 1
-    assert t.trace(t.exp[2]) == 0
+    assert t.trace(t.power(2)) == 0
 
 
 def test_trace_is_linear_onto_subfield():
@@ -101,8 +101,7 @@ def test_trace_is_linear_onto_subfield():
             for k in t.subfield:
                 assert t.trace(t.mul(k, a)) == t.mul(k, t.trace(a))
         assert t.add(t.beta, t.conjugate(t.beta)) != 0
-        two_q_minus_1 = (2 * t.q - 1) % (t.q2 - 1)
-        assert t.sub(t.beta, t.exp[two_q_minus_1]) != 0
+        assert t.sub(t.beta, t.power(2 * t.q - 1)) != 0
 
 
 def test_subfield_is_closed():
@@ -116,16 +115,37 @@ def test_subfield_is_closed():
                 assert t.mul(a, b) in sub
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 5, 9, 25, 27))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9, 25, 27, 512))
 def test_arithmetic_identities(q):
     t = tower_for_q(q)
-    for a in range(t.q2):
+    rng = random.Random(q)
+    # every element below 2^12, and 0, 1 and a sample at q = 512
+    if t.q2 < 1 << 12:
+        xs = list(range(t.q2))
+    else:
+        xs = [0, 1, *rng.sample(range(2, t.q2), 2000)]
+    for a in xs:
         assert t.neg(a) == naive.neg(t, a)
         assert t.add(a, t.neg(a)) == 0
         if a:
             assert t.mul(a, t.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         t.inv(0)
+    # the table vocabulary agrees with per-entry mul and add
+    ys = rng.sample(xs, len(xs))
+    logs = t.logs(xs)
+    assert [x == 0 for x in xs] == [k < 0 for k in logs]
+    assert [t.power(k) if k >= 0 else 0 for k in logs] == xs
+    assert t.power(0) == 1
+    for k in (-t.q2, -2, -1, 0, 1, t.q2 - 2, 5 * t.q2 + 3):
+        assert t.power(k + 1) == t.mul(t.power(k), t.beta)
+    zlogs = [t.zech.log[g] for g in t.subfield]
+    for c in {1, t.beta, t.neg(1), ys[0] or 2}:
+        (lc,) = t.logs([c])
+        assert t.codes(logs, lc) == [t.mul(c, x) for x in xs]
+        assert t.codes(logs, -lc) == [t.div(x, c) for x in xs]
+        assert t.codes(zlogs, lc, t.q + 1) == [t.mul(c, g) for g in t.subfield]
+    assert t.add_rows(xs, ys) == [t.add(x, y) for x, y in zip(xs, ys)]
 
 
 def test_digit_round_trip():
@@ -160,6 +180,11 @@ def test_build_errors(monkeypatch):
         FieldTower(2, 0, (1,))
     with pytest.raises(NotPrimeError):
         FieldTower(4, 1, (1, 1, 1))
+    # coefficients are integers, reduced mod p, never truncated or parsed
+    assert FieldTower(2, 1, (3, -1, 1)).modulus == (1, 1, 1)
+    for coeff in (1.9, "1"):
+        with pytest.raises(TypeError):
+            FieldTower(2, 1, (coeff, 1, 1))
 
     def no_tables(self):
         raise AssertionError("tables built for a field above the cap")
@@ -262,8 +287,8 @@ def test_tables_match_shift_register(p, m):
     modulus = CONWAY_POLYNOMIALS.get(size) or field.smallest_primitive(p, 2 * m)
     t = FieldTower(p, m, modulus)
     exp, log = naive.tower_tables(p, 2 * m, modulus)
-    assert t.exp == exp
-    assert t.log == log
+    assert t._exp == exp
+    assert t._log == log
 
 
 @pytest.mark.parametrize(
@@ -290,16 +315,16 @@ def test_table_routes_agree_across_the_threshold(q, monkeypatch):
     assert (t.q2 <= field.PURE_TABLE_SIZE) == (q < 1024)
     monkeypatch.setattr(field, "PURE_TABLE_SIZE", 0 if q < 1024 else t.q2)
     other = FieldTower(t.p, t.m, t.modulus)
-    assert other.exp == t.exp
-    assert other.log == t.log
+    assert other._exp == t._exp
+    assert other._log == t._log
 
 
 def test_tower_tables_at_q2_2_20():
     t = tower_for_q(1024)
     assert t.q2 == 1 << 20
-    assert sorted(t.exp) == list(range(1, t.q2))
-    assert all(t.log[e] == i for i, e in enumerate(t.exp))
-    assert t.mul(t.exp[-1], t.beta) == 1
+    assert sorted(t._exp) == list(range(1, t.q2))
+    assert all(t._log[e] == i for i, e in enumerate(t._exp))
+    assert t.mul(t.power(-1), t.beta) == 1
     rng = random.Random(0)
     for a in (rng.randrange(t.q2) for _ in range(1000)):
         assert t.conjugate(t.conjugate(a)) == a
@@ -311,7 +336,7 @@ def test_json_round_trip():
     again = FieldTower(**json.loads(blob))
     assert again.modulus == t.modulus
     assert (again.p, again.m) == (t.p, t.m)
-    assert again.exp == t.exp
+    assert again.logs(range(again.q2)) == t.logs(range(t.q2))
 
 
 def test_canonical_tower_is_cached_per_p_m():
@@ -322,6 +347,7 @@ def test_canonical_tower_is_cached_per_p_m():
 def test_tower_gains_no_state_after_construction():
     t = FieldTower(3, 1, (2, 2, 1))  # not the cached canonical object
     keys = set(vars(t))
+    assert not keys & {"exp", "log"}  # the tables are private: _exp, _log
     code = ConjucyclicCode(t, 4, (2, 0, 1))  # x^2 + 2 divides x^8 - 1
     for row in code.gen_matrix:
         assert contract(t, expand(t, row)) == row
@@ -334,6 +360,6 @@ def test_element_display_and_parse():
     t = build_tower(3, 1)
     assert t.element_str(0) == "0"
     assert t.element_str(2) == "2"
-    assert t.element_str(t.exp[7]) == "b7"
-    assert t.parse_element("b7") == t.exp[7]
+    assert t.element_str(t.power(7)) == "b7"
+    assert t.parse_element("b7") == t.power(7)
     assert t.parse_element("2") == 2
