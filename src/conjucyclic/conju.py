@@ -33,6 +33,8 @@ contraction scales them into GF(q^2) codes with FieldTower.codes.
 
 from __future__ import annotations
 
+import weakref
+
 from . import linalg
 from .cyclic import CyclicCode, shift_iterates
 from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
@@ -42,6 +44,21 @@ def _inversion_constants(tower):
     """(A, B) with alpha = A * Tr(beta*alpha) - B * Tr(beta^q * alpha)."""
     a = tower.inv(tower.sub(tower.beta, tower.power(2 * tower.q - 1)))
     return a, tower.mul(tower.power(tower.q - 1), a)
+
+
+#: held weakly, so a dropped tower and its tables are freed
+_CONTRACT_CONSTANTS = weakref.WeakKeyDictionary()
+
+
+def _contract_constants(tower) -> tuple:
+    """(log A, log(-B), A - B) for the inversion constants: the logs that
+    contraction scales by, and contract((1, 1)); once per tower."""
+    constants = _CONTRACT_CONSTANTS.get(tower)
+    if constants is None:
+        a, b = _inversion_constants(tower)
+        constants = (*tower.logs((a, tower.neg(b))), tower.sub(a, b))
+        _CONTRACT_CONSTANTS[tower] = constants
+    return constants
 
 
 def trace_pair(tower, alpha: int) -> tuple:
@@ -61,8 +78,7 @@ def _contract_logs(tower, firsts, seconds, unit: int) -> tuple:
     """contract on logs: entry i is A x - B y for x = beta^(unit * firsts[i])
     and y = beta^(unit * seconds[i]), a negative log standing for zero;
     unit is 1 for tower logs and q + 1 for the Zech logs of GF(q)."""
-    a, b = _inversion_constants(tower)
-    la, lb = tower.logs((a, tower.neg(b)))
+    la, lb, _ = _contract_constants(tower)
     return tuple(tower.add_rows(tower.codes(firsts, la, unit), tower.codes(seconds, lb, unit)))
 
 
@@ -159,7 +175,7 @@ def largest_cyclic_subcode(code):
     d1 = len(g1) - 1
     k1 = n - d1
     s = (code.card_log_q - k1) % n
-    scale = contract(tower, (1, 1))[0]
+    scale = _contract_constants(tower)[2]
     log_neg_scale = (z.log[scale] + z.minus_one) % q1
     # g1 is monic, so its divisor terms are (j, log(-g1_j)), and x^d1 mod g1
     # is g1 - x^d1 negated

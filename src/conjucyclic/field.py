@@ -309,8 +309,9 @@ class FieldTower:
     # -- encoding helpers ----------------------------------------------
 
     def element_str(self, a: int) -> str:
-        """Display form: prime-subfield constants as digits, else 'b<k>' for beta^k."""
-        if a < self.p:
+        """Display form: prime-subfield constants as digits, else 'b<k>' for
+        beta^k; raises ValueError for a code outside GF(q^2)."""
+        if self.check_element(a) < self.p:
             return str(a)
         return f"b{self._log[a]}"
 

@@ -16,17 +16,15 @@ monic_reciprocal) convert at their edges.
 
 Factorization of x^(2n) - 1 stays inside GF(q): write 2n = p^ell * n0 with
 gcd(n0, p) = 1, split x^(n0) - 1 into the cyclotomic polynomials Phi_d,
-d | n0, split each Phi_d into its irreducible factors of degree ord_d(q) by
-Cantor-Zassenhaus equal-degree factorization, and raise everything to the
-p^ell-th power.  Every polynomial f that the split sees divides x^d - 1
-with gcd(d, p) = 1, so for s a power of p the Frobenius image a^s mod f is
-a permutation of coefficient positions, i -> i*s mod d, with each log
-scaled by s, then one division by f.  Each probe takes the trace first,
-to GF(q) for odd p and to GF(2) for p = 2, summed from about log2 r such
-images as in von zur Gathen-Shoup, and for odd p the quadratic character
-of the trace second, one power (q - 1)/2.  The trial polynomials of
-the randomized split come from a generator seeded afresh in every call,
-and the factors are unique and sorted, so repeated runs agree bit for bit.
+d | n0, each into its irreducible factors of degree ord_d(q), and raise
+everything to the p^ell-th power.  Walking d upwards, most Phi_d take
+their factors from a smaller Phi, by Phi_d(x) = Phi_(d/l)(x^l) or by a
+twist with a root of unity in GF(q) (_cyclotomic_factors).  Only the base
+Phi_d, Moebius products of binomials x^k - 1, go to Cantor-Zassenhaus,
+which probes with the trace of a random monomial gamma^c x^j: one sparse
+vector and one division by the factor (_probe).  The probes come from a
+generator seeded afresh in every call, and the factors are unique and
+sorted, so repeated runs agree bit for bit.
 
 Every divisor comes from one table, Factorization.powers, holding each
 factor's powers up to the multiplicity: Factorization.divisor,
@@ -37,6 +35,7 @@ all multiply its entries.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
@@ -230,59 +229,109 @@ def _multiplicative_order(q: int, n0: int) -> int:
     return order
 
 
-def _frobenius(z, a, s: int, d: int, divisor) -> list:
-    """a^s mod f for s a power of p and f | x^d - 1: a(x)^s is
-    sum a_i^s x^(i*s mod d) modulo x^d - 1, hence modulo f."""
-    out, step, scale, q1 = [-1] * d, s % d, s % z.q1, z.q1
-    for i, c in enumerate(a):
-        if c >= 0:
-            out[i * step % d] = c * scale % q1
-    return z.divide(out, divisor)[1]
+def _probe(tower, f, d: int, r: int, j: int, c: int, shift: int) -> list:
+    """The Cantor-Zassenhaus probe of a = gamma^c x^j modulo f | x^d - 1:
+    for p = 2 the trace a + a^2 + ... + a^(2^(mr-1)) to GF(2), for odd p
+    the quadratic character (t + gamma^shift)^((q-1)/2) - 1 of the trace
+    t = a + a^q + ... + a^(q^(r-1)) to GF(q), shift -1 adding zero.
 
-
-def _probe(tower, a, f, d: int, r: int) -> list:
-    """The trace t = a + a^s + ... + a^(s^(k-1)) modulo f | x^d - 1: for
-    p = 2 t itself, the trace to GF(2) (s = 2, k = mr); for odd p the
-    quadratic character t^((q-1)/2) - 1 of the trace to GF(q) (s = q, k = r).
-
-    Doubling over the bits of k, the trace of 2j terms is acc + acc^(s^j),
-    of 2j + 1 terms a + (that)^s.
+    The s-th power of a monomial is again one, gamma^(c s) x^(j s mod d)
+    modulo x^d - 1, so the trace is a sparse vector of length d, summed on
+    the Zech logs where exponents meet, and one division by f.
     """
-    z, divisor = tower.zech, tower.zech.divisor(f)
+    z = tower.zech
     s, k = (2, tower.m * r) if tower.p == 2 else (tower.q, r)
-    acc, j = a, 1
-    for bit in bin(k)[3:]:
-        acc, j = z.add(acc, _frobenius(z, acc, s ** j, d, divisor)), 2 * j
-        if bit == "1":
-            acc, j = z.add(a, _frobenius(z, acc, s, d, divisor)), j + 1
+    terms = []
+    for _ in range(k):
+        terms.append((j, c))
+        j, c = j * s % d, c * s % z.q1
+    t = [-1] * d
+    z.add_scaled(t, 0, 0, terms)
+    t = z.divide(t, z.divisor(f))[1]
     if tower.p == 2:
-        return acc
-    return z.add(z.powmod(acc, (tower.q - 1) // 2, f), [z.minus_one])
+        return t
+    return z.add(z.powmod(z.add(t, [shift]), (tower.q - 1) // 2, f), [z.minus_one])
 
 
 def _split_equal_degree(tower, f, d: int, r: int, rng) -> list:
     """Monic irreducible factors of the log list f, a squarefree product of
     degree-r ones dividing x^d - 1, gcd(d, p) = 1.
 
-    Cantor-Zassenhaus: for a random a of degree < deg f, take the trace
-    t = a + a^q + ... + a^(q^(r-1)) first, then its quadratic character:
-    the gcd of f with t^((q-1)/2) - 1 (odd p), or with the GF(2) trace
-    a + a^2 + ... + a^(2^(mr-1)) (p = 2), is a proper factor with
-    probability about 1/2, as a is uniform and independent modulo each
-    factor and so is its trace in GF(q).  As f | x^d - 1, each p-power
-    Frobenius image mod f permutes coefficient positions mod x^d - 1, then
-    divides once, so the trace is a sum of about log2 r images.
+    Cantor-Zassenhaus on monomials: the gcd of f with the probe of a random
+    gamma^c x^j (and, for odd p, a random constant added to its trace) is a
+    proper factor often enough.  It can always be one: at the roots of two
+    factors the traces differ as functions of (c, j), the characters
+    (c, j) -> c^(s^i) zeta^(j s^i) of distinct roots zeta being linearly
+    independent (Dedekind); for odd p a constant then moves one trace to a
+    square and the other to a nonsquare or zero.
     """
     z = tower.zech
     if len(f) - 1 == r:
         return [f]
     while True:
-        a = z.reduce([z.log[rng.choice(tower.subfield)] for _ in range(len(f) - 1)])
-        g = z.gcd(f, _probe(tower, a, f, d, r))
+        j, c = rng.randrange(d), rng.randrange(z.q1)
+        shift = rng.randrange(-1, z.q1) if tower.p > 2 else -1
+        g = z.gcd(f, _probe(tower, f, d, r, j, c, shift))
         if 0 < len(g) - 1 < len(f) - 1:
             return _split_equal_degree(tower, g, d, r, rng) + _split_equal_degree(
                 tower, z.divmod(f, g)[0], d, r, rng
             )
+
+
+def _cyclotomic(z, d: int, primes) -> list:
+    """Phi_d, with primes those of d, as the Moebius product of x^(d/k) - 1
+    over the squarefree k | d: the binomials with an even number of primes
+    in k multiplied, the others divided out, each quotient exact."""
+    up, down = [0], []
+    for size in range(len(primes) + 1):
+        for k in itertools.combinations(primes, size):
+            binomial = z.binomial(d // math.prod(k), z.minus_one)
+            if size % 2:
+                down.append(binomial)
+            else:
+                up = z.reduce(z.product(up, binomial))
+    for binomial in down:
+        up = z.divmod(up, binomial)[0]
+    return up
+
+
+def _cyclotomic_factors(tower, d: int, r: int, primes, known, rng) -> list:
+    """Monic irreducible factors of Phi_d, each of degree r = ord_d(q), as
+    log lists; known[e] = (ord_e(q), the factors of Phi_e) for every e | d
+    below d, and primes are those of d.
+
+    Two identities (Lidl-Niederreiter, ch. 2-3) take them from a smaller Phi:
+    for a prime l with l^2 | d, Phi_d(x) = Phi_(d/l)(x^l), and when
+    ord_d(q) = l ord_(d/l)(q) each g(x^l) keeps degree r and so stays
+    irreducible; for d = d1 e, e > 1, e | q - 1, gcd(d1, e) = 1, the roots
+    of Phi_d are those of Phi_d1 times the zeta of order e in GF(q), so
+    its factors are zeta^(deg g) g(x/zeta), g | Phi_d1, of degree
+    ord_d1(q) = r: on logs, coefficient i shifts by (deg g - i) log zeta;
+    Phi_(2m)(x) = Phi_m(-x) is e = 2.  Trying e = l^a, the full power of
+    each prime l of d, finds every such d.  Only the remaining, base Phi_d
+    go to Cantor-Zassenhaus.
+    """
+    q1 = tower.zech.q1
+    for ell in primes:
+        r1, below = known[d // ell]
+        if d % (ell * ell) == 0 and r == ell * r1:
+            lifted = []
+            for g in below:
+                g_lift = [-1] * (ell * (len(g) - 1) + 1)
+                g_lift[::ell] = g
+                lifted.append(g_lift)
+            return lifted
+        e = ell
+        while d % (e * ell) == 0:
+            e *= ell
+        if q1 % e == 0:
+            return [
+                [(c + (r - i) * k * (q1 // e)) % q1 if c >= 0 else -1 for i, c in enumerate(g)]
+                for k in range(1, e)
+                if k % ell
+                for g in known[d // e][1]
+            ]
+    return _split_equal_degree(tower, _cyclotomic(tower.zech, d, primes), d, r, rng)
 
 
 @dataclass(frozen=True)
@@ -358,22 +407,20 @@ def factor_x2n_minus_1(tower, n: int) -> Factorization:
     while n0 % p == 0:
         n0 //= p
         ell += 1
-    # seeded per call, so every call draws the same trial polynomials and
-    # does the same work
+    # seeded per call, so every call draws the same probes and does the
+    # same work
     rng = random.Random(0)
-    cyclotomic = {}
-    base = []
-    for d in range(1, n0 + 1):
-        if n0 % d:
-            continue
-        # Phi_d = (x^d - 1) / prod of Phi_e over the proper divisors e of d
-        phi = z.binomial(d, z.minus_one)
-        for e, phi_e in cyclotomic.items():
-            if d % e == 0:
-                phi = z.divmod(phi, phi_e)[0]
-        cyclotomic[d] = phi
-        base += _split_equal_degree(tower, phi, d, _multiplicative_order(tower.q, d), rng)
-    base = sorted([z.to_codes(g) for g in base], key=lambda g: (degree(g), g))
+    divisors = [d for d in range(1, n0 + 1) if n0 % d == 0]
+    primes = [d for d in divisors if d > 1 and all(d % k for k in range(2, math.isqrt(d) + 1))]
+    known = {}
+    for d in divisors:
+        r = _multiplicative_order(tower.q, d)
+        d_primes = [prime for prime in primes if d % prime == 0]
+        known[d] = r, _cyclotomic_factors(tower, d, r, d_primes, known, rng)
+    base = sorted(
+        [z.to_codes(g) for _, factors in known.values() for g in factors],
+        key=lambda g: (degree(g), g),
+    )
     fac = Factorization(
         tower=tower, n=n, n0=n0, ell=ell, multiplicity=p ** ell, base=tuple(base)
     )

@@ -8,6 +8,7 @@ elimination shortcuts so that agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import random
 
 
 def span(tower, rows, length):
@@ -419,15 +420,16 @@ def poly_powmod(field, a, e: int, f) -> tuple:
     return result
 
 
-def edf_probe(tower, a, f, r: int) -> list:
+def edf_probe(tower, a, f, r: int, shift: int = -1) -> list:
     """The Cantor-Zassenhaus probe of the log list a modulo f on the tower's
     ZechLogs, with no Frobenius fold: for odd p the trace
     t = a + a^q + ... + a^(q^(r-1)), each term by its own square and
-    multiply, then t^((q-1)/2) - 1; for p = 2 the trace
-    a + a^2 + ... + a^(2^(mr-1)), one squaring and reduction per term."""
+    multiply, then (t + gamma^shift)^((q-1)/2) - 1, shift -1 adding zero;
+    for p = 2 the trace a + a^2 + ... + a^(2^(mr-1)), one squaring and
+    reduction per term."""
     z = tower.zech
     if tower.p != 2:
-        trace = []
+        trace = [shift]
         for i in range(r):
             trace = z.add(trace, z.powmod(a, tower.q ** i, f))
         return z.add(z.powmod(trace, (tower.q - 1) // 2, f), [z.minus_one])
@@ -437,6 +439,71 @@ def edf_probe(tower, a, f, r: int) -> list:
         term = z.divide(z.product(term, term), divisor)[1]
         probe = z.add(probe, term)
     return probe
+
+
+def cyclotomic_by_division(tower, n0) -> dict:
+    """{d: Phi_d as a log list} for every d | n0, each x^d - 1 divided by
+    the Phi_e of its proper divisors e."""
+    z, phis = tower.zech, {}
+    for d in range(1, n0 + 1):
+        if n0 % d == 0:
+            phi = z.binomial(d, z.minus_one)
+            for e in phis:
+                if d % e == 0:
+                    phi = z.divmod(phi, phis[e])[0]
+            phis[d] = phi
+    return phis
+
+
+def frobenius_probe(tower, a, f, d: int, r: int) -> list:
+    """edf_probe's value for f | x^d - 1, gcd(d, p) = 1, with the trace
+    summed from Frobenius images: a(x)^s for s a power of p is
+    sum a_i^s x^(i*s mod d) modulo x^d - 1, a permutation of coefficient
+    positions and one division by f.  Doubling over the bits of the
+    trace's length k, the trace of 2j terms is acc + acc^(s^j), of 2j + 1
+    terms a + (that)^s."""
+    z, divisor = tower.zech, tower.zech.divisor(f)
+    s, k = (2, tower.m * r) if tower.p == 2 else (tower.q, r)
+
+    def image(b, e):  # b^e mod f, e a power of p
+        out, step, scale = [-1] * d, e % d, e % z.q1
+        for i, c in enumerate(b):
+            if c >= 0:
+                out[i * step % d] = c * scale % z.q1
+        return z.divide(out, divisor)[1]
+
+    acc, j = a, 1
+    for bit in bin(k)[3:]:
+        acc, j = z.add(acc, image(acc, s ** j)), 2 * j
+        if bit == "1":
+            acc, j = z.add(a, image(acc, s)), j + 1
+    if tower.p == 2:
+        return acc
+    return z.add(z.powmod(acc, (tower.q - 1) // 2, f), [z.minus_one])
+
+
+def factor_by_splitting_every_phi(tower, n) -> list:
+    """The monic irreducible factors of x^(2n) - 1 over GF(q), as codes
+    sorted by (degree, codes): every Phi_d, d | n0, from
+    cyclotomic_by_division, split into factors of degree ord_d(q) by
+    Cantor-Zassenhaus on dense random polynomials probed by frobenius_probe."""
+    z, rng = tower.zech, random.Random(0)
+    n0 = 2 * n
+    while n0 % tower.p == 0:
+        n0 //= tower.p
+    factors = []
+    for d, phi in cyclotomic_by_division(tower, n0).items():
+        r = next(r for r in range(1, d + 1) if (tower.q ** r - 1) % d == 0)
+        pending = [phi]
+        while pending:
+            f = pending.pop()
+            if len(f) - 1 == r:
+                factors.append(f)
+                continue
+            a = z.reduce([rng.randrange(-1, z.q1) for _ in range(len(f) - 1)])
+            g = z.gcd(f, frobenius_probe(tower, a, f, d, r))
+            pending += [g, z.divmod(f, g)[0]] if 0 < len(g) - 1 < len(f) - 1 else [f]
+    return sorted([z.to_codes(g) for g in factors], key=lambda g: (len(g), g))
 
 
 def monic_reciprocal(field, h) -> tuple:

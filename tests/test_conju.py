@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -20,8 +22,9 @@ from conjucyclic import (
     tower_for_q,
     trace_pair,
 )
-from conjucyclic import linalg
+from conjucyclic import conju, linalg
 from conjucyclic.conju import _inversion_constants
+from conjucyclic.field import FieldTower
 from conjucyclic.refdata import (
     F9_INVERSION_CONSTANTS,
     F9_N3_CODEWORDS,
@@ -58,6 +61,25 @@ def test_trace_pair_is_bijective():
         images = {trace_pair(t, a) for a in range(t.q2)}
         assert len(images) == t.q2
         assert all(t.in_subfield(x) and t.in_subfield(y) for x, y in images)
+
+
+def test_contraction_constants_are_computed_once_per_tower(monkeypatch):
+    # code, alternating dual, cyclic subcode and contract all scale by them;
+    # the cache holds the tower weakly, so a dropped tower is freed
+    tower = FieldTower(3, 1, (2, 2, 1))  # not the cached canonical object
+    calls, inversion_constants = [], conju._inversion_constants
+    monkeypatch.setattr(
+        conju, "_inversion_constants", lambda t: calls.append(id(t)) or inversion_constants(t)
+    )
+    code = ConjucyclicCode(tower, 4, (2, 0, 1))
+    code.alternating_dual_matrix()
+    largest_cyclic_subcode(code)
+    assert contract(tower, (1, 1)) == (conju._contract_constants(tower)[2],)
+    assert calls == [id(tower)]
+    freed = weakref.ref(tower)
+    del tower, code
+    gc.collect()
+    assert freed() is None
 
 
 def test_f9_inversion_constants(f9):

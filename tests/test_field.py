@@ -363,3 +363,15 @@ def test_element_display_and_parse():
     assert t.element_str(t.power(7)) == "b7"
     assert t.parse_element("b7") == t.power(7)
     assert t.parse_element("2") == 2
+
+
+def test_element_display_refuses_codes_outside_the_field():
+    # a negative code printed as itself (every one is below p), and q^2 read
+    # past the end of the log table
+    t = build_tower(3, 1)
+    for code in (-1, -7, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            t.element_str(code)
+    assert [t.element_str(code) for code in range(9)] == ["0", "1", "2"] + [
+        f"b{k}" for k in t.logs(range(3, 9))
+    ]

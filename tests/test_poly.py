@@ -19,6 +19,7 @@ from conjucyclic import (
     monic_reciprocal,
     tower_for_q,
 )
+from conjucyclic import poly
 from conjucyclic.field import _prime_zech, factorize, is_prime
 from conjucyclic.poly import (
     _multiplicative_order,
@@ -361,6 +362,16 @@ def test_longest_factorizations_are_pinned():
     assert _factor_digest(LONGEST_FACTOR_PAIRS) == LONGEST_FACTOR_DIGEST
 
 
+# the same digest over lengths where most Phi_d are lifted or twisted from a
+# smaller one, computed when Cantor-Zassenhaus still split every Phi_d
+LIFTED_FACTOR_PAIRS = ((3, 4000), (4, 255), (2, 1023), (4, 1023))
+LIFTED_FACTOR_DIGEST = "ba67f93ec098d61e6794a8a22ec397aade3536c495918cdd6fb7c7535703e11d"
+
+
+def test_lifted_factorizations_are_pinned():
+    assert _factor_digest(LIFTED_FACTOR_PAIRS) == LIFTED_FACTOR_DIGEST
+
+
 def test_factorization_leaves_no_allocations_behind():
     # result tuples built from generator expressions strand blocks on
     # CPython's per-length tuple free lists; list-built ones do not.  Odd p
@@ -375,19 +386,6 @@ def test_factorization_leaves_no_allocations_behind():
         assert sys.getallocatedblocks() - before < 1000, (q, n)
 
 
-def _cyclotomic(tower, n0):
-    """{d: Phi_d as a log list} for every d | n0."""
-    z, phis = tower.zech, {}
-    for d in range(1, n0 + 1):
-        if n0 % d == 0:
-            phi = z.to_logs(x_pow_minus_one(tower, d))
-            for e in phis:
-                if d % e == 0:
-                    phi = z.divmod(phi, phis[e])[0]
-            phis[d] = phi
-    return phis
-
-
 # the CLI digest's grid, two long lengths, and q = 512 (p = 2, m = 9), where
 # every 2^j-th power scales the coefficient logs by 2^j mod 511
 PROBE_CASES = [(q, n) for q in FACTOR_QS for n in range(1, 13)] + [
@@ -397,17 +395,56 @@ PROBE_CASES = [(q, n) for q in FACTOR_QS for n in range(1, 13)] + [
 
 @pytest.mark.parametrize("q", sorted({q for q, _ in PROBE_CASES}))
 def test_probe_matches_square_and_multiply(q):
+    # the library's probe of a monomial gamma^c x^j (plus gamma^shift for
+    # odd p), and the oracle's Frobenius-image fold of a dense polynomial
     tower = tower_for_q(q)
     z, rng = tower.zech, random.Random(q)
     for n in [n for q2, n in PROBE_CASES if q2 == q]:
         n0 = 2 * n
         while n0 % tower.p == 0:
             n0 //= tower.p
-        for d, phi in _cyclotomic(tower, n0).items():
-            r = _multiplicative_order(q, d)
+        for d, phi in naive.cyclotomic_by_division(tower, n0).items():
+            r, divisor = _multiplicative_order(q, d), z.divisor(phi)
             for _ in range(3):
+                j, c = rng.randrange(d), rng.randrange(z.q1)
+                shift = rng.randrange(-1, z.q1) if tower.p > 2 else -1
+                a = z.divide([-1] * j + [c], divisor)[1]
+                assert _probe(tower, phi, d, r, j, c, shift) == naive.edf_probe(
+                    tower, a, phi, r, shift
+                ), (n, d, j, c, shift)
                 a = z.to_logs([rng.choice(tower.subfield) for _ in range(len(phi) - 1)])
-                assert _probe(tower, a, phi, d, r) == naive.edf_probe(tower, a, phi, r), (n, d, a)
+                assert naive.frobenius_probe(tower, a, phi, d, r) == naive.edf_probe(
+                    tower, a, phi, r
+                ), (n, d, a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
+def test_factors_match_splitting_every_phi(q):
+    # the oracle splits every Phi_d by Cantor-Zassenhaus on dense probes; the
+    # library lifts and twists all but the base Phi_d
+    tower = tower_for_q(q)
+    for n in range(1, 41):
+        oracle = naive.factor_by_splitting_every_phi(tower, n)
+        assert list(factor_x2n_minus_1(tower, n).base) == oracle, n
+
+
+@pytest.mark.parametrize(
+    "q, n, base", [(3, 22, {1, 11}), (3, 1000, {1, 5, 8, 20, 40, 80})]
+)
+def test_only_base_cyclotomics_are_split(monkeypatch, q, n, base):
+    # (3, 22): Phi_2 and Phi_22 are Phi_1 and Phi_11 twisted by -1, and
+    # Phi_44(x) = Phi_22(x^2); (3, 1000): every other d | 2000 has 5^2 | d
+    # with ord_d(3) = 5 ord_(d/5)(3), or is 4 or 16 (lifted by 2), or
+    # 2 * odd (twisted)
+    seen, split = set(), poly._split_equal_degree
+
+    def spy(tower, f, d, r, rng):
+        seen.add(d)
+        return split(tower, f, d, r, rng)
+
+    monkeypatch.setattr(poly, "_split_equal_degree", spy)
+    factor_x2n_minus_1(tower_for_q(q), n)
+    assert seen == base
 
 
 def _oracle_fields():
