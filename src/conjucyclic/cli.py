@@ -17,6 +17,7 @@ elapsedMs that weights and quantum add.  elapsedMs (and the text form's
 elapsed line) times the whole weight_distribution or stabilizer_params
 call, so it includes the sweep kernel's first load, numpy's import (about
 0.15 s): `weights --q 2 --n 1 --g 1` reports about 150 ms for a 4-word code.
+Odd-p quantum runs no sweep and imports no numpy.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 not a
 divisor, 4 enumeration budget exceeded, 5 not dual-containing, 6 other

@@ -54,6 +54,40 @@ outer block, by slicing the outer words (equivalently, fixing leading
 message digits); numpy's bitwise ufuncs release the interpreter lock, and
 per-thread histograms merge by integer addition, so the result is
 identical for any worker count and schedule.
+
+Stabilizer parameters come from length-n codes instead (stabilizer_params).
+Block i of the mirror D = <g> of length 2n is the pair (v_i, v_(n+i)),
+coordinate i's two trace-pair components, so a GF(q)-linear bijection of
+GF(q)^2 applied to every block keeps the GF(q^2) Hamming weight.
+
+- Odd p: x^(2n) - 1 = (x^n - 1)(x^n + 1) with coprime factors, and the
+  block map (a, b) -> (a + b, a - b) takes C onto A- x A+, where
+  A-/+ = <gcd(g, x^n -/+ 1)> is a length-n cyclic / negacyclic code, and a
+  word (u, w) weighs |supp u cup supp w|.  C^perp goes onto a copy of
+  A+^perp x A-^perp, the factors swapped, and C^perp <= C forces A- or A+
+  to be all of GF(q)^n (conju.is_alternating_dual_containing: g divides
+  x^n + 1 or x^n - 1).  Then C holds the n GF(q)-independent weight-1
+  words of that factor, so d_lower = 1.  If C^perp held them all, then
+  2n - dim >= n; so for dim > n one of them lies outside C^perp, and d = 1
+  for dim = n too.  Every such code is [[n, dim - n, 1]]_q, and pure, as
+  no nonzero word weighs less than 1.
+- p = 2: x^(2n) - 1 = (x^n + 1)^2.  Write v = a + x^n b in D and
+  s = a + b = v mod (x^n + 1), which lies in A = <g+>, g+ = gcd(g, x^n + 1).
+  v (1 + x^n) is the word (s, s), and (s, s) lies in D exactly when s lies
+  in B0 = <g1>, g1 = g / g+, the largest cyclic subcode; A <= B0, as g+
+  has each factor at least as often as g1.  So wt(v) >= wt(s), with
+  equality on the (s, s) words, and d(C) = d(B0).  tau is multiplication
+  by the unit x^n, so C^perp is the code of h* and B0' = <h*/gcd(h*,
+  x^n + 1)> <= B0 plays B0's part for it: d(C^perp) = d(B0').  Write
+  B0 - B0' for the set difference.  The words (s, s), s in B0 - B0', lie in
+  C - C^perp.  Any other word v of C - C^perp has s = 0, so v = (a, a)
+  with a in B0 - B0', or s != 0 in A <= B0, and then s lies in B0 - B0'
+  or in A cap B0'; hence
+  min(d(B0 - B0'), d(A cap B0')) <= d_Q <= d(B0 - B0'),
+  with d(B0 - B0') = min{w : A_w(B0) > A_w(B0')} from two length-n
+  distributions.  Where d(A cap B0') >= d(B0 - B0'), d_Q is exact; that
+  holds whenever the code is pure, since A cap B0' <= B0'.  Where it does
+  not, d_Q comes from the exhaustive route above.
 """
 
 from __future__ import annotations
@@ -61,6 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conju import is_alternating_dual_containing, trace_pair
+from .cyclic import shift_iterates
 from .errors import BudgetExceededError, NotDualContainingError
 
 #: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
@@ -220,25 +255,78 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     return WeightDistribution(counts=a, q=q, dim=k, dual_counts=b)
 
 
+def _cyclic_counts(tower, n, f, budget, workers):
+    """Hamming weight histogram of the length-n q-ary cyclic code <f>.
+
+    f is a log list of tower.zech dividing x^n - 1.  Sweeps the smaller of
+    <f>, spanned by the n - deg f shifts of f, and its Euclidean dual
+    <h*>, h = (x^n - 1)/f, spanned by the deg f shifts of h* (<f> itself
+    on a tie), as GF(q^2) rows with subfield entries, and gets <f>'s
+    histogram from the dual's by MacWilliams over GF(q).  Raises
+    BudgetExceededError first if the swept side's words exceed the budget.
+    """
+    z, q, deg = tower.zech, tower.q, len(f) - 1
+    if deg < n - deg:
+        row, count = z.monic(z.divmod(z.binomial(n, z.minus_one), f)[0][::-1]), deg
+    else:
+        row, count = f, n - deg  # count 0: the zero code, f = x^n - 1
+    if q ** count > budget:
+        raise BudgetExceededError(
+            f"{q}^{count} enumerated words of a length-{n} cyclic code exceed "
+            f"the budget of {budget}"
+        )
+    rows = shift_iterates((z.to_codes(row) + (0,) * n)[:n], count)
+    counts = _side_counts(tower, rows, n, workers)
+    return counts if row is f else _macwilliams(counts, q ** count, q)
+
+
 def stabilizer_params(
     code, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> StabilizerParams:
     """Derive [[n, dim - n, d]]_q and purity from a dual-containing code.
 
-    With A and B the histograms of C and C^perp, d = min{w > 0 : A_w > B_w}
-    for dim > n; dim = n (C = C^perp, so A = B) takes d = d_lower.  The code
-    is pure when B_w = 0 for every 0 < w < d, so always when dim = n.
+    d is the least weight of a word of C outside C^perp for dim > n, and
+    the minimum weight of C for dim = n (C = C^perp); the code is pure when
+    C^perp has no nonzero word lighter than d.  Both come from the mirror's
+    length-n codes, as the module docstring proves:
+
+    - odd p: C^perp <= C forces A- or A+ to be all of GF(q)^n, so C holds
+      n weight-1 words that C^perp cannot all hold when dim > n; the
+      answer is [[n, dim - n, 1]], d_lower 1, pure, with no sweep;
+    - p = 2: d_lower = d(C) = d(B0), d = min{w : A_w(B0) > A_w(B0')} (or
+      d(B0) when dim = n), and pure when B0' has no nonzero word below d.
+      These bound d_Q from above; from below by min(d, d(A cap B0')).  An
+      impure code sweeps A cap B0' (a pure one has d(A cap B0') >= d(B0')
+      >= d already), and where a word of it is lighter than d, d comes
+      from the exhaustive route: both histograms of C and C^perp, and
+      min{w : A_w > B_w}.
+
+    Every length-n sweep has at most q^(deg g) words, the smaller side that
+    the exhaustive route enumerates, and is checked against the budget.
     """
     if not is_alternating_dual_containing(code):
         raise NotDualContainingError(
             "code is not alternating dual-containing; no stabilizer code"
         )
-    n, k = code.n, code.card_log_q
+    tower, n, k = code.tower, code.n, code.card_log_q
     assert k >= n, "dual-containing code smaller than q^n"
-    dist = weight_distribution(code, budget=budget, workers=workers)
-    a, b = dist.counts, dist.dual_counts
-    d = next(w for w in range(1, n + 1) if a[w] > b[w]) if k > n else dist.min_weight
-    pure = not any(b[1:d])
+    if tower.p != 2:
+        return StabilizerParams(n=n, k_logical=k - n, d=1, d_lower=1, q=tower.q, pure=True)
+    z, mirror = tower.zech, code.cyclic
+    plus = z.binomial(n, 0)  # x^n + 1
+    g_plus = z.gcd(mirror.g_logs, plus)
+    g1 = z.divmod(mirror.g_logs, g_plus)[0]
+    h1 = z.divmod(mirror.h_star_logs, z.gcd(mirror.h_star_logs, plus))[0]
+    b0 = _cyclic_counts(tower, n, g1, budget, workers)
+    d_lower = next(w for w in range(1, n + 1) if b0[w])
+    b1 = _cyclic_counts(tower, n, h1, budget, workers) if k > n else b0
+    d = next((w for w in range(1, n + 1) if b0[w] > b1[w]), d_lower)
+    if any(b1[1:d]):  # impure: certify d on A cap B0' = <lcm(g+, h1)>
+        meet = z.reduce(z.product(g_plus, z.divmod(h1, z.gcd(g_plus, h1))[0]))
+        if any(_cyclic_counts(tower, n, meet, budget, workers)[1:d]):
+            dist = weight_distribution(code, budget=budget, workers=workers)
+            a, b = dist.counts, dist.dual_counts
+            d = next(w for w in range(1, n + 1) if a[w] > b[w])
     return StabilizerParams(
-        n=n, k_logical=k - n, d=d, d_lower=dist.min_weight, q=code.tower.q, pure=pure
+        n=n, k_logical=k - n, d=d, d_lower=d_lower, q=tower.q, pure=not any(b1[1:d])
     )

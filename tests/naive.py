@@ -65,6 +65,24 @@ def span_counts(tower, rows, n, workers):
     return packed._sweep(tower, rows, n, workers)
 
 
+def stabilizer_params_exhaustive(code, budget=1 << 28, workers=1):
+    """(d, d_lower, pure, k_logical) of a dual-containing code by the route
+    that sweeps the smaller of the whole code and its alternating dual.
+
+    With A and B the histograms of C and C^perp, d = min{w > 0 : A_w > B_w}
+    for dim > n; dim = n (C = C^perp, so A = B) takes d = d_lower.  The code
+    is pure when B_w = 0 for every 0 < w < d, so always when dim = n.
+    """
+    from conjucyclic import weight_distribution
+
+    n, k = code.n, code.card_log_q
+    dist = weight_distribution(code, budget=budget, workers=workers)
+    a, b = dist.counts, dist.dual_counts
+    d = next(w for w in range(1, n + 1) if a[w] > b[w]) if k > n else dist.min_weight
+    pure = not any(b[1:d])
+    return d, dist.min_weight, pure, k - n
+
+
 def neg(tower, a: int) -> int:
     """-a in GF(q^2), negating each base-p digit of the code."""
     s, mult = 0, 1

@@ -8,7 +8,14 @@ import time
 import pytest
 
 import conjucyclic
-from conjucyclic import build_tower, cli, enumerate_divisors, factor_x2n_minus_1, tower_for_q
+from conjucyclic import (
+    build_tower,
+    cli,
+    enumerate_divisors,
+    factor_x2n_minus_1,
+    tower_for_q,
+    weights,
+)
 
 # sha256 of the concatenated stdout of `code` and `dual`, text then JSON,
 # over every --exps divisor of these (q, n) families in enumeration order;
@@ -117,6 +124,29 @@ def test_quantum_text_reports_impurity(capsys):
     assert "stabilizer code: [[9,1,4]]_4 (impure)" in out
     code, blob, _ = run_json(capsys, "quantum", "--q", "4", "--n", "9", "--g", "1,0,7,0,0,0,6,0,1")
     assert blob["stabilizer"]["pure"] is False
+
+
+def test_quantum_answers_past_the_exhaustive_budget(capsys, monkeypatch):
+    # both codes' smaller sides, 2^39 and 2^62 words, exceed the default
+    # budget, so the exhaustive route exits 4 on them; the length-n split
+    # answers both, the (2, 63) one impure with its certificate closed
+    # (no exhaustive fallback), within 5 s
+    def refused(code, **kwargs):
+        raise AssertionError("the exhaustive route ran")
+
+    monkeypatch.setattr(weights, "weight_distribution", refused)
+    for n, exps, expected in (
+        (45, "1,0,1,0,1,1,0,2", {"kLogical": 6, "d": 3, "dLower": 3, "pure": True}),
+        (63, "0,1,2,0,0,1,1,2,2,0,0,2,1", {"kLogical": 1, "d": 7, "dLower": 6, "pure": False}),
+    ):
+        start = time.perf_counter()
+        code, blob, _ = run_json(capsys, "quantum", "--q", "2", "--n", str(n), "--exps", exps)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert blob["stabilizer"] == {"n": n, "q": 2, **expected}
+        assert 2 ** (len(blob["g"]) - 1) > weights.DEFAULT_BUDGET
+    code, out, _ = run(capsys, "quantum", "--q", "2", "--n", "45", "--exps", "1,0,1,0,1,1,0,2")
+    assert "stabilizer code: [[45,6,3]]_2 (pure)" in out
 
 
 def test_zero_code_report(capsys):
@@ -305,8 +335,9 @@ def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_
     assert outputs() == canonical
 
 
-# factor, code and dual at q <= 512 build their towers in pure Python, and
-# numpy's import waits for the first weight sweep
+# factor, code and dual at q <= 512 build their towers in pure Python,
+# quantum at odd p answers without a sweep, and numpy's import waits for
+# the first weight sweep
 STARTUP_SCRIPT = """
 import contextlib, io, sys
 from conjucyclic import cli
@@ -316,7 +347,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         g = f"{q % 2 + 1},1"  # x - 1
         for argv in (["factor"], ["code", "--g", g], ["dual", "--g", g]):
             assert cli.main(argv + ["--q", str(q), "--n", "3"]) == 0, argv
-    assert "numpy" not in sys.modules, "after factor, code and dual"
+    assert cli.main(["quantum", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
+    assert "numpy" not in sys.modules, "after factor, code, dual and odd-p quantum"
     assert cli.main(["weights", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
 assert "numpy" in sys.modules, "after weights"
 """

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import os
 
 import numpy as np
@@ -10,8 +12,11 @@ from conjucyclic import (
     ConjucyclicCode,
     NotDualContainingError,
     build_tower,
+    cli,
     conju,
+    enumerate_divisors,
     expand,
+    factor_x2n_minus_1,
     is_alternating_dual_containing,
     is_conjucyclic,
     packed,
@@ -405,6 +410,65 @@ def test_stabilizer_params_requires_dual_containing(f9):
     zero = ConjucyclicCode(f9, 2, (2, 0, 0, 0, 1))
     with pytest.raises(NotDualContainingError):
         stabilizer_params(zero)
+
+
+@functools.lru_cache(maxsize=None)
+def split_grid():
+    """Every dual-containing code among the first 400 divisors of each
+    (q, n) of the grid whose smaller side has at most 2^20 words."""
+    pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 13)]
+    pairs += [(2, 14), (2, 15), (2, 17), (2, 21), (4, 11)]
+    codes = []
+    for q, n in pairs:
+        tower = tower_for_q(q)
+        for _, g in itertools.islice(enumerate_divisors(factor_x2n_minus_1(tower, n)), 400):
+            code = ConjucyclicCode(tower, n, g)
+            k = code.card_log_q
+            if q ** min(k, 2 * n - k) <= 1 << 20 and is_alternating_dual_containing(code):
+                codes.append(code)
+    return tuple(codes)
+
+
+def test_split_matches_the_exhaustive_oracle(monkeypatch):
+    # d, d_lower, purity and k - n from the length-n codes B0, B0' and
+    # A cap B0' (odd p: no sweep) against both histograms of C and C^perp,
+    # on every dual-containing code of the grid; the certificate does not
+    # close on 4 of them, all at (4, 9), and those take the exhaustive route
+    fallbacks = []
+
+    def recording(code, **kwargs):
+        fallbacks.append((code.tower.q, code.n))
+        return weight_distribution(code, **kwargs)
+
+    monkeypatch.setattr(weights, "weight_distribution", recording)
+    kinds = set()
+    for code in split_grid():
+        params = stabilizer_params(code)
+        oracle = naive.stabilizer_params_exhaustive(code)
+        assert (params.d, params.d_lower, params.pure, params.k_logical) == oracle
+        kinds.add((code.tower.p == 2, params.pure))
+    assert len(split_grid()) == 2001
+    assert fallbacks == [(4, 9)] * 4
+    assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def test_split_sweeps_fit_the_exhaustive_budget():
+    # every length-n sweep has at most q^(deg g) words, the smaller side
+    # that the exhaustive route enumerates, so that budget always suffices
+    for code in split_grid():
+        stabilizer_params(code, budget=code.tower.q ** code.k)
+
+
+def test_split_sweeps_are_checked_against_the_budget(capsys, quaternary_code):
+    # the [[11,1,5]]_4 code: B0 = <g1>, deg g1 = 5, has a 4^5-word dual,
+    # and B0' has 4^5 words itself; the exhaustive route needs 4^10
+    with pytest.raises(BudgetExceededError):
+        stabilizer_params(quaternary_code, budget=4 ** 5 - 1)
+    assert str(stabilizer_params(quaternary_code, budget=4 ** 5)) == "[[11,1,5]]_4"
+    argv = ["quantum", "--q", "4", "--n", "11", "--exps", "0,2,0", "--budget"]
+    assert cli.main(argv + [str(4 ** 5 - 1)]) == cli.EXIT_BUDGET_EXCEEDED
+    assert cli.main(argv + [str(4 ** 5)]) == 0
+    assert "stabilizer code: [[11,1,5]]_4 (pure)" in capsys.readouterr().out
 
 
 def test_dual_containing_codes_have_enough_logical_space():
