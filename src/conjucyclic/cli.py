@@ -100,7 +100,8 @@ def _add_enum_flags(parser):
         "--budget", type=_positive_int, default=DEFAULT_BUDGET,
         help="cap on the words of the enumerated side: q^min(k, 2n-k), the "
         "smaller of the code and its alternating dual (default 2^28); the "
-        "sweep visits about 1/(q^e (q-1)) of them, e = 1 or 2",
+        "sweep visits about 1/(q^e (q-1)) of them, e = 1 or 2, and for odd p "
+        "with two nonzero length-n factors about 1/(q^2 (q-1)^2)",
     )
 
 

@@ -1,6 +1,6 @@
 """numpy's one module: packed digit vectors, c bits a base-p digit in uint64
 words, for the tower tables above field.PURE_TABLE_SIZE and the weight sweep,
-which packs rows that weights._shorten has already shortened and counts."""
+which packs rows that weights has already shortened and counts."""
 
 from __future__ import annotations
 
@@ -11,7 +11,14 @@ import numpy as np
 
 from .errors import NoPrimitivePolynomialError
 
-_CHUNK_WORDS = 1 << 16
+_CHUNK_WORDS = 1 << 16  # sums per block of work; a thread takes whole blocks
+_WHOLE_WORDS = 1 << 16  # the most words of a factor's span held whole
+# A histogram call takes about _STEPS steps of _BLOCK_WORDS to _CHUNK_WORDS
+# sums: small steps keep a small sweep's buffers below malloc's 128 KiB mmap
+# threshold, whose fresh pages would fault on every call, and large ones keep
+# a large sweep's per-step overhead down.
+_BLOCK_WORDS = 1 << 13
+_STEPS = 16
 
 
 def packed_add(p: int, c: int, fields: int):
@@ -42,9 +49,12 @@ def packed_add(p: int, c: int, fields: int):
 
 def packed_span(add, multiples, nw):
     """All sums picking one column of each (nw, k_i) array: (nw, prod k_i)
-    packed words, the first array's pick varying slowest."""
-    acc = np.zeros((nw, 1), dtype=np.uint64)
-    for mult in multiples:
+    packed words, the first array's pick varying slowest; no arrays give
+    the zero word alone."""
+    if not multiples:
+        return np.zeros((nw, 1), dtype=np.uint64)
+    acc = multiples[0]
+    for mult in multiples[1:]:
         shape = (nw, acc.shape[1], mult.shape[1])
         out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
         add(acc[:, :, None], mult[:, None, :], out, tmp)
@@ -134,31 +144,59 @@ def _multiples(tower, rows, n):
     return packed.reshape(len(packed), len(rows), tower.q)
 
 
-def _block(outer_words, inner):
-    """Outer words per histogram block: about _CHUNK_WORDS sums at a time."""
-    return max(1, min(outer_words, _CHUNK_WORDS // inner.size))
+def _block(outer_words, inner, words):
+    """Outer words per block of about `words` sums."""
+    return max(1, min(outer_words, words // inner.size))
 
 
-def _histogram(outer, inner, kernel, n):
-    """Weight histogram of every outer-word + inner-word sum."""
-    add, low, top = kernel
-    counts = np.zeros(n + 1, dtype=np.int64)
-    step = _block(outer.shape[1], inner)
-    x = np.empty((len(inner), step, inner.shape[1]), dtype=np.uint64)
-    y, weights = np.empty_like(x), np.empty(x.shape[1:], dtype=np.intp)
+def _marks(words, low, top, out):
+    """The top bit of each packed coordinate, set iff any of its bits is."""
+    np.bitwise_and(words, low, out=out)
+    out += low
+    out |= words
+    out &= top
+    return out
+
+
+def _fold(marks, width):
+    """The marks of nw words ORed into ceil(nw / width) words, word j's
+    shifted right by j mod width: every coordinate keeps a bit of its own,
+    inside its own field, and a popcount still counts the marked ones."""
+    out = np.zeros((-(-len(marks) // width), marks.shape[1]), dtype=np.uint64)
+    for j, row in enumerate(marks):
+        out[j // width] |= row >> np.uint64(j % width)
+    return out
+
+
+def _histogram(outer, inner, ones, kernel, n):
+    """Weight histograms of every outer-word + inner-word sum: row 0 over
+    the inner columns before `ones`, row 1 over the rest.
+
+    kernel(u, v, out, tmp) is symmetric and returns the marks of the sums
+    u + v, written to out or tmp.  The longer of an outer block and the
+    inner words runs innermost.
+    """
+    counts = np.zeros(2 * (n + 1), dtype=np.int64)
+    words = min(_CHUNK_WORDS, max(_BLOCK_WORDS, outer.shape[1] * inner.size // _STEPS))
+    step, cols = _block(outer.shape[1], inner, words), inner.shape[1]
+    later = (np.arange(cols) >= ones) * (n + 1)
+    flip = step > cols
+    shape = (len(inner),) + ((cols, step) if flip else (step, cols))
+    x, y = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    weights = np.empty(shape[1:], dtype=np.intp)
+    if flip:
+        later = later[:, None]
     for lo in range(0, outer.shape[1], step):
-        block = outer[:, lo : lo + step, None]
-        rows = block.shape[1]
-        xs, ys, ws = x[:, :rows], y[:, :rows], weights[:rows]
-        add(block, inner[:, None, :], xs, ys)
-        # mark the top bit of each coordinate iff any of its bits is set
-        np.bitwise_and(xs, low, out=ys)
-        ys += low
-        ys |= xs
-        ys &= top
-        np.sum(np.bitwise_count(ys), axis=0, out=ws)
-        counts += np.bincount(ws.ravel(), minlength=n + 1)
-    return counts
+        block = outer[:, lo : lo + step]
+        u, v = (inner, block) if flip else (block, inner)
+        m, k = u.shape[1], v.shape[1]
+        marks = kernel(u[:, :, None], v[:, None, :], x[:, :m, :k], y[:, :m, :k])
+        ws = weights[:m, :k]
+        np.sum(np.bitwise_count(marks), axis=0, out=ws)
+        if ones < cols:
+            ws += later
+        counts += np.bincount(ws.ravel(), minlength=2 * (n + 1))
+    return counts.reshape(2, n + 1)
 
 
 def _cores():
@@ -168,40 +206,79 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _sweep(tower, rows, n, workers):
-    """Exact Hamming weight histogram over the GF(q)-span of the rows.
+def _sweep(tower, factors, n, workers):
+    """Exact Hamming weight histogram over the words x + y, x in the
+    GF(q)-span of the first factor's rows and y in the second's.
 
-    The r rows must be GF(q)-independent; they are packed by _multiples.
-    The outer half runs over one representative per projective point and
-    Z over the zero word, so A = (q - 1) H + Z as in the weights docstring.
-    Those representatives, the messages whose first nonzero digit is 1,
-    are the columns [q^i, 2 q^i) of the outer half's span: packed_span's
-    first pick varies slowest, and column 1 of each multiples array is the
-    row itself (see _multiples).  No more threads start than the histogram
-    has outer blocks, so a one-block sweep starts no pool.
+    factors holds one or two lists of rows, each GF(q)-independent and
+    packed by _multiples.  Two factors must meet only in 0 at every
+    coordinate (weights puts one in GF(q) and the other in beta GF(q)), so
+    that x + y weighs |supp x cup supp y| and x, y scale apart.  Call X
+    the larger factor, of a rows, and Y the other, of b.  The outer words
+    are one representative per GF(q)-projective point of the span of X's
+    last a - i rows, the messages whose first nonzero digit is 1.  The
+    inner words are the span of X's first i rows plus 0 or one
+    representative of each projective point of Y; the first q^i inner
+    columns hold the zero y and count once, the rest q - 1 times.  Z takes
+    the zero word as the outer word, and A = (q - 1) H + Z as in the
+    weights docstring.  Y = 0 splits X in halves, i = a // 2.  Otherwise
+    X is held whole, i = 0, while its span has at most _WHOLE_WORDS words;
+    then a sum's marks are the OR of its two parts' marks, folded into
+    fewer words, and no addition runs.  A larger X keeps its first
+    (a - b) // 2 rows inside, which balances the outer and inner words.
+    No more threads start than the histogram has whole blocks of
+    _CHUNK_WORDS sums, so a sweep of less than two starts no pool.
     """
-    r, q = len(rows), tower.q
-    if r == 0:
+    q = tower.q
+    big, small = sorted(factors, key=len, reverse=True) + [[]] * (2 - len(factors))
+    a, b = len(big), len(small)
+    if not a:
         return [1] + [0] * n
-    multiples = _multiples(tower, rows, n)
+    multiples = _multiples(tower, big + small, n)
     nw = len(multiples)
     c, width, per = _layout(tower.p, tower.ext_degree)
     add = packed_add(tower.p, c, per * tower.ext_degree)
     top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
-    kernel = add, ~top, top  # packed addition and the nonzero-coordinate masks
-    cols = [multiples[:, j] for j in range(r)]
-    inner = packed_span(add, cols[: r // 2], nw)
-    span = packed_span(add, cols[r // 2 :], nw)
-    outer = np.concatenate([span[:, q ** i : 2 * q ** i] for i in range(r - r // 2)], axis=1)
-    blocks = -(-outer.shape[1] // _block(outer.shape[1], inner))
+    low = ~top
+    cols = [multiples[:, j] for j in range(a + b)]
+
+    def representatives(picks):
+        # a representative leads in the first h picks, by a column [q^j, 2 q^j)
+        # of their span (packed_span's first pick varies slowest, and column 1
+        # of a multiples array is the row itself) plus any word of the rest's
+        # span, or it leads in the rest
+        h = len(picks) - len(picks) // 2
+        head, tail = packed_span(add, picks[:h], nw), packed_span(add, picks[h:], nw)
+        lead = np.concatenate([head[:, q ** j : 2 * q ** j] for j in range(h)], axis=1)
+        shape = (nw, lead.shape[1], tail.shape[1])
+        out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+        add(lead[:, :, None], tail[:, None, :], out, tmp)
+        rest = [tail[:, q ** j : 2 * q ** j] for j in range(len(picks) - h)]
+        return np.concatenate([out.reshape(nw, -1)] + rest, axis=1)
+
+    whole = b > 0 and q ** a <= _WHOLE_WORDS
+    i = a // 2 if not b else 0 if whole else (a - b) // 2
+    zero = np.zeros((nw, 1), dtype=np.uint64)
+    ys = [np.concatenate([zero, representatives(cols[a:])], axis=1)] if b else []
+    inner = packed_span(add, ys + cols[:i], nw)
+    outer = representatives(cols[i:a])
+    if whole:
+        outer, inner = (_fold(_marks(w, low, top, np.empty_like(w)), width) for w in (outer, inner))
+        kernel = lambda u, v, out, tmp: np.bitwise_or(u, v, out=out)
+    else:
+        def kernel(u, v, out, tmp):
+            add(u, v, out, tmp)
+            return _marks(out, low, top, tmp)
+    blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
+    args = inner, q ** i, kernel, n
     if workers == 1:
-        total = _histogram(outer, inner, kernel, n)
+        total = _histogram(outer, *args)
     else:
         parts = np.array_split(outer, workers, axis=1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(lambda o: _histogram(o, inner, kernel, n), parts))
-    zero = _histogram(np.zeros((nw, 1), dtype=np.uint64), inner, kernel, n)
-    counts = [int(c) for c in (q - 1) * total + zero]
-    assert sum(counts) == q ** r, "histogram does not cover the span"
+            total = sum(pool.map(lambda o: _histogram(o, *args), parts))
+    z = _histogram(np.zeros((len(outer), 1), dtype=np.uint64), *args)  # the zero outer word
+    counts = [int(v) for v in (q - 1) * (total[0] + (q - 1) * total[1]) + z[0] + (q - 1) * z[1]]
+    assert sum(counts) == q ** (a + b), "histogram does not cover the span"
     return counts

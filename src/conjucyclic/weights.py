@@ -15,15 +15,16 @@ Both sides are closed under a shift that moves the coordinates cyclically:
 C under T and C^perp under T- (conju).  Each shift maps every entry
 through a bijection that fixes 0, so it acts transitively on the
 coordinates and keeps the weight.  The sweep therefore covers only the
-shortened side, the words with c_0 = 0: GF(q)-elimination on the two
+shortened side, the words with c_0 = 0, which span r - e of the side's r
+dimensions, e in {1, 2} (e = 0 would make a nonzero side vanish
+everywhere).  For p = 2 a basis comes from GF(q)-elimination on the two
 trace-pair components of coordinate 0, run on the side's r GF(q^2) rows
-before anything is packed (_shorten), leaves a basis of r - e rows, e in
-{1, 2} (e = 0 would make a nonzero side vanish everywhere).  Counting the
-pairs (word, zero coordinate) twice gives A_w (n - w) = n S_w, with S_w
-the shortened side's words of weight w, the same at every coordinate by
-transitivity; so A_w = n S_w / (n - w) for w < n, each division asserted
-exact, and A_n is what remains of q^r.  This is exact, and the sweep is
-q^e times smaller.
+before anything is packed (_shorten); for odd p the split below gives one
+for free.  Counting the pairs (word, zero coordinate) twice gives
+A_w (n - w) = n S_w, with S_w the shortened side's words of weight w, the
+same at every coordinate by transitivity; so A_w = n S_w / (n - w) for
+w < n, each division asserted exact, and A_n is what remains of q^r
+(_lift).  This is exact, and the sweep is q^e times smaller.
 
 Enumeration runs over messages: a side spanned by r GF(q)-independent
 rows has exactly q^r words, one per message in GF(q)^r.  Scaling a word by
@@ -39,34 +40,54 @@ per nonzero coordinate; no table lookups run inside the hot loop.
 
 The kernel, in packed (numpy's one module, imported by the first sweep),
 is a blocked meet-in-the-middle sweep: the rows are split in half, and
-each half's full span is built as packed words by packed.packed_span.
-The outer half's projective representatives (the messages whose first
-nonzero digit is 1) are column slices of its span, one contiguous range
-per leading row.  One histogram routine counts the weights of every
-outer-word + inner-word sum in vectorized blocks: H over the
-representatives, and Z over the zero word alone (the inner span itself).
-A sum with an outer representative stands for its q - 1 nonzero
+the inner half's full span is built as packed words by packed.packed_span.
+The outer words are the outer half's projective representatives (the
+messages whose first nonzero digit is 1).  One histogram routine counts
+the weights of every outer-word + inner-word sum in vectorized blocks: H
+over the representatives, and Z over the zero word alone (the inner span
+itself).  A sum with an outer representative stands for its q - 1 nonzero
 multiples, so A = (q - 1) H + Z.  On the r' = r - e shortened rows the
 kernel visits (q^r'_out - 1)/(q - 1) q^r'_in + q^r'_in words, about
 q^(r - e)/(q - 1) of the enumerated side's q^r.  Work partitions across a
-thread pool, at most one thread per CPU this process may use and per
-outer block, by slicing the outer words (equivalently, fixing leading
-message digits); numpy's bitwise ufuncs release the interpreter lock, and
-per-thread histograms merge by integer addition, so the result is
-identical for any worker count and schedule.
+thread pool, at most one thread per CPU this process may use and per whole
+block of outer words (about 2^16 sums), by slicing the outer words
+(equivalently, fixing leading message digits); numpy's bitwise ufuncs
+release the interpreter lock, and per-thread histograms merge by integer
+addition, so the result is identical for any worker count and schedule.
 
-Stabilizer parameters come from length-n codes instead (stabilizer_params).
-Block i of the mirror D = <g> of length 2n is the pair (v_i, v_(n+i)),
-coordinate i's two trace-pair components, so a GF(q)-linear bijection of
-GF(q)^2 applied to every block keeps the GF(q^2) Hamming weight.
+The mirror D = <g> of length 2n splits into length-n codes, which the
+odd-p sweep and the stabilizer parameters (stabilizer_params) use.  Block
+i of D is the pair (v_i, v_(n+i)), coordinate i's two trace-pair
+components, so a GF(q)-linear bijection of GF(q)^2 applied to every block
+keeps the GF(q^2) Hamming weight.
 
 - Odd p: x^(2n) - 1 = (x^n - 1)(x^n + 1) with coprime factors, and the
   block map (a, b) -> (a + b, a - b) takes C onto A- x A+, where
   A-/+ = <gcd(g, x^n -/+ 1)> is a length-n cyclic / negacyclic code, and a
   word (u, w) weighs |supp u cup supp w|.  C^perp goes onto a copy of
-  A+^perp x A-^perp, the factors swapped, and C^perp <= C forces A- or A+
-  to be all of GF(q)^n (conju.is_alternating_dual_containing: g divides
-  x^n + 1 or x^n - 1).  Then C holds the n GF(q)-independent weight-1
+  A+^perp x A-^perp, the factors swapped, which the union weight does not
+  see; those are <gcd(h*, x^n + 1)> and <gcd(h*, x^n - 1)>.
+  weight_distribution sweeps the enumerated side as this product
+  (_split_counts), f = g for C and f = h* for C^perp, and saves twice:
+  - each factor scales by GF(q)* on its own, so a pair of nonzero parts
+    stands for (q - 1)^2 words; the sweep visits about q^(r-2)/(q - 1)^2
+    words where both factors are nonzero, against q^(r-e)/(q - 1);
+  - a factor <f'> of dimension d shortens for free: its shifts x f', ...,
+    x^(d-1) f' do not wrap, so they vanish at 0 and span its words that do
+    (_short_rows), and no trace-pair elimination runs.  The product of the
+    shortened factors is the side's words with c_0 = 0 (e is the number of
+    nonzero factors), and x times a word of D, cyclic on u and negacyclic
+    on w, is the transitive shift that the lift needs.
+  The A- part's entries stay in GF(q) and the A+ part's go to beta GF(q),
+  so a coordinate of a sum vanishes only where both parts do.  With a >= b
+  shortened rows in the factors and P(r) = (q^r - 1)/(q - 1), the kernel
+  (packed._sweep) visits (P(a) + 1)(P(b) + 1) words while the larger
+  factor's span fits packed._WHOLE_WORDS, each pair's marks ORed with no
+  addition, and (P(a - i) + 1) q^i (P(b) + 1), i = (a - b) // 2, beyond;
+  b = 0 leaves the one-side sweep above.
+- Odd-p stabilizer codes: C^perp <= C forces A- or A+ to be all of
+  GF(q)^n (conju.is_alternating_dual_containing: g divides x^n + 1 or
+  x^n - 1).  Then C holds the n GF(q)-independent weight-1
   words of that factor, so d_lower = 1.  If C^perp held them all, then
   2n - dim >= n; so for dim > n one of them lies outside C^perp, and d = 1
   for dim = n too.  Every such code is [[n, dim - n, 1]]_q, and pure, as
@@ -99,7 +120,8 @@ from .cyclic import shift_iterates
 from .errors import BudgetExceededError, NotDualContainingError
 
 #: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
-#: sweep visits about 1/(q^e (q - 1)) of them, e in {1, 2}.
+#: sweep visits about 1/(q^e (q - 1)) of them, e in {1, 2}, and an odd-p side
+#: with two nonzero length-n factors about 1/(q^2 (q - 1)^2).
 DEFAULT_BUDGET = 1 << 28
 
 
@@ -191,27 +213,56 @@ def _shorten(tower, rows):
     return rows
 
 
+def _lift(short_counts, n, size):
+    """A side's histogram from that of its words with c_0 = 0, by
+    A_w (n - w) = n S_w as in the module docstring; the side has size
+    words and must be closed under a shift that is transitive on the
+    coordinates and keeps the weight."""
+    counts = []
+    for w in range(n):
+        assert n * short_counts[w] % (n - w) == 0, "the lift is not integral"
+        counts.append(n * short_counts[w] // (n - w))
+    counts.append(size - sum(counts))
+    assert counts[n] >= 0, "the lift exceeds the span"
+    return counts
+
+
 def _side_counts(tower, rows, n, workers):
     """Exact Hamming weight histogram over the GF(q)-span of a side's rows.
 
     The side must be closed under T or T-, as both sides are.  Shortens
     the rows to the words with c_0 = 0 before anything is packed, sweeps
-    that shortened side and lifts its histogram S by A_w (n - w) = n S_w
-    as in the module docstring.
+    that shortened side and lifts its histogram.
     """
     from . import packed  # numpy loads with the first sweep
-    q, r = tower.q, len(rows)
     short = _shorten(tower, rows)
     # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
-    assert r == 0 or len(short) < r, "a nonzero side vanishes at coordinate 0"
-    short_counts = packed._sweep(tower, short, n, workers)
-    counts = []
-    for w in range(n):
-        assert n * short_counts[w] % (n - w) == 0, "the lift is not integral"
-        counts.append(n * short_counts[w] // (n - w))
-    counts.append(q ** r - sum(counts))
-    assert counts[n] >= 0, "the lift exceeds the span"
-    return counts
+    assert not rows or len(short) < len(rows), "a nonzero side vanishes at coordinate 0"
+    return _lift(packed._sweep(tower, [short], n, workers), n, tower.q ** len(rows))
+
+
+def _short_rows(tower, n, f, shift=0):
+    """The words with c_0 = 0 of the length-n code <f>, f | x^n - lambda,
+    lambda = +-1: the shifts x f, ..., x^(d - 1) f of its d = n - deg f
+    dimensional basis, as GF(q^2) rows of the GF(q) coefficients times
+    beta^shift.  None of them wraps, so they are words whichever lambda,
+    and as f(0) != 0 a word m f, deg m < d, vanishes at 0 exactly when
+    m(0) = 0.  f is a log list of tower.zech.
+    """
+    row = (tower.codes(f, shift, tower.q + 1) + [0] * n)[:n]
+    return shift_iterates(tuple(row), n - len(f) + 1)[1:]
+
+
+def _split_counts(tower, n, f, workers):
+    """Hamming weight histogram of the odd-p side whose mirror generator
+    is f, g for C or h* for C^perp, by the product sweep of the module
+    docstring: <gcd(f, x^n - 1)> in GF(q) and <gcd(f, x^n + 1)> in
+    beta GF(q), each shortened by _short_rows."""
+    from . import packed  # numpy loads with the first sweep
+    z = tower.zech
+    parts = [z.gcd(f, z.binomial(n, c)) for c in (z.minus_one, 0)]
+    factors = [_short_rows(tower, n, part, shift) for shift, part in enumerate(parts)]
+    return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
 
 
 def _macwilliams(counts, size, q2):
@@ -244,12 +295,17 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
             f"{q}^{min(k, dual_k)} enumerated words (the smaller of the code and "
             f"its alternating dual) exceed the budget of {budget}"
         )
-    if dual_k < k:
-        b = _side_counts(tower, code.alternating_dual_matrix(), n, workers)
-        a = _macwilliams(b, q ** dual_k, tower.q2)
+    dual = dual_k < k
+    if tower.p != 2:
+        f = code.cyclic.h_star_logs if dual else code.cyclic.g_logs
+        counts = _split_counts(tower, n, f, workers)
     else:
-        a = _side_counts(tower, code.gen_matrix, n, workers)
-        b = _macwilliams(a, q ** k, tower.q2)
+        rows = code.alternating_dual_matrix() if dual else code.gen_matrix
+        counts = _side_counts(tower, rows, n, workers)
+    if dual:
+        a, b = _macwilliams(counts, q ** dual_k, tower.q2), counts
+    else:
+        a, b = counts, _macwilliams(counts, q ** k, tower.q2)
     assert a[0] == b[0] == 1, "A_0 or B_0 is not 1"
     assert sum(a) == q ** k and sum(b) == q ** dual_k, "histogram sizes"
     return WeightDistribution(counts=a, q=q, dim=k, dual_counts=b)
@@ -259,10 +315,10 @@ def _cyclic_counts(tower, n, f, budget, workers):
     """Hamming weight histogram of the length-n q-ary cyclic code <f>.
 
     f is a log list of tower.zech dividing x^n - 1.  Sweeps the smaller of
-    <f>, spanned by the n - deg f shifts of f, and its Euclidean dual
-    <h*>, h = (x^n - 1)/f, spanned by the deg f shifts of h* (<f> itself
-    on a tie), as GF(q^2) rows with subfield entries, and gets <f>'s
-    histogram from the dual's by MacWilliams over GF(q).  Raises
+    <f>, of dimension n - deg f, and its Euclidean dual <h*>,
+    h = (x^n - 1)/f, of dimension deg f (<f> itself on a tie), through
+    the words with c_0 = 0 that _short_rows gives and the lift, and gets
+    <f>'s histogram from the dual's by MacWilliams over GF(q).  Raises
     BudgetExceededError first if the swept side's words exceed the budget.
     """
     z, q, deg = tower.zech, tower.q, len(f) - 1
@@ -275,8 +331,8 @@ def _cyclic_counts(tower, n, f, budget, workers):
             f"{q}^{count} enumerated words of a length-{n} cyclic code exceed "
             f"the budget of {budget}"
         )
-    rows = shift_iterates((z.to_codes(row) + (0,) * n)[:n], count)
-    counts = _side_counts(tower, rows, n, workers)
+    from . import packed  # numpy loads with the first sweep
+    counts = _lift(packed._sweep(tower, [_short_rows(tower, n, row)], n, workers), n, q ** count)
     return counts if row is f else _macwilliams(counts, q ** count, q)
 
 

@@ -62,7 +62,7 @@ def span_counts(tower, rows, n, workers):
     """
     from conjucyclic import packed
 
-    return packed._sweep(tower, rows, n, workers)
+    return packed._sweep(tower, [rows], n, workers)
 
 
 def stabilizer_params_exhaustive(code, budget=1 << 28, workers=1):

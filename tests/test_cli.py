@@ -35,6 +35,11 @@ FACTOR_DIGEST = "5bae363bd4a43a842280ca9de7aed6d6a7204d1c1ee665bdcda0881878ee635
 WEIGHTS_FAMILIES = ((2, 5), (3, 4), (4, 3), (5, 3))
 WEIGHTS_DIGEST = "c8646eb0233d24d1084af27ed28dffd825cfd390763ada84236b515a2970e8da"
 
+# the same for `weights` alone over larger odd-p families, where both
+# length-n factors of the odd-p product sweep are mostly nonzero
+WEIGHTS_ODD_FAMILIES = ((3, 7), (5, 6), (7, 4), (9, 4))
+WEIGHTS_ODD_DIGEST = "2b5e9abaa34ac58058981b9fb366e1e0477cbbbb32b62019d17a5ef4e583b24b"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -310,6 +315,27 @@ def test_weights_and_quantum_output_bytes_are_pinned(capsys):
                 runs += 1
     assert runs == 168
     assert digest.hexdigest() == WEIGHTS_DIGEST
+
+
+def test_odd_p_weights_output_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for q, n in WEIGHTS_ODD_FAMILIES:
+        fac = factor_x2n_minus_1(tower_for_q(q), n)
+        for exps, _ in enumerate_divisors(fac):
+            flag = ",".join(str(e) for e in exps)
+            code, out, _ = run(
+                capsys, "weights", "--q", str(q), "--n", str(n),
+                "--exps", flag, "--format", "json",
+            )
+            digest.update(f"{code}\n".encode())
+            if out:
+                blob = json.loads(out)
+                del blob["elapsedMs"]
+                digest.update(json.dumps(blob, sort_keys=True).encode())
+            runs += 1
+    assert runs == 560
+    assert digest.hexdigest() == WEIGHTS_ODD_DIGEST
 
 
 def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_path):

@@ -151,6 +151,20 @@ def test_multi_word_rows_match_naive_enumeration():
         assert checked > 0
 
 
+def test_packed_span_starts_from_the_first_array():
+    # no arrays give the zero word; otherwise every pick of one column per
+    # array, the first array's pick varying slowest, with no zero word
+    # added first; two 3-bit fields of base-3 digits per word
+    add = packed.packed_add(3, 3, 2)
+    assert packed.packed_span(add, [], 2).tolist() == [[0], [0]]
+    a = np.array([[0, 1, 2]], dtype=np.uint64)
+    assert packed.packed_span(add, [a], 1) is a
+    b = np.array([[0, 8, 16]], dtype=np.uint64)  # the second digit
+    assert packed.packed_span(add, [a, b], 1).tolist() == [[0, 8, 16, 1, 9, 17, 2, 10, 18]]
+    c = np.array([[0, 2]], dtype=np.uint64)  # digit sums reduce mod 3
+    assert packed.packed_span(add, [a, c], 1).tolist() == [[0, 2, 1, 0, 2, 1]]
+
+
 def visits(q, r):
     """Words the kernel visits on a span of r >= 1 rows: the inner span
     against zero and one representative per projective point of the outer
@@ -159,20 +173,48 @@ def visits(q, r):
     return (q ** r_out - 1) // (q - 1) * q ** r_in + q ** r_in
 
 
+def factor_dims(code, side):
+    """Dimensions of the length-n codes <gcd(f, x^n - 1)> and
+    <gcd(f, x^n + 1)> whose product the odd-p route sweeps, f = g for the
+    code and h* for its dual, by schoolbook gcds."""
+    tower, n = code.tower, code.n
+    f = code.cyclic.h_star if side == "dual" else code.cyclic.g
+    minus = (naive.neg(tower, 1),) + (0,) * (n - 1) + (1,)
+    plus = (1,) + (0,) * (n - 1) + (1,)
+    return [n + 1 - len(naive.poly_gcd(tower, f, m)) for m in (minus, plus)]
+
+
+def product_visits(q, dims):
+    """Words the kernel visits on the product of two length-n factors of
+    these dimensions, each shortened by one row.  With a >= b rows left:
+    visits(q, a) when b = 0; else the representatives of the larger
+    factor's last a - i rows, and zero, against its first i rows' span plus
+    zero or one representative of each projective point of the other, with
+    i = 0 while q^a <= packed._WHOLE_WORDS and (a - b) // 2 beyond."""
+    a, b = sorted((max(d - 1, 0) for d in dims), reverse=True)
+    if not b:
+        return visits(q, a) if a else 0
+    i = 0 if q ** a <= packed._WHOLE_WORDS else (a - b) // 2
+    points = lambda r: (q ** r - 1) // (q - 1)
+    return (points(a - i) + 1) * q ** i * (points(b) + 1)
+
+
 def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
     # the kernel visits (q^r_out - 1)/(q - 1) q^r_in + q^r_in words for a
     # side of q^r words; at r = 1 the inner span is the zero word.  Scaling
     # by q - 1 makes every A_w (w > 0) of the enumerated side a multiple of
     # q - 1 by construction, so the naive spans are the check on the counts
     # themselves.  weight_distribution sweeps only the r' = r - e rows of
-    # the enumerated side's words with c_0 = 0, and visits no word at r' = 0.
+    # the enumerated side's words with c_0 = 0, and visits no word at r' = 0;
+    # for p = 2 those rows span one side, for odd p the product of two
+    # length-n factors, which visits product_visits words.
     # Sides of up to 5 rows at q <= 3 give an outer half of 3 rows, whose
     # representatives reach past the span's columns [q, 2q)
     histogram, visited = packed._histogram, []
 
-    def recording(outer, inner, kernel, n):
+    def recording(outer, inner, *args):
         visited.append(outer.shape[1] * inner.shape[1])
-        return histogram(outer, inner, kernel, n)
+        return histogram(outer, inner, *args)
 
     monkeypatch.setattr(packed, "_histogram", recording)
     grid = (2, 3, 4, 5, 7, 8, 9)
@@ -195,11 +237,15 @@ def test_projective_sweep_matches_naive_on_both_sides(monkeypatch):
             if side != enumerated:
                 continue
             r_short = next(i for i in range(r) if q ** i == sum(w[0] == 0 for w in words))
+            if tower.p == 2:
+                expected_visits = visits(q, r_short) if r_short else 0
+            else:
+                expected_visits = product_visits(q, factor_dims(code, side))
             for workers in (1, 2, 10 ** 6):
                 visited.clear()
                 counts = weight_distribution(code, workers=workers)
                 assert (counts.dual_counts if side == "dual" else counts.counts) == expected
-                assert sum(visited) == (visits(q, r_short) if r_short else 0)
+                assert sum(visited) == expected_visits
             shortened.add((r - r_short, r_short))
     assert seen == {
         (q, side, r)
@@ -218,9 +264,9 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
     # the shortened rows span exactly the words with c_0 = 0
     sweep, swept = packed._sweep, []
 
-    def recording(tower, rows, n, workers):
-        swept.append(len(rows))
-        return sweep(tower, rows, n, workers)
+    def recording(tower, factors, n, workers):
+        swept.append(sum(map(len, factors)))
+        return sweep(tower, factors, n, workers)
 
     monkeypatch.setattr(packed, "_sweep", recording)
     seen = set()
@@ -242,6 +288,58 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
             if side == "dual" and tower.p != 2 and not is_conjucyclic(tower, rows):
                 seen.add("T- only")
     assert {("e", 1), ("e", 2), ("n", 1), ("r = e", True), "T- only"} <= seen
+
+
+def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
+    # for odd p the enumerated side is swept as <gcd(f, x^n - 1)> x
+    # <gcd(f, x^n + 1)>, f = g or h*; against the GF(q^2)-row route
+    # (_side_counts on gen_matrix or alternating_dual_matrix), and against
+    # naive spans on small sides, on the first 80 divisors of each (q, n)
+    # whose smaller side has at most 2^16 words; each code also runs with no
+    # factor held whole, so that the larger one splits, and at 2 workers with
+    # blocks small enough to start a pool; the kernel's visits are pinned
+    # either way
+    histogram, visited = packed._histogram, []
+
+    def recording(outer, inner, *args):
+        visited.append(outer.shape[1] * inner.shape[1])
+        return histogram(outer, inner, *args)
+
+    monkeypatch.setattr(packed, "_histogram", recording)
+    defaults = packed._WHOLE_WORDS, packed._CHUNK_WORDS
+    seen, checked, naive_checked = set(), 0, 0
+    for q in (3, 5, 7, 9, 25, 27):
+        tower = tower_for_q(q)
+        for n in range(1, 13):
+            fac = factor_x2n_minus_1(tower, n)
+            for _, g in itertools.islice(enumerate_divisors(fac), 80):
+                code = ConjucyclicCode(tower, n, g)
+                k = code.card_log_q
+                if q ** min(k, 2 * n - k) > 1 << 16:
+                    continue
+                side = "dual" if 2 * n - k < k else "code"
+                rows = code.alternating_dual_matrix() if side == "dual" else code.gen_matrix
+                expected = weights._side_counts(tower, rows, n, 1)
+                if q ** len(rows) <= 3 ** 5:
+                    words = naive.span(tower, rows, n)
+                    assert expected == naive.weight_histogram(words, n, naive.hamming_weight)
+                    naive_checked += 1
+                dims = factor_dims(code, side)
+                for (whole, chunk), grid in ((defaults, (1, 2, 10 ** 6)), ((0, 1 << 8), (2,))):
+                    monkeypatch.setattr(packed, "_WHOLE_WORDS", whole)
+                    monkeypatch.setattr(packed, "_CHUNK_WORDS", chunk)
+                    for workers in grid:
+                        visited.clear()
+                        dist = weight_distribution(code, workers=workers)
+                        assert (dist.dual_counts if side == "dual" else dist.counts) == expected
+                        assert sum(visited) == product_visits(q, dims)
+                a, b = sorted((max(d - 1, 0) for d in dims), reverse=True)
+                seen |= {side, ("p | n", n % tower.p == 0), ("n", n), ("b", min(b, 1))}
+                seen |= {("empty", a > 0 == b), ("whole", n in dims), ("split", (a - b) // 2 > 0 < b)}
+                checked += 1
+    assert {"code", "dual", ("p | n", True), ("n", 1), ("b", 1), ("empty", True)} <= seen
+    assert {("whole", True), ("split", True)} <= seen
+    assert (checked, naive_checked) == (2288, 896)
 
 
 def test_budget_enforcement(ternary_code):
