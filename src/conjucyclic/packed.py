@@ -12,7 +12,6 @@ import numpy as np
 from .errors import NoPrimitivePolynomialError
 
 _CHUNK_WORDS = 1 << 16  # sums per block of work; a thread takes whole blocks
-_WHOLE_WORDS = 1 << 16  # the most words of a factor's span held whole
 # A histogram call takes about _STEPS steps of _BLOCK_WORDS to _CHUNK_WORDS
 # sums: small steps keep a small sweep's buffers below malloc's 128 KiB mmap
 # threshold, whose fresh pages would fault on every call, and large ones keep
@@ -149,33 +148,14 @@ def _block(outer_words, inner, words):
     return max(1, min(outer_words, words // inner.size))
 
 
-def _marks(words, low, top, out):
-    """The top bit of each packed coordinate, set iff any of its bits is."""
-    np.bitwise_and(words, low, out=out)
-    out += low
-    out |= words
-    out &= top
-    return out
-
-
-def _fold(marks, width):
-    """The marks of nw words ORed into ceil(nw / width) words, word j's
-    shifted right by j mod width: every coordinate keeps a bit of its own,
-    inside its own field, and a popcount still counts the marked ones."""
-    out = np.zeros((-(-len(marks) // width), marks.shape[1]), dtype=np.uint64)
-    for j, row in enumerate(marks):
-        out[j // width] |= row >> np.uint64(j % width)
-    return out
-
-
 def _histogram(outer, inner, ones, kernel, n):
     """Weight histograms of every outer-word + inner-word sum: row 0 over
     the inner columns before `ones`, row 1 over the rest.
 
-    kernel(u, v, out, tmp) is symmetric and returns the marks of the sums
-    u + v, written to out or tmp.  The longer of an outer block and the
-    inner words runs innermost.
+    kernel is the packed addition and the nonzero-coordinate masks.  The
+    longer of an outer block and the inner words runs innermost.
     """
+    add, low, top = kernel
     counts = np.zeros(2 * (n + 1), dtype=np.int64)
     words = min(_CHUNK_WORDS, max(_BLOCK_WORDS, outer.shape[1] * inner.size // _STEPS))
     step, cols = _block(outer.shape[1], inner, words), inner.shape[1]
@@ -190,9 +170,14 @@ def _histogram(outer, inner, ones, kernel, n):
         block = outer[:, lo : lo + step]
         u, v = (inner, block) if flip else (block, inner)
         m, k = u.shape[1], v.shape[1]
-        marks = kernel(u[:, :, None], v[:, None, :], x[:, :m, :k], y[:, :m, :k])
-        ws = weights[:m, :k]
-        np.sum(np.bitwise_count(marks), axis=0, out=ws)
+        xs, ys, ws = x[:, :m, :k], y[:, :m, :k], weights[:m, :k]
+        add(u[:, :, None], v[:, None, :], xs, ys)
+        # mark the top bit of each coordinate iff any of its bits is set
+        np.bitwise_and(xs, low, out=ys)
+        ys += low
+        ys |= xs
+        ys &= top
+        np.sum(np.bitwise_count(ys), axis=0, out=ws)
         if ones < cols:
             ws += later
         counts += np.bincount(ws.ravel(), minlength=2 * (n + 1))
@@ -221,11 +206,8 @@ def _sweep(tower, factors, n, workers):
     representative of each projective point of Y; the first q^i inner
     columns hold the zero y and count once, the rest q - 1 times.  Z takes
     the zero word as the outer word, and A = (q - 1) H + Z as in the
-    weights docstring.  Y = 0 splits X in halves, i = a // 2.  Otherwise
-    X is held whole, i = 0, while its span has at most _WHOLE_WORDS words;
-    then a sum's marks are the OR of its two parts' marks, folded into
-    fewer words, and no addition runs.  A larger X keeps its first
-    (a - b) // 2 rows inside, which balances the outer and inner words.
+    weights docstring.  i = (a - b) // 2 balances the outer and inner
+    words; Y = 0 splits X in halves.
     No more threads start than the histogram has whole blocks of
     _CHUNK_WORDS sums, so a sweep of less than two starts no pool.
     """
@@ -239,7 +221,7 @@ def _sweep(tower, factors, n, workers):
     c, width, per = _layout(tower.p, tower.ext_degree)
     add = packed_add(tower.p, c, per * tower.ext_degree)
     top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
-    low = ~top
+    kernel = add, ~top, top  # packed addition and the nonzero-coordinate masks
     cols = [multiples[:, j] for j in range(a + b)]
 
     def representatives(picks):
@@ -256,19 +238,11 @@ def _sweep(tower, factors, n, workers):
         rest = [tail[:, q ** j : 2 * q ** j] for j in range(len(picks) - h)]
         return np.concatenate([out.reshape(nw, -1)] + rest, axis=1)
 
-    whole = b > 0 and q ** a <= _WHOLE_WORDS
-    i = a // 2 if not b else 0 if whole else (a - b) // 2
+    i = (a - b) // 2
     zero = np.zeros((nw, 1), dtype=np.uint64)
     ys = [np.concatenate([zero, representatives(cols[a:])], axis=1)] if b else []
     inner = packed_span(add, ys + cols[:i], nw)
     outer = representatives(cols[i:a])
-    if whole:
-        outer, inner = (_fold(_marks(w, low, top, np.empty_like(w)), width) for w in (outer, inner))
-        kernel = lambda u, v, out, tmp: np.bitwise_or(u, v, out=out)
-    else:
-        def kernel(u, v, out, tmp):
-            add(u, v, out, tmp)
-            return _marks(out, low, top, tmp)
     blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
     args = inner, q ** i, kernel, n

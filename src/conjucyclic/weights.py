@@ -81,10 +81,8 @@ keeps the GF(q^2) Hamming weight.
   The A- part's entries stay in GF(q) and the A+ part's go to beta GF(q),
   so a coordinate of a sum vanishes only where both parts do.  With a >= b
   shortened rows in the factors and P(r) = (q^r - 1)/(q - 1), the kernel
-  (packed._sweep) visits (P(a) + 1)(P(b) + 1) words while the larger
-  factor's span fits packed._WHOLE_WORDS, each pair's marks ORed with no
-  addition, and (P(a - i) + 1) q^i (P(b) + 1), i = (a - b) // 2, beyond;
-  b = 0 leaves the one-side sweep above.
+  (packed._sweep) visits (P(a - i) + 1) q^i (P(b) + 1) words,
+  i = (a - b) // 2; b = 0 leaves the one-side sweep above.
 - Odd-p stabilizer codes: C^perp <= C forces A- or A+ to be all of
   GF(q)^n (conju.is_alternating_dual_containing: g divides x^n + 1 or
   x^n - 1).  Then C holds the n GF(q)-independent weight-1

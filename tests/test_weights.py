@@ -190,11 +190,11 @@ def product_visits(q, dims):
     visits(q, a) when b = 0; else the representatives of the larger
     factor's last a - i rows, and zero, against its first i rows' span plus
     zero or one representative of each projective point of the other, with
-    i = 0 while q^a <= packed._WHOLE_WORDS and (a - b) // 2 beyond."""
+    i = (a - b) // 2."""
     a, b = sorted((max(d - 1, 0) for d in dims), reverse=True)
     if not b:
         return visits(q, a) if a else 0
-    i = 0 if q ** a <= packed._WHOLE_WORDS else (a - b) // 2
+    i = (a - b) // 2
     points = lambda r: (q ** r - 1) // (q - 1)
     return (points(a - i) + 1) * q ** i * (points(b) + 1)
 
@@ -295,10 +295,9 @@ def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
     # <gcd(f, x^n + 1)>, f = g or h*; against the GF(q^2)-row route
     # (_side_counts on gen_matrix or alternating_dual_matrix), and against
     # naive spans on small sides, on the first 80 divisors of each (q, n)
-    # whose smaller side has at most 2^16 words; each code also runs with no
-    # factor held whole, so that the larger one splits, and at 2 workers with
-    # blocks small enough to start a pool; the kernel's visits are pinned
-    # either way
+    # whose smaller side has at most 2^16 words; each code also runs at 2
+    # workers with blocks small enough to start a pool; the kernel's visits
+    # are pinned either way
     histogram, visited = packed._histogram, []
 
     def recording(outer, inner, *args):
@@ -306,7 +305,7 @@ def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
         return histogram(outer, inner, *args)
 
     monkeypatch.setattr(packed, "_histogram", recording)
-    defaults = packed._WHOLE_WORDS, packed._CHUNK_WORDS
+    default = packed._CHUNK_WORDS
     seen, checked, naive_checked = set(), 0, 0
     for q in (3, 5, 7, 9, 25, 27):
         tower = tower_for_q(q)
@@ -325,8 +324,7 @@ def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
                     assert expected == naive.weight_histogram(words, n, naive.hamming_weight)
                     naive_checked += 1
                 dims = factor_dims(code, side)
-                for (whole, chunk), grid in ((defaults, (1, 2, 10 ** 6)), ((0, 1 << 8), (2,))):
-                    monkeypatch.setattr(packed, "_WHOLE_WORDS", whole)
+                for chunk, grid in ((default, (1, 2, 10 ** 6)), (1 << 8, (2,))):
                     monkeypatch.setattr(packed, "_CHUNK_WORDS", chunk)
                     for workers in grid:
                         visited.clear()
