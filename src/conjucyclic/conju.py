@@ -114,6 +114,15 @@ def alternating_inner(tower, u, v) -> int:
     return tower.mul(scale, acc)
 
 
+def mirror_rows(tower, n, f) -> list:
+    """The 2n - deg f T-iterates of the contracted coefficient vector of f,
+    a GF(q)-basis of the code whose mirror is <f>; f is a log list of
+    tower.zech dividing x^(2n) - 1."""
+    v = (f + [-1] * (2 * n))[: 2 * n]
+    row = _contract_logs(tower, v[:n], v[n:], tower.q + 1)
+    return shift_iterates(row, 2 * n + 1 - len(f), tower.conjugate)
+
+
 def is_conjucyclic(tower, rows) -> bool:
     """True when the GF(q)-span of the rows is closed under the shift T."""
     rows = [tuple(r) for r in rows]
@@ -215,9 +224,7 @@ class ConjucyclicCode:
         self.cyclic = CyclicCode(tower, n, g)
         self.g = self.cyclic.g
         self.card_log_q = self.cyclic.dim
-        v = (self.cyclic.g_logs + [-1] * (2 * n))[: 2 * n]
-        g_row = _contract_logs(tower, v[:n], v[n:], tower.q + 1)
-        self.gen_matrix = shift_iterates(g_row, self.card_log_q, tower.conjugate)
+        self.gen_matrix = mirror_rows(tower, n, self.cyclic.g_logs)
 
     @property
     def k(self) -> int:

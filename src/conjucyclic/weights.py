@@ -17,10 +17,11 @@ through a bijection that fixes 0, so it acts transitively on the
 coordinates and keeps the weight.  The sweep therefore covers only the
 shortened side, the words with c_0 = 0, which span r - e of the side's r
 dimensions, e in {1, 2} (e = 0 would make a nonzero side vanish
-everywhere).  For p = 2 a basis comes from GF(q)-elimination on the two
-trace-pair components of coordinate 0, run on the side's r GF(q^2) rows
-before anything is packed (_shorten); for odd p the split below gives one
-for free.  Counting the pairs (word, zero coordinate) twice gives
+everywhere).  A basis comes from the side's mirror generator f, g for C
+and h* for C^perp, before anything is packed (_mirror_counts): for p = 2
+the shifts x f, ..., x^(d - 1) f of <f> with one pivot eliminated at
+mirror position n, for odd p a split; both are below.  Counting the pairs
+(word, zero coordinate) twice gives
 A_w (n - w) = n S_w, with S_w the shortened side's words of weight w, the
 same at every coordinate by transitivity; so A_w = n S_w / (n - w) for
 w < n, each division asserted exact, and A_n is what remains of q^r
@@ -68,16 +69,16 @@ keeps the GF(q^2) Hamming weight.
   A+^perp x A-^perp, the factors swapped, which the union weight does not
   see; those are <gcd(h*, x^n + 1)> and <gcd(h*, x^n - 1)>.
   weight_distribution sweeps the enumerated side as this product
-  (_split_counts), f = g for C and f = h* for C^perp, and saves twice:
+  (_mirror_counts), f = g for C and f = h* for C^perp, and saves twice:
   - each factor scales by GF(q)* on its own, so a pair of nonzero parts
     stands for (q - 1)^2 words; the sweep visits about q^(r-2)/(q - 1)^2
     words where both factors are nonzero, against q^(r-e)/(q - 1);
   - a factor <f'> of dimension d shortens for free: its shifts x f', ...,
     x^(d-1) f' do not wrap, so they vanish at 0 and span its words that do
-    (_short_rows), and no trace-pair elimination runs.  The product of the
-    shortened factors is the side's words with c_0 = 0 (e is the number of
-    nonzero factors), and x times a word of D, cyclic on u and negacyclic
-    on w, is the transitive shift that the lift needs.
+    (_short_rows).  The product of the shortened factors is the side's
+    words with c_0 = 0 (e is the number of nonzero factors), and x times a
+    word of D, cyclic on u and negacyclic on w, is the transitive shift
+    that the lift needs.
   The A- part's entries stay in GF(q) and the A+ part's go to beta GF(q),
   so a coordinate of a sum vanishes only where both parts do.  With a >= b
   shortened rows in the factors and P(r) = (q^r - 1)/(q - 1), the kernel
@@ -90,18 +91,28 @@ keeps the GF(q^2) Hamming weight.
   2n - dim >= n; so for dim > n one of them lies outside C^perp, and d = 1
   for dim = n too.  Every such code is [[n, dim - n, 1]]_q, and pure, as
   no nonzero word weighs less than 1.
-- p = 2: x^(2n) - 1 = (x^n + 1)^2.  Write v = a + x^n b in D and
-  s = a + b = v mod (x^n + 1), which lies in A = <g+>, g+ = gcd(g, x^n + 1).
-  v (1 + x^n) is the word (s, s), and (s, s) lies in D exactly when s lies
-  in B0 = <g1>, g1 = g / g+, the largest cyclic subcode; A <= B0, as g+
-  has each factor at least as often as g1.  So wt(v) >= wt(s), with
-  equality on the (s, s) words, and d(C) = d(B0).  tau is multiplication
-  by the unit x^n, so C^perp is the code of h* and B0' = <h*/gcd(h*,
-  x^n + 1)> <= B0 plays B0's part for it: d(C^perp) = d(B0').  Write
-  B0 - B0' for the set difference.  The words (s, s), s in B0 - B0', lie in
-  C - C^perp.  Any other word v of C - C^perp has s = 0, so v = (a, a)
-  with a in B0 - B0', or s != 0 in A <= B0, and then s lies in B0 - B0'
-  or in A cap B0'; hence
+- p = 2 sweeps: tau is multiplication by the unit x^n, so C^perp's mirror
+  is <h*> itself.  The side whose mirror is <f> has the basis f, x f, ...,
+  x^(d-1) f, d = 2n - deg f, and none of these wraps; as f(0) != 0, the
+  last d - 1 span its words that vanish at mirror position 0.  Coordinate
+  0 is zero where positions 0 and n both are, and x^j f has f_(n-j) at
+  position n: the first row nonzero there is the pivot and leaves, and
+  every other such row gains a GF(q) multiple of it, its scale read off
+  f's logs (_mirror_short_rows).  Contraction is GF(q)-linear, so this
+  runs on the contracted GF(q^2) rows; e = 2, or e = 1 where no row is
+  nonzero at n (f = x^n + 1, say).
+- p = 2 stabilizer codes: x^(2n) - 1 = (x^n + 1)^2.  Write v = a + x^n b
+  in D and s = a + b = v mod (x^n + 1), which lies in A = <g+>,
+  g+ = gcd(g, x^n + 1).  v (1 + x^n) is the word (s, s), and (s, s) lies
+  in D exactly when s lies in B0 = <g1>, g1 = g / g+, the largest cyclic
+  subcode; A <= B0, as g+ has each factor at least as often as g1.  So
+  wt(v) >= wt(s), with equality on the (s, s) words, and d(C) = d(B0).
+  C^perp's mirror is <h*>, so B0' = <h*/gcd(h*, x^n + 1)> <= B0 plays
+  B0's part for it: d(C^perp) = d(B0').  Write B0 - B0' for the set
+  difference.  The words (s, s), s in B0 - B0', lie in C - C^perp.  Any
+  other word v of C - C^perp has s = 0, so v = (a, a) with a in B0 - B0',
+  or s != 0 in A <= B0, and then s lies in B0 - B0' or in A cap B0';
+  hence
   min(d(B0 - B0'), d(A cap B0')) <= d_Q <= d(B0 - B0'),
   with d(B0 - B0') = min{w : A_w(B0) > A_w(B0')} from two length-n
   distributions.  Where d(A cap B0') >= d(B0 - B0'), d_Q is exact; that
@@ -113,7 +124,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conju import is_alternating_dual_containing, trace_pair
+from .conju import is_alternating_dual_containing, mirror_rows
 from .cyclic import shift_iterates
 from .errors import BudgetExceededError, NotDualContainingError
 
@@ -185,32 +196,6 @@ class StabilizerParams:
         }
 
 
-def _shorten(tower, rows):
-    """A GF(q)-basis of the words of the rows' span that vanish at 0.
-
-    Each trace-pair component of coordinate 0 is eliminated in turn over
-    GF(q): the first row with a nonzero component is the pivot and leaves,
-    and every other row with a nonzero component becomes row - c pivot,
-    c in GF(q), which clears it (each distinct -c pivot is formed once).
-    trace_pair is a GF(q)-linear bijection, so the heads are read off the
-    rows each time, and both vanish exactly when coordinate 0 does.
-    Returns the r - e remaining rows; e is the number of pivots.
-    """
-    rows = list(rows)
-    for t in (0, 1):
-        heads = [trace_pair(tower, row[0])[t] for row in rows]
-        i = next((j for j, h in enumerate(heads) if h), None)
-        if i is None:
-            continue
-        pivot, h = rows.pop(i), heads.pop(i)
-        scales = [tower.neg(tower.div(g, h)) for g in heads]  # -c
-        logs, cs = tower.logs(pivot), set(scales) - {0}
-        times = {c: tower.codes(logs, lc) for c, lc in zip(cs, tower.logs(cs))}
-        rows = [tower.add_rows(row, times[c]) if c else row for row, c in zip(rows, scales)]
-    assert not any(row[0] for row in rows), "coordinate 0 not cleared"
-    return rows
-
-
 def _lift(short_counts, n, size):
     """A side's histogram from that of its words with c_0 = 0, by
     A_w (n - w) = n S_w as in the module docstring; the side has size
@@ -225,20 +210,6 @@ def _lift(short_counts, n, size):
     return counts
 
 
-def _side_counts(tower, rows, n, workers):
-    """Exact Hamming weight histogram over the GF(q)-span of a side's rows.
-
-    The side must be closed under T or T-, as both sides are.  Shortens
-    the rows to the words with c_0 = 0 before anything is packed, sweeps
-    that shortened side and lifts its histogram.
-    """
-    from . import packed  # numpy loads with the first sweep
-    short = _shorten(tower, rows)
-    # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
-    assert not rows or len(short) < len(rows), "a nonzero side vanishes at coordinate 0"
-    return _lift(packed._sweep(tower, [short], n, workers), n, tower.q ** len(rows))
-
-
 def _short_rows(tower, n, f, shift=0):
     """The words with c_0 = 0 of the length-n code <f>, f | x^n - lambda,
     lambda = +-1: the shifts x f, ..., x^(d - 1) f of its d = n - deg f
@@ -251,15 +222,37 @@ def _short_rows(tower, n, f, shift=0):
     return shift_iterates(tuple(row), n - len(f) + 1)[1:]
 
 
-def _split_counts(tower, n, f, workers):
-    """Hamming weight histogram of the odd-p side whose mirror generator
-    is f, g for C or h* for C^perp, by the product sweep of the module
-    docstring: <gcd(f, x^n - 1)> in GF(q) and <gcd(f, x^n + 1)> in
+def _mirror_short_rows(tower, n, f):
+    """p = 2: the words with c_0 = 0 of the side whose mirror is <f>, as
+    GF(q^2) rows: the contracted shifts x f, ..., x^(d - 1) f with the
+    first one nonzero at mirror position n as the pivot, which leaves, as
+    the module docstring says.  f is a reduced log list of tower.zech.
+    """
+    q, d = tower.q, 2 * n + 1 - len(f)
+    rows = mirror_rows(tower, n, f)[1:]
+    heads = [f[n - j] if 0 <= n - j < len(f) else -1 for j in range(1, d)]
+    i = next((j for j, h in enumerate(heads) if h >= 0), None)
+    if i is None:
+        return rows
+    pivot, lp = tower.logs(rows.pop(i)), heads.pop(i)
+    scales = [(h - lp) % (q - 1) if h >= 0 else -1 for h in heads]
+    times = {s: tower.codes(pivot, s * (q + 1)) for s in set(scales) - {-1}}
+    return [tower.add_rows(row, times[s]) if s >= 0 else row for row, s in zip(rows, scales)]
+
+
+def _mirror_counts(tower, n, f, workers):
+    """Hamming weight histogram of the side whose mirror generator is f,
+    g for C or h* for C^perp, from its words with c_0 = 0 and the lift:
+    for p = 2 the side's own shortened rows (_mirror_short_rows), for odd
+    p the product of <gcd(f, x^n - 1)> in GF(q) and <gcd(f, x^n + 1)> in
     beta GF(q), each shortened by _short_rows."""
     from . import packed  # numpy loads with the first sweep
-    z = tower.zech
-    parts = [z.gcd(f, z.binomial(n, c)) for c in (z.minus_one, 0)]
-    factors = [_short_rows(tower, n, part, shift) for shift, part in enumerate(parts)]
+    if tower.p == 2:
+        factors = [_mirror_short_rows(tower, n, f)]
+    else:
+        z = tower.zech
+        parts = [z.gcd(f, z.binomial(n, c)) for c in (z.minus_one, 0)]
+        factors = [_short_rows(tower, n, part, shift) for shift, part in enumerate(parts)]
     return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
 
 
@@ -294,12 +287,8 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
             f"its alternating dual) exceed the budget of {budget}"
         )
     dual = dual_k < k
-    if tower.p != 2:
-        f = code.cyclic.h_star_logs if dual else code.cyclic.g_logs
-        counts = _split_counts(tower, n, f, workers)
-    else:
-        rows = code.alternating_dual_matrix() if dual else code.gen_matrix
-        counts = _side_counts(tower, rows, n, workers)
+    f = code.cyclic.h_star_logs if dual else code.cyclic.g_logs
+    counts = _mirror_counts(tower, n, f, workers)
     if dual:
         a, b = _macwilliams(counts, q ** dual_k, tower.q2), counts
     else:

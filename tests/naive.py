@@ -65,6 +65,49 @@ def span_counts(tower, rows, n, workers):
     return packed._sweep(tower, [rows], n, workers)
 
 
+def shorten(tower, rows):
+    """A GF(q)-basis of the words of the rows' span that vanish at 0.
+
+    Each trace-pair component of coordinate 0 is eliminated in turn over
+    GF(q): the first row with a nonzero component is the pivot and leaves,
+    and every other row with a nonzero component becomes row - c pivot,
+    c in GF(q), which clears it (each distinct -c pivot is formed once).
+    trace_pair is a GF(q)-linear bijection, so the heads are read off the
+    rows each time, and both vanish exactly when coordinate 0 does.
+    Returns the r - e remaining rows; e is the number of pivots.
+    """
+    from conjucyclic.conju import trace_pair
+
+    rows = list(rows)
+    for t in (0, 1):
+        heads = [trace_pair(tower, row[0])[t] for row in rows]
+        i = next((j for j, h in enumerate(heads) if h), None)
+        if i is None:
+            continue
+        pivot, h = rows.pop(i), heads.pop(i)
+        scales = [tower.neg(tower.div(g, h)) for g in heads]  # -c
+        logs, cs = tower.logs(pivot), set(scales) - {0}
+        times = {c: tower.codes(logs, lc) for c, lc in zip(cs, tower.logs(cs))}
+        rows = [tower.add_rows(row, times[c]) if c else row for row, c in zip(rows, scales)]
+    assert not any(row[0] for row in rows), "coordinate 0 not cleared"
+    return rows
+
+
+def side_counts(tower, rows, n, workers):
+    """Exact Hamming weight histogram over the GF(q)-span of a side's rows.
+
+    The side must be closed under T or T-, as both sides are.  Shortens
+    the rows to the words with c_0 = 0 before anything is packed, sweeps
+    that shortened side and lifts its histogram.
+    """
+    from conjucyclic import packed, weights
+
+    short = shorten(tower, rows)
+    # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
+    assert not rows or len(short) < len(rows), "a nonzero side vanishes at coordinate 0"
+    return weights._lift(packed._sweep(tower, [short], n, workers), n, tower.q ** len(rows))
+
+
 def stabilizer_params_exhaustive(code, budget=1 << 28, workers=1):
     """(d, d_lower, pure, k_logical) of a dual-containing code by the route
     that sweeps the smaller of the whole code and its alternating dual.

@@ -40,6 +40,11 @@ WEIGHTS_DIGEST = "c8646eb0233d24d1084af27ed28dffd825cfd390763ada84236b515a2970e8
 WEIGHTS_ODD_FAMILIES = ((3, 7), (5, 6), (7, 4), (9, 4))
 WEIGHTS_ODD_DIGEST = "2b5e9abaa34ac58058981b9fb366e1e0477cbbbb32b62019d17a5ef4e583b24b"
 
+# the same for `weights` alone over larger p = 2 families, whose sides are
+# swept from the shifts of the mirror generator with one pivot at position n
+WEIGHTS_EVEN_FAMILIES = ((2, 9), (2, 15), (4, 5), (4, 7), (16, 5))
+WEIGHTS_EVEN_DIGEST = "38b0cfe4a967e4f156c35c0602bf15e4e7332a6b6bccf77cc9a5d08b2afb514f"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -317,10 +322,12 @@ def test_weights_and_quantum_output_bytes_are_pinned(capsys):
     assert digest.hexdigest() == WEIGHTS_DIGEST
 
 
-def test_odd_p_weights_output_bytes_are_pinned(capsys):
+def weights_digest(capsys, families):
+    """(runs, sha256) over the exit code and JSON stdout, elapsedMs removed,
+    of `weights` on every --exps divisor of the families."""
     digest = hashlib.sha256()
     runs = 0
-    for q, n in WEIGHTS_ODD_FAMILIES:
+    for q, n in families:
         fac = factor_x2n_minus_1(tower_for_q(q), n)
         for exps, _ in enumerate_divisors(fac):
             flag = ",".join(str(e) for e in exps)
@@ -334,8 +341,19 @@ def test_odd_p_weights_output_bytes_are_pinned(capsys):
                 del blob["elapsedMs"]
                 digest.update(json.dumps(blob, sort_keys=True).encode())
             runs += 1
+    return runs, digest.hexdigest()
+
+
+def test_odd_p_weights_output_bytes_are_pinned(capsys):
+    runs, digest = weights_digest(capsys, WEIGHTS_ODD_FAMILIES)
     assert runs == 560
-    assert digest.hexdigest() == WEIGHTS_ODD_DIGEST
+    assert digest == WEIGHTS_ODD_DIGEST
+
+
+def test_p2_weights_output_bytes_are_pinned(capsys):
+    runs, digest = weights_digest(capsys, WEIGHTS_EVEN_FAMILIES)
+    assert runs == 567
+    assert digest == WEIGHTS_EVEN_DIGEST
 
 
 def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_path):

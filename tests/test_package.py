@@ -21,6 +21,8 @@ RETIRED = (
     (cyclic.CyclicCode, "generator_matrix"),
     (conju, "trace_pair_inv"),
     (weights, "min_weight"),
+    (weights, "_shorten"),
+    (weights, "_side_counts"),
     (errors, "ZeroCodeError"),
 )
 

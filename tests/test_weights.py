@@ -277,10 +277,10 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
             if not rows:
                 continue
             swept.clear()
-            lifted = weights._side_counts(tower, rows, n, 1)
+            lifted = naive.side_counts(tower, rows, n, 1)
             e = len(rows) - swept[0]
             assert lifted == naive.span_counts(tower, rows, n, 1)
-            short = weights._shorten(tower, rows)
+            short = naive.shorten(tower, rows)
             words = naive.span(tower, rows, n)
             assert naive.span(tower, short, n) == {w for w in words if w[0] == 0}
             assert len(short) == len(rows) - e and e in (1, 2)
@@ -293,7 +293,7 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
 def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
     # for odd p the enumerated side is swept as <gcd(f, x^n - 1)> x
     # <gcd(f, x^n + 1)>, f = g or h*; against the GF(q^2)-row route
-    # (_side_counts on gen_matrix or alternating_dual_matrix), and against
+    # (naive.side_counts on gen_matrix or alternating_dual_matrix), and against
     # naive spans on small sides, on the first 80 divisors of each (q, n)
     # whose smaller side has at most 2^16 words; each code also runs at 2
     # workers with blocks small enough to start a pool; the kernel's visits
@@ -318,7 +318,7 @@ def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
                     continue
                 side = "dual" if 2 * n - k < k else "code"
                 rows = code.alternating_dual_matrix() if side == "dual" else code.gen_matrix
-                expected = weights._side_counts(tower, rows, n, 1)
+                expected = naive.side_counts(tower, rows, n, 1)
                 if q ** len(rows) <= 3 ** 5:
                     words = naive.span(tower, rows, n)
                     assert expected == naive.weight_histogram(words, n, naive.hamming_weight)
@@ -338,6 +338,50 @@ def test_odd_p_product_sweep_matches_the_gf_q2_route(monkeypatch):
     assert {"code", "dual", ("p | n", True), ("n", 1), ("b", 1), ("empty", True)} <= seen
     assert {("whole", True), ("split", True)} <= seen
     assert (checked, naive_checked) == (2288, 896)
+
+
+def test_p2_mirror_sweep_matches_the_gf_q2_route(monkeypatch):
+    # for p = 2 the enumerated side is swept from the shifts x f, ...,
+    # x^(d - 1) f of its mirror generator, f = g or h*, after one pivot at
+    # mirror position n; against the GF(q^2)-row route (naive.side_counts on
+    # gen_matrix or alternating_dual_matrix) on the first 300 divisors of
+    # each (q, n) whose smaller side has at most 2^16 words; each code also
+    # runs at 2 workers with blocks small enough to start a pool.  e = 1
+    # where no shifted row is nonzero at position n (f = x^n + 1, say)
+    sweep, swept = packed._sweep, []
+
+    def recording(tower, factors, n, workers):
+        swept.append(sum(map(len, factors)))
+        return sweep(tower, factors, n, workers)
+
+    monkeypatch.setattr(packed, "_sweep", recording)
+    default = packed._CHUNK_WORDS
+    seen, es, checked = set(), [], 0
+    for q in (2, 4, 8, 16):
+        tower = tower_for_q(q)
+        for n in range(1, 16 if q <= 4 else 9):
+            fac = factor_x2n_minus_1(tower, n)
+            for _, g in itertools.islice(enumerate_divisors(fac), 300):
+                code = ConjucyclicCode(tower, n, g)
+                k = code.card_log_q
+                if q ** min(k, 2 * n - k) > 1 << 16:
+                    continue
+                side = "dual" if 2 * n - k < k else "code"
+                rows = code.alternating_dual_matrix() if side == "dual" else code.gen_matrix
+                expected = naive.side_counts(tower, rows, n, 1)
+                for chunk, grid in ((default, (1, 2, 10 ** 6)), (1 << 8, (2,))):
+                    monkeypatch.setattr(packed, "_CHUNK_WORDS", chunk)
+                    for workers in grid:
+                        swept.clear()
+                        dist = weight_distribution(code, workers=workers)
+                        assert (dist.dual_counts if side == "dual" else dist.counts) == expected
+                if rows:
+                    es.append(len(rows) - swept[0])
+                seen |= {side, ("n", n), ("zero", k == 0), ("full", k == 2 * n)}
+                checked += 1
+    assert {"code", "dual", ("n", 1), ("zero", True), ("full", True)} <= seen
+    assert set(es) == {1, 2} and es.count(1) == 911
+    assert checked == 2120
 
 
 def test_budget_enforcement(ternary_code):
