@@ -33,6 +33,7 @@ contraction scales them into GF(q^2) codes with FieldTower.codes.
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 from . import linalg
@@ -224,7 +225,12 @@ class ConjucyclicCode:
         self.cyclic = CyclicCode(tower, n, g)
         self.g = self.cyclic.g
         self.card_log_q = self.cyclic.dim
-        self.gen_matrix = mirror_rows(tower, n, self.cyclic.g_logs)
+
+    @functools.cached_property
+    def gen_matrix(self) -> list:
+        """Built on first use (see the class docstring): weight enumeration,
+        dual containment and the stabilizer parameters never read it."""
+        return mirror_rows(self.tower, self.n, self.cyclic.g_logs)
 
     @property
     def k(self) -> int:

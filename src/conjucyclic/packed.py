@@ -4,6 +4,7 @@ which packs rows that weights has already shortened and counts."""
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,6 +45,18 @@ def packed_add(p: int, c: int, fields: int):
         out -= tmp
 
     return add
+
+
+def packed_neg(p: int, c: int, fields: int, words):
+    """Digitwise -v mod p of words of `fields` c-bit digits, canonical as
+    packed_add leaves them: p - d in every field, then adding the zero word
+    takes each p back to 0.  For p = 2 negation is the identity."""
+    if p == 2:
+        return words
+    ones = sum(1 << (i * c) for i in range(fields))
+    out = np.uint64(p * ones) - words
+    packed_add(p, c, fields)(out, np.uint64(0), out, np.empty_like(out))
+    return out
 
 
 def packed_span(add, multiples, nw):
@@ -116,13 +129,17 @@ def _layout(p, d):
 
 def _pack(tower, rows, n):
     """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as weights says."""
-    c, width, per = _layout(tower.p, tower.ext_degree)
+    p = tower.p
+    c, width, per = _layout(p, tower.ext_degree)
     nw = -(-n // per)
-    codes = np.zeros((len(rows), nw * per), dtype=np.uint64)
-    codes[:, :n] = np.reshape(rows, (-1, n))
-    coords = np.zeros_like(codes)
-    for k in range(tower.ext_degree):  # base-p digit k to bit k * c
-        coords |= codes // tower.p ** k % tower.p << np.uint64(k * c)
+    codes = np.fromiter(itertools.chain.from_iterable(rows), np.uint64).reshape(-1, n)
+    if nw * per > n:
+        codes = np.concatenate([codes, np.zeros((len(rows), nw * per - n), np.uint64)], axis=1)
+    coords = codes  # for p = 2 (c = 1) a code's bits are its packed digits
+    if p > 2:
+        coords = np.zeros_like(codes)
+        for k in range(tower.ext_degree):  # base-p digit k to bit k * c
+            coords |= codes // p ** k % p << np.uint64(k * c)
     shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
     words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
     return np.ascontiguousarray(words.T)
@@ -148,14 +165,18 @@ def _block(outer_words, inner, words):
     return max(1, min(outer_words, words // inner.size))
 
 
-def _histogram(outer, inner, ones, kernel, n):
-    """Weight histograms of every outer-word + inner-word sum: row 0 over
+def _histogram(outer, inner, ones, marks, n):
+    """Weight histograms of every sum outer word - inner word: row 0 over
     the inner columns before `ones`, row 1 over the rest.
 
-    kernel is the packed addition and the nonzero-coordinate masks.  The
-    longer of an outer block and the inner words runs innermost.
+    A coordinate of the difference is zero exactly where the two words'
+    canonical digits agree, so its weight is that of outer XOR inner: one
+    mark bit per nonzero coordinate, found with the masks in
+    marks = (low, top, width) of `width`-bit coordinates.  A sum of at most
+    `width` words folds its marks into one word for a single popcount.
+    The longer of an outer block and the inner words runs innermost.
     """
-    add, low, top = kernel
+    low, top, width = marks
     counts = np.zeros(2 * (n + 1), dtype=np.int64)
     words = min(_CHUNK_WORDS, max(_BLOCK_WORDS, outer.shape[1] * inner.size // _STEPS))
     step, cols = _block(outer.shape[1], inner, words), inner.shape[1]
@@ -171,13 +192,20 @@ def _histogram(outer, inner, ones, kernel, n):
         u, v = (inner, block) if flip else (block, inner)
         m, k = u.shape[1], v.shape[1]
         xs, ys, ws = x[:, :m, :k], y[:, :m, :k], weights[:m, :k]
-        add(u[:, :, None], v[:, None, :], xs, ys)
+        np.bitwise_xor(u[:, :, None], v[:, None, :], out=xs)
         # mark the top bit of each coordinate iff any of its bits is set
         np.bitwise_and(xs, low, out=ys)
         ys += low
         ys |= xs
         ys &= top
-        np.sum(np.bitwise_count(ys), axis=0, out=ws)
+        if len(ys) <= width:
+            # word j's marks, shifted j bits down, land on clear bits of word 0
+            for j in range(1, len(ys)):
+                ys[j] >>= np.uint64(j)
+                ys[0] |= ys[j]
+            np.bitwise_count(ys[0], out=ws)
+        else:
+            np.sum(np.bitwise_count(ys), axis=0, out=ws)
         if ones < cols:
             ws += later
         counts += np.bincount(ws.ravel(), minlength=2 * (n + 1))
@@ -207,7 +235,9 @@ def _sweep(tower, factors, n, workers):
     columns hold the zero y and count once, the rest q - 1 times.  Z takes
     the zero word as the outer word, and A = (q - 1) H + Z as in the
     weights docstring.  i = (a - b) // 2 balances the outer and inner
-    words; Y = 0 splits X in halves.
+    words; Y = 0 splits X in halves.  The inner words are negated once
+    (packed_neg), so _histogram finds the zero coordinates of each sum by
+    one XOR.
     No more threads start than the histogram has whole blocks of
     _CHUNK_WORDS sums, so a sweep of less than two starts no pool.
     """
@@ -219,9 +249,9 @@ def _sweep(tower, factors, n, workers):
     multiples = _multiples(tower, big + small, n)
     nw = len(multiples)
     c, width, per = _layout(tower.p, tower.ext_degree)
-    add = packed_add(tower.p, c, per * tower.ext_degree)
+    fields = per * tower.ext_degree
+    add = packed_add(tower.p, c, fields)
     top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
-    kernel = add, ~top, top  # packed addition and the nonzero-coordinate masks
     cols = [multiples[:, j] for j in range(a + b)]
 
     def representatives(picks):
@@ -241,11 +271,11 @@ def _sweep(tower, factors, n, workers):
     i = (a - b) // 2
     zero = np.zeros((nw, 1), dtype=np.uint64)
     ys = [np.concatenate([zero, representatives(cols[a:])], axis=1)] if b else []
-    inner = packed_span(add, ys + cols[:i], nw)
+    inner = packed_neg(tower.p, c, fields, packed_span(add, ys + cols[:i], nw))
     outer = representatives(cols[i:a])
     blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
-    args = inner, q ** i, kernel, n
+    args = inner, q ** i, (~top, top, width), n
     if workers == 1:
         total = _histogram(outer, *args)
     else:

@@ -7,9 +7,11 @@ to the symplectic form and Hamming weight over GF(q^2) to symplectic
 weight, so with Q = q^2 the MacWilliams identity
 W_C(x, y) = |C^perp|^-1 W_{C^perp}(x + (Q - 1) y, x - y) holds exactly.
 Only the strictly smaller side is enumerated (C itself on a tie k = n);
-the other side's histogram is expanded from it in Python integers, and
-every division by the enumerated side's size is asserted exact.  The
-budget caps the enumerated side: q^min(k, 2n - k) words.
+the other side's histogram is expanded from it in one Python integer, the
+expansion evaluated at y = 2^w with every coefficient one base-2^w digit
+(_macwilliams), and every division by the enumerated side's size is
+asserted exact.  The budget caps the enumerated side: q^min(k, 2n - k)
+words.
 
 Both sides are closed under a shift that moves the coordinates cyclically:
 C under T and C^perp under T- (conju).  Each shift maps every entry
@@ -35,9 +37,12 @@ GF(q)-projective point, and the sweep visits about one word per class.  A
 word is packed into uint64 words: each base-p digit takes a c-bit field
 and adds as in packed.packed_add, a coordinate takes 2m*c contiguous bits,
 and 64 // (2m*c) whole coordinates share a word (at most 42 bits under the
-2^24 table cap, so none straddles two words).  A coordinate is zero
-exactly when its bits are, so the weight is the popcount of one mark bit
-per nonzero coordinate; no table lookups run inside the hot loop.
+2^24 table cap, so none straddles two words).  Digits are kept canonical,
+so a coordinate of a sum x + y is zero exactly where the bits of x and -y
+agree: the sweep negates its inner words once (packed.packed_neg, the
+identity for p = 2), and the hot loop forms x XOR (-y), whose weight is
+the popcount of one mark bit per nonzero coordinate; no table lookups and
+no digit additions run inside the hot loop.
 
 The kernel, in packed (numpy's one module, imported by the first sweep),
 is a blocked meet-in-the-middle sweep: the rows are split in half, and
@@ -256,17 +261,29 @@ def _mirror_counts(tower, n, f, workers):
     return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
 
 
-def _macwilliams(counts, size, q2):
+def _macwilliams(counts, size, q2, w=0):
     """The other side's histogram from one side's, which has size words.
 
-    Expands sum_i counts[i] (1 + (q2 - 1) y)^(n - i) (1 - y)^i by Horner
-    steps in y and divides each coefficient by size.
+    Evaluates sum_i counts[i] (1 + (q2 - 1) y)^(n - i) (1 - y)^i at
+    y = 2^w by Horner steps on one Python integer (Kronecker substitution).
+    w defaults to the bit length of size q2^n plus one, so that every
+    coefficient size B_j is one base-2^w digit; the digits are read off and
+    divided by size.  They must sum to the transform at y = 1,
+    counts[0] q2^n, with nothing left above them, which a coefficient too
+    wide for its digit breaks.
     """
-    total, power = [counts[0]], [1]
+    n = len(counts) - 1
+    w = w or (size * q2 ** n).bit_length() + 1
+    acc, power = counts[0], 1
     for c in counts[1:]:
-        total = [a + (q2 - 1) * b for a, b in zip(total + [0], [0] + total)]
-        power = [a - b for a, b in zip(power + [0], [0] + power)]
-        total = [t + c * v for t, v in zip(total, power)]
+        acc += acc * (q2 - 1) << w
+        power -= power << w
+        acc += c * power
+    mask, total = (1 << w) - 1, []
+    for _ in counts:
+        total.append(acc & mask)
+        acc >>= w
+    assert not acc and sum(total) == counts[0] * q2 ** n, "MacWilliams digits carried"
     assert all(t % size == 0 for t in total), "MacWilliams transform is not integral"
     return [t // size for t in total]
 

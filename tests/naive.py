@@ -126,6 +126,21 @@ def stabilizer_params_exhaustive(code, budget=1 << 28, workers=1):
     return d, dist.min_weight, pure, k - n
 
 
+def macwilliams_horner(counts, size, q2):
+    """The other side's histogram from one side's, which has size words.
+
+    Expands sum_i counts[i] (1 + (q2 - 1) y)^(n - i) (1 - y)^i by Horner
+    steps in y and divides each coefficient by size.
+    """
+    total, power = [counts[0]], [1]
+    for c in counts[1:]:
+        total = [a + (q2 - 1) * b for a, b in zip(total + [0], [0] + total)]
+        power = [a - b for a, b in zip(power + [0], [0] + power)]
+        total = [t + c * v for t, v in zip(total, power)]
+    assert all(t % size == 0 for t in total), "MacWilliams transform is not integral"
+    return [t // size for t in total]
+
+
 def neg(tower, a: int) -> int:
     """-a in GF(q^2), negating each base-p digit of the code."""
     s, mult = 0, 1

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import os
 
 import numpy as np
@@ -134,9 +135,12 @@ def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
 
 
 def test_multi_word_rows_match_naive_enumeration():
-    # every family needs two uint64 words per codeword; (256, 5) fills bit 63
-    # of the first word and (251, 4) has 9-bit digit fields
+    # every family needs two uint64 words per codeword, and (2, 65) three,
+    # more than its 2-bit coordinates can fold into one before the popcount;
+    # (256, 5) fills bit 63 of the first word and (251, 4) has 9-bit digit
+    # fields
     pairs = [(2, 33), (3, 11), (4, 17), (5, 9), (9, 6), (27, 4), (81, 3), (256, 5), (251, 4)]
+    pairs.append((2, 65))
     for q, n in pairs:
         checked = 0
         for code in naive.divisor_codes([(q, n)]):
@@ -468,6 +472,80 @@ def test_macwilliams_matches_direct_enumeration_on_goldens(ternary_code, quatern
         dist = weight_distribution(code)
         assert (dist.counts, dist.dual_counts) == direct_counts(code)
     assert weight_distribution(quaternary_code).counts == QUATERNARY_N11["weight_distribution"]
+
+
+def test_macwilliams_matches_the_horner_oracle():
+    # the evaluation at y = 2^w against the Horner expansion it replaced
+    # (naive.macwilliams_horner) on every divisor code of the small property
+    # grid: both directions over Q = q^2, and over the Euclidean Q = q on the
+    # length-n cyclic code <g1> (g1 = g / gcd(g, x^n + 1) divides x^n - 1),
+    # the transform _cyclic_counts applies, there and back
+    grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
+    pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
+    checked = 0
+    for code in naive.divisor_codes(pairs):
+        tower, n, k = code.tower, code.n, code.card_log_q
+        q, z = tower.q, tower.zech
+        dist = weight_distribution(code)
+        sides = ((dist.counts, k, dist.dual_counts), (dist.dual_counts, 2 * n - k, dist.counts))
+        for counts, dim, other in sides:
+            oracle = naive.macwilliams_horner(counts, q ** dim, tower.q2)
+            assert weights._macwilliams(counts, q ** dim, tower.q2) == oracle == other
+        g = code.cyclic.g_logs
+        g1 = z.divmod(g, z.gcd(g, z.binomial(n, 0)))[0]
+        cyclic, dim = weights._cyclic_counts(tower, n, g1, 1 << 28, 1), n + 1 - len(g1)
+        dual = weights._macwilliams(cyclic, q ** dim, q)
+        assert dual == naive.macwilliams_horner(cyclic, q ** dim, q)
+        assert weights._macwilliams(dual, q ** (n - dim), q) == cyclic
+        checked += 1
+    assert checked == 544
+
+
+def test_macwilliams_closed_forms():
+    # the zero code and the full space, C(n, j) (Q - 1)^j words of weight
+    # j, are each other's duals, up to n = 255
+    for q2 in (2, 3, 4, 9, 16):
+        for n in (*range(20), 31, 63, 64, 100, 127, 200, 254, 255):
+            full = [math.comb(n, j) * (q2 - 1) ** j for j in range(n + 1)]
+            zero = [1] + [0] * n
+            assert weights._macwilliams(zero, 1, q2) == full
+            assert weights._macwilliams(full, q2 ** n, q2) == zero
+
+
+def test_macwilliams_digits_that_carry_fail(ternary_code):
+    # every digit width that holds the coefficients 3^10 B_j gives the same
+    # answer; 2-bit digits do not hold them (B_5 = 1,980), so they carry
+    # into the next digit, and the digit sum falls short of counts[0] 9^11
+    dist = weight_distribution(ternary_code)
+    counts, size = dist.dual_counts, 3 ** 10
+    default = (size * 9 ** 11).bit_length() + 1
+    for w in (0, default, default + 1, 2 * default):
+        assert weights._macwilliams(counts, size, 9, w) == dist.counts
+    assert max(size * b for b in dist.counts) > 3
+    with pytest.raises(AssertionError, match="carried"):
+        weights._macwilliams(counts, size, 9, 2)
+
+
+def test_packed_negation_is_digitwise_and_canonical():
+    # -v mod p in every digit field, canonical (0 stays 0), for random words
+    # whose last coordinate is zero padding in half of them; no bit above
+    # the fields is ever set
+    rng = np.random.default_rng(29)
+    for p in (3, 5, 7, 11, 13):
+        for d in (1, 2, 4, 6):
+            c, _, per = packed._layout(p, d)
+            fields = per * d
+            digits = rng.integers(0, p, size=(200, fields))
+            digits[::2, -d:] = 0
+            words = [sum(int(v) << (i * c) for i, v in enumerate(row)) for row in digits]
+            negated = packed.packed_neg(p, c, fields, np.array(words, dtype=np.uint64))
+            for row, word in zip(digits, negated.tolist()):
+                assert [word >> (i * c) & ((1 << c) - 1) for i in range(fields)] == [
+                    (p - int(v)) % p for v in row
+                ]
+                assert word >> (fields * c) == 0
+    words = np.array([5, 6], dtype=np.uint64)
+    assert packed.packed_neg(2, 1, 64, words) is words
 
 
 def test_impure_witnesses():
