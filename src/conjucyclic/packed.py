@@ -47,15 +47,15 @@ def packed_add(p: int, c: int, fields: int):
     return add
 
 
-def packed_neg(p: int, c: int, fields: int, words):
+def packed_neg(add, p: int, c: int, fields: int, words):
     """Digitwise -v mod p of words of `fields` c-bit digits, canonical as
-    packed_add leaves them: p - d in every field, then adding the zero word
-    takes each p back to 0.  For p = 2 negation is the identity."""
+    add = packed_add(p, c, fields) leaves them: p - d in every field, then
+    adding the zero word takes each p back to 0.  For p = 2 negation is the
+    identity."""
     if p == 2:
         return words
-    ones = sum(1 << (i * c) for i in range(fields))
-    out = np.uint64(p * ones) - words
-    packed_add(p, c, fields)(out, np.uint64(0), out, np.empty_like(out))
+    out = np.uint64(p * sum(1 << (i * c) for i in range(fields))) - words
+    add(out, np.uint64(0), out, np.empty_like(out))
     return out
 
 
@@ -171,12 +171,10 @@ def _histogram(outer, inner, ones, marks, n):
 
     A coordinate of the difference is zero exactly where the two words'
     canonical digits agree, so its weight is that of outer XOR inner: one
-    mark bit per nonzero coordinate, found with the masks in
-    marks = (low, top, width) of `width`-bit coordinates.  A sum of at most
-    `width` words folds its marks into one word for a single popcount.
+    mark bit per nonzero coordinate, found with the masks marks = (low, top).
     The longer of an outer block and the inner words runs innermost.
     """
-    low, top, width = marks
+    low, top = marks
     counts = np.zeros(2 * (n + 1), dtype=np.int64)
     words = min(_CHUNK_WORDS, max(_BLOCK_WORDS, outer.shape[1] * inner.size // _STEPS))
     step, cols = _block(outer.shape[1], inner, words), inner.shape[1]
@@ -198,11 +196,7 @@ def _histogram(outer, inner, ones, marks, n):
         ys += low
         ys |= xs
         ys &= top
-        if len(ys) <= width:
-            # word j's marks, shifted j bits down, land on clear bits of word 0
-            for j in range(1, len(ys)):
-                ys[j] >>= np.uint64(j)
-                ys[0] |= ys[j]
+        if len(ys) == 1:
             np.bitwise_count(ys[0], out=ws)
         else:
             np.sum(np.bitwise_count(ys), axis=0, out=ws)
@@ -271,11 +265,11 @@ def _sweep(tower, factors, n, workers):
     i = (a - b) // 2
     zero = np.zeros((nw, 1), dtype=np.uint64)
     ys = [np.concatenate([zero, representatives(cols[a:])], axis=1)] if b else []
-    inner = packed_neg(tower.p, c, fields, packed_span(add, ys + cols[:i], nw))
+    inner = packed_neg(add, tower.p, c, fields, packed_span(add, ys + cols[:i], nw))
     outer = representatives(cols[i:a])
     blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
-    args = inner, q ** i, (~top, top, width), n
+    args = inner, q ** i, (~top, top), n
     if workers == 1:
         total = _histogram(outer, *args)
     else:

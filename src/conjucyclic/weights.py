@@ -261,19 +261,20 @@ def _mirror_counts(tower, n, f, workers):
     return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
 
 
-def _macwilliams(counts, size, q2, w=0):
+def _macwilliams(counts, size, q2):
     """The other side's histogram from one side's, which has size words.
 
     Evaluates sum_i counts[i] (1 + (q2 - 1) y)^(n - i) (1 - y)^i at
     y = 2^w by Horner steps on one Python integer (Kronecker substitution).
-    w defaults to the bit length of size q2^n plus one, so that every
-    coefficient size B_j is one base-2^w digit; the digits are read off and
-    divided by size.  They must sum to the transform at y = 1,
-    counts[0] q2^n, with nothing left above them, which a coefficient too
-    wide for its digit breaks.
+    The coefficients size B_j are non-negative and sum to the transform at
+    y = 1, counts[0] q2^n, so w is that sum's bit length and each is one
+    base-2^w digit; the digits are read off and divided by size.  A
+    malformed histogram gives a negative coefficient, which borrows from
+    the digit above: nothing may be left above the digits, and they must
+    still sum to counts[0] q2^n.
     """
     n = len(counts) - 1
-    w = w or (size * q2 ** n).bit_length() + 1
+    w = (counts[0] * q2 ** n).bit_length()
     acc, power = counts[0], 1
     for c in counts[1:]:
         acc += acc * (q2 - 1) << w

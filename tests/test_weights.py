@@ -135,12 +135,9 @@ def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
 
 
 def test_multi_word_rows_match_naive_enumeration():
-    # every family needs two uint64 words per codeword, and (2, 65) three,
-    # more than its 2-bit coordinates can fold into one before the popcount;
-    # (256, 5) fills bit 63 of the first word and (251, 4) has 9-bit digit
-    # fields
+    # every family needs two uint64 words per codeword; (256, 5) fills bit 63
+    # of the first word and (251, 4) has 9-bit digit fields
     pairs = [(2, 33), (3, 11), (4, 17), (5, 9), (9, 6), (27, 4), (81, 3), (256, 5), (251, 4)]
-    pairs.append((2, 65))
     for q, n in pairs:
         checked = 0
         for code in naive.divisor_codes([(q, n)]):
@@ -512,18 +509,15 @@ def test_macwilliams_closed_forms():
             assert weights._macwilliams(full, q2 ** n, q2) == zero
 
 
-def test_macwilliams_digits_that_carry_fail(ternary_code):
-    # every digit width that holds the coefficients 3^10 B_j gives the same
-    # answer; 2-bit digits do not hold them (B_5 = 1,980), so they carry
-    # into the next digit, and the digit sum falls short of counts[0] 9^11
-    dist = weight_distribution(ternary_code)
-    counts, size = dist.dual_counts, 3 ** 10
-    default = (size * 9 ** 11).bit_length() + 1
-    for w in (0, default, default + 1, 2 * default):
-        assert weights._macwilliams(counts, size, 9, w) == dist.counts
-    assert max(size * b for b in dist.counts) > 3
-    with pytest.raises(AssertionError, match="carried"):
-        weights._macwilliams(counts, size, 9, 2)
+def test_macwilliams_digits_that_carry_fail():
+    # histograms of no code give negative coefficients, which borrow from
+    # the digit above.  Over Q = 4, [1, 10] gives (1 + 3 y) + 10 (1 - y) =
+    # 11 - 7 y, whose borrow runs off the top digit; [1, 0, 4] gives
+    # (1 + 3 y)^2 + 4 (1 - y)^2 = 5 - 2 y + 13 y^2, read at y = 32 as the
+    # digits 5, 30, 12, which sum to 47, not 16
+    for counts in ([1, 10], [1, 0, 4]):
+        with pytest.raises(AssertionError, match="carried"):
+            weights._macwilliams(counts, 1, 4)
 
 
 def test_packed_negation_is_digitwise_and_canonical():
@@ -538,14 +532,15 @@ def test_packed_negation_is_digitwise_and_canonical():
             digits = rng.integers(0, p, size=(200, fields))
             digits[::2, -d:] = 0
             words = [sum(int(v) << (i * c) for i, v in enumerate(row)) for row in digits]
-            negated = packed.packed_neg(p, c, fields, np.array(words, dtype=np.uint64))
+            add = packed.packed_add(p, c, fields)
+            negated = packed.packed_neg(add, p, c, fields, np.array(words, dtype=np.uint64))
             for row, word in zip(digits, negated.tolist()):
                 assert [word >> (i * c) & ((1 << c) - 1) for i in range(fields)] == [
                     (p - int(v)) % p for v in row
                 ]
                 assert word >> (fields * c) == 0
     words = np.array([5, 6], dtype=np.uint64)
-    assert packed.packed_neg(2, 1, 64, words) is words
+    assert packed.packed_neg(packed.packed_add(2, 1, 64), 2, 1, 64, words) is words
 
 
 def test_impure_witnesses():
