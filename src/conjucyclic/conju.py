@@ -23,8 +23,9 @@ symplectic form through the expansion, scaled so that
 holds identically; for characteristic 2 it coincides with the usual
 trace-Hermitian-style form.  The alternating dual is the orbit of one
 contracted row under a negated shift T-, and dual containment is decided
-here by one division, g | tau(h*) on the mirror.  The largest plain-cyclic
-subcode is the length-n cyclic code <g / gcd(g, x^n + 1)>, in closed form.
+here on the mirror's h*: g | h* for p = 2, x^n - 1 or x^n + 1 dividing h*
+for odd p.  The largest plain-cyclic subcode is the length-n cyclic code
+<g / gcd(g, x^n + 1)>, in closed form.
 
 The mirror's polynomials are Zech log lists of GF(q) from the code's
 construction on (cyclic.CyclicCode), and everything above runs on them;
@@ -146,20 +147,24 @@ def _dual_logs(code) -> list:
 
 
 def is_alternating_dual_containing(code) -> bool:
-    """Whether the alternating dual is contained in the code: g | tau(h*).
+    """Whether the alternating dual is contained in the code, decided on h*.
 
     The mirror's symplectic dual has the rows tau(x^i h*), and with sigma
     negating the upper half, tau(v) = x^n sigma(v) mod x^(2n) - 1.  For
     p = 2, sigma is the identity and every row is a ring multiple of the
-    first, r = tau(h*).  For odd p, split by CRT over the coprime x^n - 1
-    and x^n + 1, g = g- g+ and h = h- h+ with g- h- = x^n - 1: sigma swaps
-    the two components, so all rows lie in <g> exactly when g- = 1 or
-    g+ = 1, that is when g divides x^n + 1 or x^n - 1.  The one test g | r
-    forces this: if g- != 1 != g+, then g- divides r mod x^n - 1, which is
-    h+* (h-* mod g+*) up to a unit (* the monic reciprocal), so g- divides
-    h-* mod g+*, nonzero of degree below deg g+; likewise deg g+ < deg g-.
+    first, x^n h*; x^n is a unit mod g (g divides x^(2n) - 1), so the test
+    is g | h*, which needs deg g <= deg h* = 2n - deg g, so k <= n.  For
+    odd p, split by CRT over the coprime x^n - 1 and x^n + 1, g = g- g+
+    and h = h- h+ with g- h- = x^n - 1: sigma swaps the two components, so
+    all rows lie in <g> exactly when g- = 1 or g+ = 1, that is when g
+    divides x^n + 1 or x^n - 1.  As g h = x^(2n) - 1, g | x^n + 1 exactly
+    when x^n - 1 divides h, or h* (x^n - 1 is its own monic reciprocal),
+    and likewise for x^n - 1: two remainders by binomials x^n -/+ 1.
     """
-    return not code.tower.zech.divide(_dual_logs(code), code.cyclic.g_divisor)[1]
+    z, n, h = code.tower.zech, code.n, code.cyclic.h_star_logs
+    if z.p == 2:
+        return code.k <= n and not z.divide(list(h), code.cyclic.g_divisor)[1]
+    return any(not z.divide(list(h), z.divisor(z.binomial(n, c)))[1] for c in (z.minus_one, 0))
 
 
 def largest_cyclic_subcode(code):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,12 +14,14 @@ import numpy as np
 from .errors import NoPrimitivePolynomialError
 
 _CHUNK_WORDS = 1 << 16  # sums per block of work; a thread takes whole blocks
-# A histogram call takes about _STEPS steps of _BLOCK_WORDS to _CHUNK_WORDS
-# sums: small steps keep a small sweep's buffers below malloc's 128 KiB mmap
-# threshold, whose fresh pages would fault on every call, and large ones keep
-# a large sweep's per-step overhead down.
-_BLOCK_WORDS = 1 << 13
+# A histogram call takes about _STEPS steps, each marking at least
+# _BLOCK_WORDS words (odd p marks in place, p = 2 in a second buffer and
+# takes half as many) and at most _CHUNK_WORDS: small calls keep their
+# buffers small, and large ones take few steps, as every step costs a few
+# GIL handoffs and a pass over the joint histogram.
+_BLOCK_WORDS = 1 << 15
 _STEPS = 16
+_scratch = threading.local()  # each thread's buffers, kept across calls
 
 
 def packed_add(p: int, c: int, fields: int):
@@ -165,45 +168,88 @@ def _block(outer_words, inner, words):
     return max(1, min(outer_words, words // inner.size))
 
 
-def _histogram(outer, inner, ones, marks, n):
-    """Weight histograms of every sum outer word - inner word: row 0 over
-    the inner columns before `ones`, row 1 over the rest.
+def _histogram(outer, inner, ones, top, n, odd, zero):
+    """Weight histograms of every sum outer word - inner word, (H, Z): row
+    0 over the inner columns before `ones` and, if any are left, row 1 over
+    the rest; Z counts outer column 0 alone when `zero` is set, else None.
 
     A coordinate of the difference is zero exactly where the two words'
-    canonical digits agree, so its weight is that of outer XOR inner: one
-    mark bit per nonzero coordinate, found with the masks marks = (low, top).
-    The longer of an outer block and the inner words runs innermost.
+    canonical digits agree, so its weight is that of x = outer XOR inner:
+    one mark bit per nonzero coordinate in the masks top and low = ~top.
+    For odd p a coordinate's top bit is its top digit's carry bit, 0 in
+    canonical words and in x, so x <= low fieldwise and (x + low) & top
+    marks it; for p = 2 every bit is a digit, and ((x & low) + low | x) &
+    top marks it.  The longer of an outer block and the inner words runs
+    innermost.  Each thread keeps its scratch buffers across calls.  A
+    weight in row 1 is stored plus n + 1; where that fits in a byte (at
+    most 256 bins: 2n + 1 <= 255 with row 1, n <= 255 without), weights
+    are written as bytes and np.bincount reads them as uint16 pairs, at
+    lo + 256 hi, half as many elements; the joint histogram is folded into
+    both marginals once at the end (a padding byte of 0 evens an odd block
+    and is taken off again).  Else the weights are counted as intp.
     """
-    low, top = marks
-    counts = np.zeros(2 * (n + 1), dtype=np.int64)
-    words = min(_CHUNK_WORDS, max(_BLOCK_WORDS, outer.shape[1] * inner.size // _STEPS))
-    step, cols = _block(outer.shape[1], inner, words), inner.shape[1]
-    later = (np.arange(cols) >= ones) * (n + 1)
+    nw, cols = inner.shape
+    rows = 2 if ones < cols else 1
+    bins = rows * (n + 1)
+    paired = bins <= 256
+    words = max(_BLOCK_WORDS if odd else _BLOCK_WORDS // 2, outer.shape[1] * inner.size // _STEPS)
+    step = _block(outer.shape[1], inner, min(_CHUNK_WORDS, words))
     flip = step > cols
-    shape = (len(inner),) + ((cols, step) if flip else (step, cols))
-    x, y = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-    weights = np.empty(shape[1:], dtype=np.intp)
-    if flip:
-        later = later[:, None]
+    size = nw * step * cols
+    need = 2 * size + (step * cols + 8) // (8 if paired else 1)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None:  # one size, so a thread's buffer is never freed and remade
+        buf = _scratch.buf = np.empty(3 * _BLOCK_WORDS + 8, dtype=np.uint64)
+    if len(buf) < need:
+        buf = np.empty(need, dtype=np.uint64)
+    x, y = buf[:size], buf[size : 2 * size]
+    wbuf = buf[2 * size :].view(np.uint8 if paired else np.intp)
+    if rows == 2:
+        later = np.zeros((cols, 1) if flip else cols, dtype=wbuf.dtype)
+        later[ones:] = n + 1
+    low, z, pad = ~top, None, 0
     for lo in range(0, outer.shape[1], step):
         block = outer[:, lo : lo + step]
         u, v = (inner, block) if flip else (block, inner)
         m, k = u.shape[1], v.shape[1]
-        xs, ys, ws = x[:, :m, :k], y[:, :m, :k], weights[:m, :k]
+        xs = x[: nw * m * k].reshape(nw, m, k)
         np.bitwise_xor(u[:, :, None], v[:, None, :], out=xs)
-        # mark the top bit of each coordinate iff any of its bits is set
-        np.bitwise_and(xs, low, out=ys)
-        ys += low
-        ys |= xs
-        ys &= top
-        if len(ys) == 1:
-            np.bitwise_count(ys[0], out=ws)
+        if odd:
+            xs += low
+            xs &= top
+            marks, free = xs, y
         else:
-            np.sum(np.bitwise_count(ys), axis=0, out=ws)
-        if ones < cols:
+            marks, free = y[: nw * m * k].reshape(nw, m, k), x
+            np.bitwise_and(xs, low, out=marks)
+            marks += low
+            marks |= xs
+            marks &= top
+        ws = wbuf[: m * k].reshape(m, k)
+        if nw == 1:
+            np.bitwise_count(marks[0], out=ws)
+        else:
+            bits = free.view(np.uint8)[: nw * m * k].reshape(nw, m, k)
+            np.bitwise_count(marks, out=bits)
+            np.sum(bits, axis=0, dtype=ws.dtype, out=ws)
+        if rows == 2:
             ws += later
-        counts += np.bincount(ws.ravel(), minlength=2 * (n + 1))
-    return counts.reshape(2, n + 1)
+        if zero and lo == 0:
+            z = np.bincount(ws[:, 0] if flip else ws[0], minlength=bins)
+        if paired:
+            if m * k % 2:
+                wbuf[m * k], pad = 0, pad + 1
+            c = np.bincount(wbuf[: m * k + m * k % 2].view(np.uint16), minlength=256 * bins)
+        else:
+            c = np.bincount(ws.ravel(), minlength=bins)
+        if lo:
+            counts += c
+        else:
+            counts = c
+    if paired:
+        joint = counts.reshape(bins, 256)[:, :bins]
+        counts = joint.sum(axis=0) + joint.sum(axis=1)
+        counts[0] -= pad
+    return counts.reshape(rows, n + 1), None if z is None else z.reshape(rows, n + 1)
 
 
 def _cores():
@@ -226,9 +272,12 @@ def _sweep(tower, factors, n, workers):
     last a - i rows, the messages whose first nonzero digit is 1.  The
     inner words are the span of X's first i rows plus 0 or one
     representative of each projective point of Y; the first q^i inner
-    columns hold the zero y and count once, the rest q - 1 times.  Z takes
-    the zero word as the outer word, and A = (q - 1) H + Z as in the
-    weights docstring.  i = (a - b) // 2 balances the outer and inner
+    columns hold the zero y and count once, the rest q - 1 times.  Outer
+    column 0 is the zero word, so one _histogram call per thread counts H
+    over all outer words and Z over that column alone; the zero word
+    stands for itself, not for q - 1 words, so A = (q - 1) H - (q - 2) Z,
+    the weights docstring's (q - 1) H + Z with H taken over the
+    representatives only.  i = (a - b) // 2 balances the outer and inner
     words; Y = 0 splits X in halves.  The inner words are negated once
     (packed_neg), so _histogram finds the zero coordinates of each sum by
     one XOR.
@@ -249,10 +298,10 @@ def _sweep(tower, factors, n, workers):
     cols = [multiples[:, j] for j in range(a + b)]
 
     def representatives(picks):
-        # a representative leads in the first h picks, by a column [q^j, 2 q^j)
-        # of their span (packed_span's first pick varies slowest, and column 1
-        # of a multiples array is the row itself) plus any word of the rest's
-        # span, or it leads in the rest
+        # the zero word, then the representatives: one leads in the first h
+        # picks, by a column [q^j, 2 q^j) of their span (packed_span's first
+        # pick varies slowest, and column 1 of a multiples array is the row
+        # itself) plus any word of the rest's span, or it leads in the rest
         h = len(picks) - len(picks) // 2
         head, tail = packed_span(add, picks[:h], nw), packed_span(add, picks[h:], nw)
         lead = np.concatenate([head[:, q ** j : 2 * q ** j] for j in range(h)], axis=1)
@@ -260,23 +309,27 @@ def _sweep(tower, factors, n, workers):
         out, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
         add(lead[:, :, None], tail[:, None, :], out, tmp)
         rest = [tail[:, q ** j : 2 * q ** j] for j in range(len(picks) - h)]
-        return np.concatenate([out.reshape(nw, -1)] + rest, axis=1)
+        return np.concatenate([tail[:, :1], out.reshape(nw, -1)] + rest, axis=1)
 
     i = (a - b) // 2
-    zero = np.zeros((nw, 1), dtype=np.uint64)
-    ys = [np.concatenate([zero, representatives(cols[a:])], axis=1)] if b else []
+    ys = [representatives(cols[a:])] if b else []
     inner = packed_neg(add, tower.p, c, fields, packed_span(add, ys + cols[:i], nw))
     outer = representatives(cols[i:a])
     blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
-    args = inner, q ** i, (~top, top), n
+    args = inner, q ** i, top, n, tower.p > 2
     if workers == 1:
-        total = _histogram(outer, *args)
+        h, z = _histogram(outer, *args, q > 2)
     else:
         parts = np.array_split(outer, workers, axis=1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(lambda o: _histogram(o, *args), parts))
-    z = _histogram(np.zeros((len(outer), 1), dtype=np.uint64), *args)  # the zero outer word
-    counts = [int(v) for v in (q - 1) * (total[0] + (q - 1) * total[1]) + z[0] + (q - 1) * z[1]]
+            runs = pool.map(lambda j: _histogram(parts[j], *args, j == 0 and q > 2), range(workers))
+            results = list(runs)
+        h, z = sum(r[0] for r in results), results[0][1]
+    scale = (q - 1) ** np.arange(len(h))  # row 1 counts q - 1 times
+    total = (q - 1) * (scale @ h)
+    if z is not None:  # the zero outer word stands for itself, not q - 1 words
+        total -= (q - 2) * (scale @ z)
+    counts = [int(v) for v in total]
     assert sum(counts) == q ** (a + b), "histogram does not cover the span"
     return counts

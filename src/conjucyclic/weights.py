@@ -41,25 +41,31 @@ and 64 // (2m*c) whole coordinates share a word (at most 42 bits under the
 so a coordinate of a sum x + y is zero exactly where the bits of x and -y
 agree: the sweep negates its inner words once (packed.packed_neg, the
 identity for p = 2), and the hot loop forms x XOR (-y), whose weight is
-the popcount of one mark bit per nonzero coordinate; no table lookups and
-no digit additions run inside the hot loop.
+the popcount of one mark bit per nonzero coordinate.  The marks take two
+passes for odd p, where a coordinate's top bit is a digit's carry bit and
+clear in canonical words, and four for p = 2; no table lookups and no
+digit additions run inside the hot loop.
 
 The kernel, in packed (numpy's one module, imported by the first sweep),
 is a blocked meet-in-the-middle sweep: the rows are split in half, and
 the inner half's full span is built as packed words by packed.packed_span.
-The outer words are the outer half's projective representatives (the
-messages whose first nonzero digit is 1).  One histogram routine counts
-the weights of every outer-word + inner-word sum in vectorized blocks: H
-over the representatives, and Z over the zero word alone (the inner span
-itself).  A sum with an outer representative stands for its q - 1 nonzero
-multiples, so A = (q - 1) H + Z.  On the r' = r - e shortened rows the
-kernel visits (q^r'_out - 1)/(q - 1) q^r'_in + q^r'_in words, about
-q^(r - e)/(q - 1) of the enumerated side's q^r.  Work partitions across a
-thread pool, at most one thread per CPU this process may use and per whole
-block of outer words (about 2^16 sums), by slicing the outer words
-(equivalently, fixing leading message digits); numpy's bitwise ufuncs
-release the interpreter lock, and per-thread histograms merge by integer
-addition, so the result is identical for any worker count and schedule.
+The outer words are the zero word and the outer half's projective
+representatives (the messages whose first nonzero digit is 1).  One
+histogram routine counts the weights of every outer-word + inner-word sum
+in vectorized blocks, one call per thread: H over the representatives,
+and Z over the zero word alone (the inner span itself), read off the first
+block.  A sum with an outer representative stands for its q - 1 nonzero
+multiples, so A = (q - 1) H + Z.  Weights that fit in a byte are counted
+two at a time, by one np.bincount over the bytes read as uint16 pairs, and
+each thread keeps its scratch buffers across calls.  On the r' = r - e
+shortened rows the kernel visits (q^r'_out - 1)/(q - 1) q^r'_in + q^r'_in
+words, about q^(r - e)/(q - 1) of the enumerated side's q^r.  Work
+partitions across a thread pool, at most one thread per CPU this process
+may use and per whole block of outer words (about 2^16 sums), by slicing
+the outer words (equivalently, fixing leading message digits); numpy's
+bitwise ufuncs release the interpreter lock, and per-thread histograms
+merge by integer addition, so the result is identical for any worker
+count and schedule.
 
 The mirror D = <g> of length 2n splits into length-n codes, which the
 odd-p sweep and the stabilizer parameters (stabilizer_params) use.  Block

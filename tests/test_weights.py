@@ -3,6 +3,8 @@ import functools
 import itertools
 import math
 import os
+import random
+import threading
 
 import numpy as np
 import pytest
@@ -132,6 +134,54 @@ def test_worker_count_is_clamped_to_cores(ternary_code, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert weight_distribution(ternary_code, workers=10 ** 6).counts == base
     assert recorded == [2, 3]
+
+
+def test_sweeps_past_byte_weights_match_naive(monkeypatch):
+    # a weight in row 1 is stored plus n + 1, so past 256 bins, at n >= 128
+    # for a product of a GF(q) factor and a beta GF(q) one (whose inner
+    # words count in both rows) and at n >= 256 for one factor, the
+    # histogram counts intp weights, not byte pairs: p = 2 and odd p both
+    # ways, and at (3, 200) one factor's 201 bins still paired; small
+    # blocks give several steps per call, and a pool at 2 workers
+    rng = random.Random(128)
+    monkeypatch.setattr(packed, "_CHUNK_WORDS", 1 << 6)
+    monkeypatch.setattr(packed, "_BLOCK_WORDS", 1 << 8)
+    cases = ((2, 260, (8,)), (4, 130, (3, 2)), (3, 129, (4, 3)), (3, 257, (6,)), (3, 200, (5,)))
+    for q, n, dims in cases:
+        tower = tower_for_q(q)
+        beta = min(set(range(tower.q2)) - set(tower.subfield))
+        factors = [
+            [tuple(tower.mul(scale, rng.choice(tower.subfield)) for _ in range(n)) for _ in range(r)]
+            for scale, r in zip((1, beta), dims)
+        ]
+        words = naive.span(tower, [row for rows in factors for row in rows], n)
+        assert len(words) == q ** sum(dims) <= 1 << 12
+        expected = naive.weight_histogram(words, n, naive.hamming_weight)
+        for workers in (1, 2):
+            assert packed._sweep(tower, factors, n, workers) == expected
+
+
+def test_concurrent_sweeps_match_serial(ternary_code, quaternary_code, monkeypatch):
+    # each thread keeps its own scratch buffers: two user threads sweeping
+    # at once, an odd-p code of two words per sum and a p = 2 code of one,
+    # get the serial histograms; small blocks make every call take many
+    # steps, so the two threads' steps interleave
+    monkeypatch.setattr(packed, "_BLOCK_WORDS", 1 << 9)
+    codes = (ternary_code, quaternary_code)
+    serial = [weight_distribution(code) for code in codes]
+    start, results = threading.Barrier(len(codes)), [[] for _ in codes]
+
+    def sweep(j):
+        start.wait()
+        for _ in range(20):
+            results[j].append(weight_distribution(codes[j]))
+
+    threads = [threading.Thread(target=sweep, args=(j,)) for j in range(len(codes))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [[dist] * 20 for dist in serial]
 
 
 def test_multi_word_rows_match_naive_enumeration():
@@ -593,9 +643,10 @@ def test_dual_containing_matches_naive_inclusion():
 
 
 def test_dual_containing_is_one_division():
-    # the one test g | tau(h*) against g dividing every symplectic-dual row,
-    # and for odd q against g | x^n - 1 or g | x^n + 1, which does not use
-    # the half-swap; odd and even q, and p | n at (2, 6), (3, 6), (5, 5), (9, 3)
+    # the verdict on h* (g | h* for p = 2, x^n -/+ 1 | h* for odd p) against
+    # g dividing every symplectic-dual row, and for odd q against
+    # g | x^n - 1 or g | x^n + 1 by poly_mod; odd and even q, and p | n at
+    # (2, 6), (3, 6), (5, 5), (9, 3)
     grid = [(2, 6), (3, 6), (4, 3), (5, 5), (7, 2), (9, 3), (25, 2)]
     verdicts = set()
     for code in naive.divisor_codes(grid):
