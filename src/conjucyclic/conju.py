@@ -38,8 +38,8 @@ import functools
 import weakref
 
 from . import linalg
-from .cyclic import CyclicCode, shift_iterates
-from .errors import LengthMismatchError, OddLengthError, WrongCharacteristicError
+from .cyclic import CyclicCode, shift_iterates, split
+from .errors import LengthMismatchError, OddLengthError
 
 
 def _inversion_constants(tower):
@@ -171,9 +171,9 @@ def largest_cyclic_subcode(code):
     """Basis of the largest q-ary cyclic code inside a conjucyclic code.
 
     On the mirror side the subcode is the set of words (a, a) =
-    a(x)(1 + x^n) in <g>, that is the length-n cyclic code <g1> with
-    g1 = g / gcd(g, x^n + 1).  Row i of the basis is the word of <g1>
-    equal to 1 at position s + i (mod n) and 0 at the other k1 - 1
+    a(x)(1 + x^n) in <g>, the length-n cyclic code <g1>, g1 =
+    g / gcd(g, x^n + 1) from cyclic.split.  Row i of the basis is the word
+    of <g1> equal to 1 at position s + i (mod n) and 0 at the other k1 - 1
     positions of that block, where d1 = deg g1, k1 = n - d1 and
     s = (dim - k1) mod n; this is the canonical basis that elimination on
     the expanded generator rows yields.  Row i is
@@ -185,8 +185,8 @@ def largest_cyclic_subcode(code):
     coefficient c shifted out to x^d1 replaced by -c (g1 - x^d1).
     """
     tower, n, z = code.tower, code.n, code.tower.zech
-    g, q1 = code.cyclic.g_logs, z.q1
-    g1 = z.divmod(g, z.gcd(g, z.binomial(n, 0)))[0]
+    q1 = z.q1
+    g1 = split(tower, n, code.cyclic.g_logs)[0]
     d1 = len(g1) - 1
     k1 = n - d1
     s = (code.card_log_q - k1) % n
@@ -257,19 +257,6 @@ class ConjucyclicCode:
         r = _dual_logs(self)
         first = _contract_logs(self.tower, r[:n], r[n:], self.tower.q + 1)
         return shift_iterates(first, self.k, lambda x: neg(conj(x)))
-
-    def trace_dual_matrix(self):
-        """Basis of the trace dual {v : Tr(<u, v>_e) = 0 for all u in C}.
-
-        Characteristic 2 only: there the alternating form reduces to
-        Tr(sum u_i conj(v_i)) up to a nonzero scale, so conjugating every
-        entry of the alternating dual basis yields the trace dual.  For
-        q = 2 the conjugation is the coordinatewise squaring map.
-        """
-        if self.tower.p != 2:
-            raise WrongCharacteristicError("the trace dual needs characteristic 2")
-        conj = self.tower.conjugate
-        return [tuple(map(conj, row)) for row in self.alternating_dual_matrix()]
 
     def largest_cyclic_subcode(self):
         """Basis of the largest q-ary cyclic code contained in this code."""

@@ -39,6 +39,16 @@ def shift_iterates(row, count: int, twist=None) -> list:
     return [window[2 * m - i : 3 * m - i] for i in range(count)]
 
 
+def split(tower, n, f) -> tuple:
+    """(f / gcd(f, x^n + 1), gcd(f, x^n + 1)) for a log list f of tower.zech
+    dividing x^(2n) - 1: the generators of the length-n codes B0 and A for
+    p = 2 and, as x^n -/+ 1 are coprime for odd p, A- = <gcd(f, x^n - 1)>
+    and A+ (see the weights module docstring)."""
+    z = tower.zech
+    plus = z.gcd(f, z.binomial(n, 0))
+    return z.divmod(f, plus)[0], plus
+
+
 def symplectic_swap(tower, v):
     """Multiply by the block matrix [[0, I], [-I, 0]]: (-v_R, v_L).
 

@@ -67,9 +67,9 @@ bitwise ufuncs release the interpreter lock, and per-thread histograms
 merge by integer addition, so the result is identical for any worker
 count and schedule.
 
-The mirror D = <g> of length 2n splits into length-n codes, which the
-odd-p sweep and the stabilizer parameters (stabilizer_params) use.  Block
-i of D is the pair (v_i, v_(n+i)), coordinate i's two trace-pair
+The mirror D = <g> of length 2n splits into length-n codes (cyclic.split;
+_Constacyclic holds one), which the odd-p sweep and stabilizer_params use.
+Block i of D is the pair (v_i, v_(n+i)), coordinate i's two trace-pair
 components, so a GF(q)-linear bijection of GF(q)^2 applied to every block
 keeps the GF(q^2) Hamming weight.
 
@@ -84,24 +84,20 @@ keeps the GF(q^2) Hamming weight.
   - each factor scales by GF(q)* on its own, so a pair of nonzero parts
     stands for (q - 1)^2 words; the sweep visits about q^(r-2)/(q - 1)^2
     words where both factors are nonzero, against q^(r-e)/(q - 1);
-  - a factor <f'> of dimension d shortens for free: its shifts x f', ...,
-    x^(d-1) f' do not wrap, so they vanish at 0 and span its words that do
-    (_short_rows).  The product of the shortened factors is the side's
-    words with c_0 = 0 (e is the number of nonzero factors), and x times a
-    word of D, cyclic on u and negacyclic on w, is the transitive shift
-    that the lift needs.
+  - each factor shortens for free (_Constacyclic.short_rows).  The
+    product of the shortened factors is the side's words with c_0 = 0 (e
+    is the number of nonzero factors), and x times a word of D, cyclic on
+    u and negacyclic on w, is the transitive shift that the lift needs.
   The A- part's entries stay in GF(q) and the A+ part's go to beta GF(q),
   so a coordinate of a sum vanishes only where both parts do.  With a >= b
   shortened rows in the factors and P(r) = (q^r - 1)/(q - 1), the kernel
   (packed._sweep) visits (P(a - i) + 1) q^i (P(b) + 1) words,
   i = (a - b) // 2; b = 0 leaves the one-side sweep above.
 - Odd-p stabilizer codes: C^perp <= C forces A- or A+ to be all of
-  GF(q)^n (conju.is_alternating_dual_containing: g divides x^n + 1 or
-  x^n - 1).  Then C holds the n GF(q)-independent weight-1
-  words of that factor, so d_lower = 1.  If C^perp held them all, then
-  2n - dim >= n; so for dim > n one of them lies outside C^perp, and d = 1
-  for dim = n too.  Every such code is [[n, dim - n, 1]]_q, and pure, as
-  no nonzero word weighs less than 1.
+  GF(q)^n (conju.is_alternating_dual_containing), so C holds that
+  factor's n GF(q)-independent weight-1 words, and d_lower = 1.  C^perp
+  holds them all only if 2n - dim >= n, so d = 1 for dim > n, and for
+  dim = n too: every such code is [[n, dim - n, 1]]_q, and pure.
 - p = 2 sweeps: tau is multiplication by the unit x^n, so C^perp's mirror
   is <h*> itself.  The side whose mirror is <f> has the basis f, x f, ...,
   x^(d-1) f, d = 2n - deg f, and none of these wraps; as f(0) != 0, the
@@ -126,9 +122,11 @@ keeps the GF(q^2) Hamming weight.
   hence
   min(d(B0 - B0'), d(A cap B0')) <= d_Q <= d(B0 - B0'),
   with d(B0 - B0') = min{w : A_w(B0) > A_w(B0')} from two length-n
-  distributions.  Where d(A cap B0') >= d(B0 - B0'), d_Q is exact; that
-  holds whenever the code is pure, since A cap B0' <= B0'.  Where it does
-  not, d_Q comes from the exhaustive route above.
+  distributions.  Where d(A cap B0') >= d(B0 - B0'), d_Q is exact; as
+  A cap B0' <= B0', that holds when B0' has no nonzero word lighter than
+  d(B0 - B0').  Purity, d(B0') >= d_Q, does not give it: d_Q < d(B0 - B0')
+  occurs ((4, 21), exponents 0,0,1,0,0,2,2,1,0: pure [[21,5,3]]_4, but
+  d(B0 - B0') = 5).  Elsewhere d_Q comes from the exhaustive route above.
 """
 
 from __future__ import annotations
@@ -136,7 +134,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conju import is_alternating_dual_containing, mirror_rows
-from .cyclic import shift_iterates
+from .cyclic import shift_iterates, split
 from .errors import BudgetExceededError, NotDualContainingError
 
 #: Default cap on the words of the enumerated side, q^min(k, 2n - k); the
@@ -221,16 +219,59 @@ def _lift(short_counts, n, size):
     return counts
 
 
-def _short_rows(tower, n, f, shift=0):
-    """The words with c_0 = 0 of the length-n code <f>, f | x^n - lambda,
-    lambda = +-1: the shifts x f, ..., x^(d - 1) f of its d = n - deg f
-    dimensional basis, as GF(q^2) rows of the GF(q) coefficients times
-    beta^shift.  None of them wraps, so they are words whichever lambda,
-    and as f(0) != 0 a word m f, deg m < d, vanishes at 0 exactly when
-    m(0) = 0.  f is a log list of tower.zech.
-    """
-    row = (tower.codes(f, shift, tower.q + 1) + [0] * n)[:n]
-    return shift_iterates(tuple(row), n - len(f) + 1)[1:]
+def _check_budget(q, e, budget, what):
+    """Raise BudgetExceededError if q^e words to sweep, what, exceed the budget."""
+    if q ** e > budget:
+        raise BudgetExceededError(f"{q}^{e} enumerated words {what} exceed the budget of {budget}")
+
+
+class _Constacyclic:
+    """The length-n code <f> over GF(q), f a log list of tower.zech dividing
+    x^n - lambda = binomial(n, c), lambda = +-1: c is minus_one for a cyclic
+    code and 0 for a negacyclic one.  Its shift (lambda v_(n-1), v_0, ...)
+    is transitive on the coordinates and keeps the weight, as _lift needs."""
+
+    def __init__(self, tower, n, f, c):
+        self.tower, self.n, self.f, self.c = tower, n, f, c
+        self.dim = n + 1 - len(f)
+
+    def short_rows(self, shift=0):
+        """The words with c_0 = 0, as GF(q^2) rows of the GF(q) coefficients
+        times beta^shift: the shifts x f, ..., x^(dim - 1) f, which do not
+        wrap (so are words whichever lambda) and, as f(0) != 0, span the
+        words m f, deg m < dim, with m(0) = 0."""
+        row = (self.tower.codes(self.f, shift, self.tower.q + 1) + [0] * self.n)[: self.n]
+        return shift_iterates(tuple(row), self.dim)[1:]
+
+    def dual(self):
+        """The Euclidean dual <h*>, h = (x^n - lambda)/f, of the same lambda."""
+        z = self.tower.zech
+        h = z.divmod(z.binomial(self.n, self.c), self.f)[0]
+        return _Constacyclic(self.tower, self.n, z.monic(h[::-1]), self.c)
+
+    def meet(self, other):
+        """The intersection <lcm(f, f')> with the code <f'> of the same lambda."""
+        z = self.tower.zech
+        lcm = z.product(self.f, z.divmod(other.f, z.gcd(self.f, other.f))[0])
+        return _Constacyclic(self.tower, self.n, z.reduce(lcm), self.c)
+
+    def counts(self, budget, workers):
+        """Hamming weight histogram, from a sweep of the smaller of the code
+        and its dual (the code on a tie), lifted, and MacWilliams over GF(q)
+        for a dual.  The budget caps the swept side's words."""
+        q, n = self.tower.q, self.n
+        side = self.dual() if 2 * self.dim > n else self
+        _check_budget(q, side.dim, budget, f"of a length-{n} cyclic code")
+        from . import packed  # numpy loads with the first sweep
+        counts = _lift(packed._sweep(self.tower, [side.short_rows()], n, workers), n, q ** side.dim)
+        return counts if side is self else _macwilliams(counts, q ** side.dim, q)
+
+
+def _split(tower, n, f):
+    """cyclic.split's two parts as _Constacyclic codes: the cyclic A- and
+    the negacyclic A+ for odd p, B0 and A for p = 2."""
+    parts = split(tower, n, f)
+    return [_Constacyclic(tower, n, part, c) for part, c in zip(parts, (tower.zech.minus_one, 0))]
 
 
 def _mirror_short_rows(tower, n, f):
@@ -255,15 +296,12 @@ def _mirror_counts(tower, n, f, workers):
     """Hamming weight histogram of the side whose mirror generator is f,
     g for C or h* for C^perp, from its words with c_0 = 0 and the lift:
     for p = 2 the side's own shortened rows (_mirror_short_rows), for odd
-    p the product of <gcd(f, x^n - 1)> in GF(q) and <gcd(f, x^n + 1)> in
-    beta GF(q), each shortened by _short_rows."""
+    p the product of _split's A- in GF(q) and A+ in beta GF(q)."""
     from . import packed  # numpy loads with the first sweep
     if tower.p == 2:
         factors = [_mirror_short_rows(tower, n, f)]
     else:
-        z = tower.zech
-        parts = [z.gcd(f, z.binomial(n, c)) for c in (z.minus_one, 0)]
-        factors = [_short_rows(tower, n, part, shift) for shift, part in enumerate(parts)]
+        factors = [part.short_rows(shift) for shift, part in enumerate(_split(tower, n, f))]
     return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
 
 
@@ -305,11 +343,7 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     """
     tower, n, k = code.tower, code.n, code.card_log_q
     q, dual_k = tower.q, 2 * n - k
-    if q ** min(k, dual_k) > budget:
-        raise BudgetExceededError(
-            f"{q}^{min(k, dual_k)} enumerated words (the smaller of the code and "
-            f"its alternating dual) exceed the budget of {budget}"
-        )
+    _check_budget(q, min(k, dual_k), budget, "(the smaller of the code and its alternating dual)")
     dual = dual_k < k
     f = code.cyclic.h_star_logs if dual else code.cyclic.g_logs
     counts = _mirror_counts(tower, n, f, workers)
@@ -320,31 +354,6 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     assert a[0] == b[0] == 1, "A_0 or B_0 is not 1"
     assert sum(a) == q ** k and sum(b) == q ** dual_k, "histogram sizes"
     return WeightDistribution(counts=a, q=q, dim=k, dual_counts=b)
-
-
-def _cyclic_counts(tower, n, f, budget, workers):
-    """Hamming weight histogram of the length-n q-ary cyclic code <f>.
-
-    f is a log list of tower.zech dividing x^n - 1.  Sweeps the smaller of
-    <f>, of dimension n - deg f, and its Euclidean dual <h*>,
-    h = (x^n - 1)/f, of dimension deg f (<f> itself on a tie), through
-    the words with c_0 = 0 that _short_rows gives and the lift, and gets
-    <f>'s histogram from the dual's by MacWilliams over GF(q).  Raises
-    BudgetExceededError first if the swept side's words exceed the budget.
-    """
-    z, q, deg = tower.zech, tower.q, len(f) - 1
-    if deg < n - deg:
-        row, count = z.monic(z.divmod(z.binomial(n, z.minus_one), f)[0][::-1]), deg
-    else:
-        row, count = f, n - deg  # count 0: the zero code, f = x^n - 1
-    if q ** count > budget:
-        raise BudgetExceededError(
-            f"{q}^{count} enumerated words of a length-{n} cyclic code exceed "
-            f"the budget of {budget}"
-        )
-    from . import packed  # numpy loads with the first sweep
-    counts = _lift(packed._sweep(tower, [_short_rows(tower, n, row)], n, workers), n, q ** count)
-    return counts if row is f else _macwilliams(counts, q ** count, q)
 
 
 def stabilizer_params(
@@ -360,13 +369,11 @@ def stabilizer_params(
     - odd p: C^perp <= C forces A- or A+ to be all of GF(q)^n, so C holds
       n weight-1 words that C^perp cannot all hold when dim > n; the
       answer is [[n, dim - n, 1]], d_lower 1, pure, with no sweep;
-    - p = 2: d_lower = d(C) = d(B0), d = min{w : A_w(B0) > A_w(B0')} (or
-      d(B0) when dim = n), and pure when B0' has no nonzero word below d.
-      These bound d_Q from above; from below by min(d, d(A cap B0')).  An
-      impure code sweeps A cap B0' (a pure one has d(A cap B0') >= d(B0')
-      >= d already), and where a word of it is lighter than d, d comes
-      from the exhaustive route: both histograms of C and C^perp, and
-      min{w : A_w > B_w}.
+    - p = 2: d_lower = d(C) = d(B0), and d(B0 - B0') = min{w : A_w(B0) >
+      A_w(B0')} (d(B0) when dim = n) and d(A cap B0') bound d.  Where they
+      do not meet, d comes from the exhaustive route, min{w : A_w > B_w}
+      over both histograms of C and C^perp; a pure code, B0' having no
+      nonzero word lighter than d, may take it too.
 
     Every length-n sweep has at most q^(deg g) words, the smaller side that
     the exhaustive route enumerates, and is checked against the budget.
@@ -379,21 +386,16 @@ def stabilizer_params(
     assert k >= n, "dual-containing code smaller than q^n"
     if tower.p != 2:
         return StabilizerParams(n=n, k_logical=k - n, d=1, d_lower=1, q=tower.q, pure=True)
-    z, mirror = tower.zech, code.cyclic
-    plus = z.binomial(n, 0)  # x^n + 1
-    g_plus = z.gcd(mirror.g_logs, plus)
-    g1 = z.divmod(mirror.g_logs, g_plus)[0]
-    h1 = z.divmod(mirror.h_star_logs, z.gcd(mirror.h_star_logs, plus))[0]
-    b0 = _cyclic_counts(tower, n, g1, budget, workers)
-    d_lower = next(w for w in range(1, n + 1) if b0[w])
-    b1 = _cyclic_counts(tower, n, h1, budget, workers) if k > n else b0
-    d = next((w for w in range(1, n + 1) if b0[w] > b1[w]), d_lower)
-    if any(b1[1:d]):  # impure: certify d on A cap B0' = <lcm(g+, h1)>
-        meet = z.reduce(z.product(g_plus, z.divmod(h1, z.gcd(g_plus, h1))[0]))
-        if any(_cyclic_counts(tower, n, meet, budget, workers)[1:d]):
-            dist = weight_distribution(code, budget=budget, workers=workers)
-            a, b = dist.counts, dist.dual_counts
-            d = next(w for w in range(1, n + 1) if a[w] > b[w])
+    b0, a = _split(tower, n, code.cyclic.g_logs)
+    b0_perp = _split(tower, n, code.cyclic.h_star_logs)[0]  # B0', C^perp's B0
+    c0 = b0.counts(budget, workers)
+    d_lower = next(w for w in range(1, n + 1) if c0[w])
+    c1 = b0_perp.counts(budget, workers) if k > n else c0
+    d = next((w for w in range(1, n + 1) if c0[w] > c1[w]), d_lower)
+    # B0' has a word lighter than d(B0 - B0'): certify d on A cap B0'
+    if any(c1[1:d]) and any(a.meet(b0_perp).counts(budget, workers)[1:d]):
+        dist = weight_distribution(code, budget=budget, workers=workers)
+        d = next(w for w in range(1, n + 1) if dist.counts[w] > dist.dual_counts[w])
     return StabilizerParams(
-        n=n, k_logical=k - n, d=d, d_lower=d_lower, q=tower.q, pure=not any(b1[1:d])
+        n=n, k_logical=k - n, d=d, d_lower=d_lower, q=tower.q, pure=not any(c1[1:d])
     )

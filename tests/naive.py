@@ -363,6 +363,22 @@ def alternating_dual_matrix_char2(code):
     return rows
 
 
+def trace_dual_matrix(code):
+    """Basis of the trace dual {v : Tr(<u, v>_e) = 0 for all u in C}.
+
+    Characteristic 2 only: there the alternating form reduces to
+    Tr(sum u_i conj(v_i)) up to a nonzero scale, so conjugating every
+    entry of the alternating dual basis yields the trace dual.  For
+    q = 2 the conjugation is the coordinatewise squaring map.
+    """
+    from conjucyclic import WrongCharacteristicError
+
+    tower = code.tower
+    if tower.p != 2:
+        raise WrongCharacteristicError("the trace dual needs characteristic 2")
+    return [tuple(map(tower.conjugate, row)) for row in code.alternating_dual_matrix()]
+
+
 def smallest_primitive(p, d):
     """Lexicographically smallest monic primitive polynomial of degree d,
     scanning every tail (low-degree-first) with a nonzero constant term."""

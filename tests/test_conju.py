@@ -303,7 +303,7 @@ def test_char2_dual_variant_matches(f9):
     with pytest.raises(WrongCharacteristicError):
         naive.alternating_dual_matrix_char2(code3)
     with pytest.raises(WrongCharacteristicError):
-        code3.trace_dual_matrix()
+        naive.trace_dual_matrix(code3)
 
 
 def test_dual_orbit_matches_contraction_of_every_row():
@@ -335,7 +335,7 @@ def test_trace_dual_small_codes_brute_force():
             continue
         words = naive.span(tower, code.gen_matrix, code.n)
         expected = naive.trace_dual(tower, code.gen_matrix, code.n)
-        got = naive.span(tower, code.trace_dual_matrix(), code.n)
+        got = naive.span(tower, naive.trace_dual_matrix(code), code.n)
         assert got == expected
         # and it really annihilates the code under Tr<.,.>_e
         for u in words:
@@ -353,11 +353,11 @@ def test_trace_dual_is_squaring_when_q_is_2():
             tuple(tower.mul(x, x) for x in row)
             for row in code.alternating_dual_matrix()
         ]
-        assert code.trace_dual_matrix() == squared
+        assert naive.trace_dual_matrix(code) == squared
 
 
 def test_trace_dual_of_reference_code_is_conjucyclic(quaternary_code):
-    squared = quaternary_code.trace_dual_matrix()
+    squared = naive.trace_dual_matrix(quaternary_code)
     assert is_conjucyclic(quaternary_code.tower, squared)
 
 

@@ -4,8 +4,8 @@ import conjucyclic
 from conjucyclic import conju, cyclic, errors, field, poly, weights
 
 #: second routes retired from the library; the inner products, the plain
-#: cyclic shift and the cyclic generator matrix live on as oracles in
-#: tests/naive.py
+#: cyclic shift, the cyclic generator matrix and the trace dual live on as
+#: oracles in tests/naive.py
 RETIRED = (
     (field, "PrimeField"),
     (poly, "poly_mul"),
@@ -23,6 +23,9 @@ RETIRED = (
     (weights, "min_weight"),
     (weights, "_shorten"),
     (weights, "_side_counts"),
+    (weights, "_short_rows"),
+    (weights, "_cyclic_counts"),
+    (conju.ConjucyclicCode, "trace_dual_matrix"),
     (errors, "ZeroCodeError"),
 )
 

@@ -526,21 +526,20 @@ def test_macwilliams_matches_the_horner_oracle():
     # (naive.macwilliams_horner) on every divisor code of the small property
     # grid: both directions over Q = q^2, and over the Euclidean Q = q on the
     # length-n cyclic code <g1> (g1 = g / gcd(g, x^n + 1) divides x^n - 1),
-    # the transform _cyclic_counts applies, there and back
+    # the transform _Constacyclic.counts applies, there and back
     grid = [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
     pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
     checked = 0
     for code in naive.divisor_codes(pairs):
         tower, n, k = code.tower, code.n, code.card_log_q
-        q, z = tower.q, tower.zech
+        q = tower.q
         dist = weight_distribution(code)
         sides = ((dist.counts, k, dist.dual_counts), (dist.dual_counts, 2 * n - k, dist.counts))
         for counts, dim, other in sides:
             oracle = naive.macwilliams_horner(counts, q ** dim, tower.q2)
             assert weights._macwilliams(counts, q ** dim, tower.q2) == oracle == other
-        g = code.cyclic.g_logs
-        g1 = z.divmod(g, z.gcd(g, z.binomial(n, 0)))[0]
-        cyclic, dim = weights._cyclic_counts(tower, n, g1, 1 << 28, 1), n + 1 - len(g1)
+        b0 = weights._split(tower, n, code.cyclic.g_logs)[0]
+        cyclic, dim = b0.counts(1 << 28, 1), b0.dim
         dual = weights._macwilliams(cyclic, q ** dim, q)
         assert dual == naive.macwilliams_horner(cyclic, q ** dim, q)
         assert weights._macwilliams(dual, q ** (n - dim), q) == cyclic
@@ -714,6 +713,74 @@ def test_split_matches_the_exhaustive_oracle(monkeypatch):
     assert len(split_grid()) == 2001
     assert fallbacks == [(4, 9)] * 4
     assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def test_purity_does_not_close_the_bounds(capsys):
+    # [[21,5,3]]_4 is pure, yet d(B0 - B0') = 5: B0' has 21 words of
+    # weight 3, and a weight-3 word of C lies outside C^perp, so d comes
+    # from the exhaustive route, whose 4^16 words the default budget does
+    # not admit
+    tower, n = tower_for_q(4), 21
+    exps = (0, 0, 1, 0, 0, 2, 2, 1, 0)
+    code = ConjucyclicCode(tower, n, factor_x2n_minus_1(tower, n).divisor(exps))
+    with pytest.raises(BudgetExceededError):
+        stabilizer_params(code)
+    argv = ["quantum", "--q", "4", "--n", "21", "--exps", ",".join(map(str, exps))]
+    assert cli.main(argv) == cli.EXIT_BUDGET_EXCEEDED
+    capsys.readouterr()
+    params = stabilizer_params(code, budget=2 ** 32)
+    assert (str(params), params.d_lower, params.pure) == ("[[21,5,3]]_4", 3, True)
+    b0 = weights._split(tower, n, code.cyclic.g_logs)[0]
+    b0_perp = weights._split(tower, n, code.cyclic.h_star_logs)[0]
+    c0, c1 = b0.counts(weights.DEFAULT_BUDGET, 1), b0_perp.counts(weights.DEFAULT_BUDGET, 1)
+    assert next(w for w in range(1, n + 1) if c0[w] > c1[w]) == 5
+    assert c1[3] == 21
+    word = [0] * n
+    for i, e in ((6, 14), (13, 6), (20, 4)):
+        word[i] = tower.power(e)
+    assert all(conju.alternating_inner(tower, word, r) == 0 for r in code.alternating_dual_matrix())
+    assert len(code.gen_matrix) == 26
+    assert all(conju.alternating_inner(tower, word, r) for r in code.gen_matrix)
+
+
+def test_length_n_codes_match_enumeration():
+    # every divisor of the odd-p cells of the small property grid, f = g
+    # and f = h*: the split's first part is gcd(f, x^n - 1), the A- that
+    # the product sweep uses; each part, the cyclic A- and the negacyclic
+    # A+, has the histogram of its naive span, its dual is cyclic or
+    # negacyclic again, Euclidean orthogonal to it and of the complementary
+    # dimension, and the two histograms are each other's MacWilliams
+    # transform over GF(q)
+    grid = [(3, 6), (5, 4), (7, 3), (9, 3)]
+    pairs = [(q, n) for q, n_max in grid for n in range(1, n_max + 1)]
+    checked, proper = 0, set()
+
+    def span_rows(part):  # the basis f, x f, ..., x^(dim - 1) f, none wrapping
+        codes = part.tower.zech.to_codes(part.f)
+        return [(0,) * i + codes + (0,) * (part.dim - 1 - i) for i in range(part.dim)]
+
+    for code in naive.divisor_codes(pairs):
+        tower, n, z = code.tower, code.n, code.tower.zech
+        q = tower.q
+        for f in (code.cyclic.g_logs, code.cyclic.h_star_logs):
+            minus, plus = weights._split(tower, n, f)
+            assert minus.f == z.gcd(f, z.binomial(n, z.minus_one))
+            for part, c in ((minus, z.minus_one), (plus, 0)):
+                proper.add((part is plus, 0 < part.dim < n))
+                rows, dual = span_rows(part), part.dual()
+                assert not z.divmod(z.binomial(n, c), dual.f)[1]
+                counts = part.counts(weights.DEFAULT_BUDGET, 1)
+                words = naive.span(tower, rows, n)
+                assert counts == naive.weight_histogram(words, n, naive.hamming_weight)
+                assert dual.dim == n - part.dim
+                for u, v in itertools.product(rows, span_rows(dual)):
+                    assert naive.euclidean_inner(tower, u, v) == 0
+                dual_counts = dual.counts(weights.DEFAULT_BUDGET, 1)
+                assert weights._macwilliams(counts, q ** part.dim, q) == dual_counts
+                assert weights._macwilliams(dual_counts, q ** dual.dim, q) == counts
+                checked += 1
+    assert checked == 1408
+    assert proper == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_split_sweeps_fit_the_exhaustive_budget():
