@@ -122,7 +122,8 @@ def mirror_rows(tower, n, f) -> list:
     tower.zech dividing x^(2n) - 1."""
     v = (f + [-1] * (2 * n))[: 2 * n]
     row = _contract_logs(tower, v[:n], v[n:], tower.q + 1)
-    return shift_iterates(row, 2 * n + 1 - len(f), tower.conjugate)
+    conj = tuple(tower.codes(tower.logs(row), 0, tower.q))  # conj(beta^t) = beta^(q t)
+    return shift_iterates(row, 2 * n + 1 - len(f), conj)
 
 
 def is_conjucyclic(tower, rows) -> bool:
@@ -253,10 +254,12 @@ class ConjucyclicCode:
         twisted shift into T-.  So the dual is closed under T-, and under T
         in general only in characteristic 2, where T- = T.
         """
-        neg, conj, n = self.tower.neg, self.tower.conjugate, self.n
-        r = _dual_logs(self)
-        first = _contract_logs(self.tower, r[:n], r[n:], self.tower.q + 1)
-        return shift_iterates(first, self.k, lambda x: neg(conj(x)))
+        tower, n, r = self.tower, self.n, _dual_logs(self)
+        first = _contract_logs(tower, r[:n], r[n:], tower.q + 1)
+        # -conj(x) = beta^(log(-1) + q log x), log(-1) being (q + 1) times its GF(q) log
+        minus_one = (tower.q + 1) * tower.zech.minus_one
+        twisted = tuple(tower.codes(tower.logs(first), minus_one, tower.q))
+        return shift_iterates(first, self.k, twisted)
 
     def largest_cyclic_subcode(self):
         """Basis of the largest q-ary cyclic code contained in this code."""

@@ -23,19 +23,19 @@ from .errors import LengthMismatchError
 from .poly import check_divisor, normalize, poly_mod
 
 
-def shift_iterates(row, count: int, twist=None) -> list:
+def shift_iterates(row, count: int, twisted=None) -> list:
     """The first count iterates row, S(row), S(S(row)), ... of the twisted
     right shift S(v) = (twist(v_{m-1}), v_0, ..., v_{m-2}); [] for count 0.
 
-    twist maps one entry and must be an involution (None: the identity,
-    so S is the plain cyclic shift).  Then S^m applies twist to every
-    entry and S^(2m) is the identity, so for i <= 2m the row S^i(v) is the
-    window [2m - i, 3m - i) of v + twist(v) + v.
+    twisted is the tuple twist(row), for a twist that maps one entry and
+    is an involution (None: the identity, so S is the plain cyclic shift).
+    Then S^m applies twist to every entry and S^(2m) is the identity, so
+    for i <= 2m the row S^i(v) is the window [2m - i, 3m - i) of
+    v + twist(v) + v.
     """
     m = len(row)
     assert count <= 2 * m, f"{count} iterates of a length-{m} row"
-    middle = row if twist is None else tuple(map(twist, row))
-    window = row + middle + row
+    window = row + (row if twisted is None else twisted) + row
     return [window[2 * m - i : 3 * m - i] for i in range(count)]
 
 

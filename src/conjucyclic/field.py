@@ -1,22 +1,25 @@
 """Finite field towers GF(p) <= GF(q) <= GF(q^2) with exact table arithmetic.
 
-The quadratic extension GF(q^2), q = p^m, is built once as GF(p)[x]/(f) for
-a fixed primitive modulus f of degree 2m.  Elements are integer codes: the
-base-p digits of the code are the coordinates of the element on the power
-basis 1, beta, ..., beta^(2m-1), little-endian, so code 0 is the zero
-element and code p is beta itself.  Multiplicative structure lives in
-exp/log tables of size q^2 - 1, Python lists built without numpy by the
-recurrence exp[i + 1] = beta exp[i] up to q^2 = 2^18, and above it by
-numpy doubling: beta^L .. beta^(2L-1) are beta^0 .. beta^(L-1) times
-beta^L, a GF(p)-linear map on packed digits applied as 2^8-entry lookups
-per digit group (q^2 = 2^24: 3.9 s, 1.07 GB peak RSS).  Other modules
-read them only through FieldTower.power, logs, codes and add_rows.
-Element addition is digitwise mod p on the codes; polynomials over GF(q)
-use the tower's Zech table of GF(q) instead (poly.ZechLogs, q - 1 entries).
+The quadratic extension GF(q^2), q = p^m, is GF(p)[x]/(f) for a fixed
+primitive modulus f of degree 2m.  Elements are integer codes: the base-p
+digits of the code are the coordinates of the element on the power basis
+1, beta, ..., beta^(2m-1), little-endian, so code 0 is the zero element and
+code p is beta itself.  Multiplicative structure lives in exp/log tables of
+size q^2 - 1, flat array('i') tables built once, on the first GF(q^2)
+operation: without numpy by the recurrence exp[i + 1] = beta exp[i] up to
+q^2 = 2^18, and above it by numpy doubling: beta^L .. beta^(2L-1) are
+beta^0 .. beta^(L-1) times beta^L, a GF(p)-linear map on packed digits
+applied as 2^8-entry lookups per digit group (q^2 = 2^24: 1.2-1.5 s, 0.36 GB
+peak RSS).  Other modules read them only through FieldTower.power, logs,
+codes and add_rows.  Element addition is digitwise mod p on the codes;
+polynomials over GF(q) use the tower's Zech table of GF(q) instead
+(poly.ZechLogs, q - 1 entries).
 
-The subfield GF(q) is carved out of GF(q^2) by the fixed-point test
-x^q == x instead of being built as a separate structure, which keeps
-conjugation and trace trivially consistent with subfield membership.
+The subfield GF(q) is 0 and the q - 1 powers of gamma = beta^(q+1), which
+the constructor steps out on codes mod f without the GF(q^2) tables, so a
+tower that only factors x^(2n) - 1 never builds them (q = 4096: 0.02 s,
+its modulus search included).  Membership in GF(q) and the display of its
+elements read the Zech table.
 
 The canonical tower is a pure function of (p, m), so that constructions
 are reproducible bit for bit: a built-in table of Conway polynomials covers
@@ -26,7 +29,8 @@ tuples low-degree-first.  The search runs on poly.ZechLogs over GF(p),
 logs to the least primitive root, and accepts f when x has order p^d - 1
 modulo f.  Other moduli are passed to FieldTower(p, m, modulus) directly.
 Both routes refuse m < 1, then sizes above the 2^24 cap before any
-primality test or table, then a composite p.
+primality test or table, then a composite p, and the constructor refuses a
+modulus that is_primitive rejects; the table builders check it again.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import threading
+from array import array
 
 from .errors import (
     FieldTooLargeError,
@@ -42,18 +48,19 @@ from .errors import (
 )
 from .poly import ZechLogs
 
-#: Hard cap on q^2 so the exp/log tables stay in memory.  Up to
+#: Hard cap on q^2 so the GF(q^2) tables fit in memory.  Up to
 #: PURE_TABLE_SIZE the tables come from the pure-Python recurrence, above it
-#: from numpy's doubling.  tower_for_q in a fresh process, imports (numpy's
-#: too) included, pure against numpy: q = 512 0.07 against 0.20 s; q = 1024
-#: 0.31-0.42 against 0.45-0.50 s; q = 3^7 1.7-2.2 against 2.4-2.6 s; prime
-#: q = 2039 4.0-4.4 against 1.1-1.3 s (the p^2-entry low table at d = 2);
-#: q = 4096, the cap, 8.3 against 6.1 s at 1.30 against 1.07 GB peak RSS
-#: (2-core Xeon, Python 3.11, numpy 2.4).  Above 2^18 the faster route thus
-#: depends on p and d, not on the size alone, and no benchmark workload builds
-#: such a tower; the one size rule, numpy at the cap, stays until one does.
+#: from numpy's doubling.  A tower and its tables in a fresh process, imports
+#: (numpy's too) included, pure against numpy: q = 1024 0.42 against 0.25 s;
+#: q = 3^7 1.36 against 1.08 s; prime q = 2039 3.3 against 0.40 s (the
+#: p^2-entry low table at d = 2); q = 4096, the cap, 5.2 against 1.2-1.5 s at
+#: 0.15 against 0.36 GB peak RSS (2-core Xeon, Python 3.11, numpy 2.4).  So
+#: above 2^18 numpy's route is the faster for every p measured; at q = 512
+#: the pure route takes 0.11 s, and keeps numpy's import (0.15 s) off the
+#: commands that build no sweep.
 MAX_FIELD_SIZE = 1 << 24
 PURE_TABLE_SIZE = 1 << 18
+_TABLES_LOCK = threading.Lock()
 
 # Conway polynomials, keyed by field size p^(2m), coefficients
 # low-degree-first including the leading 1.
@@ -158,11 +165,33 @@ def _check_tower(p: int, m: int) -> None:
         raise NotPrimeError(f"characteristic {p} is not prime")
 
 
+class _Table:
+    """FieldTower._exp or _log: on the first read, the build of both tables.
+
+    A descriptor without __set__, so the instance attributes the build sets
+    are found first from then on, and a table read costs what a plain
+    attribute read does (a __getattr__ hook instead would slow every
+    attribute read of a tower).
+    """
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
+
+    def __get__(self, tower, owner=None):
+        if tower is None:
+            return self
+        with _TABLES_LOCK:  # one build; a reader that found _exp waits for _log here
+            if "_log" not in vars(tower):
+                tower._exp, tower._log = tower._build_tables()
+        return vars(tower)[self.name]
+
+
 class FieldTower:
     """The pair (GF(q), GF(q^2)) with a fixed primitive element beta.
 
-    Instances are immutable after construction; every operation is pure,
-    so a tower can be shared freely across threads or worker processes.
+    The tables are built once, on first use, and a concurrent first use
+    is safe; every operation is pure, so a tower can be shared freely
+    across threads or worker processes.
 
     Attributes:
         p: prime characteristic.
@@ -170,12 +199,15 @@ class FieldTower:
         q, q2: field cardinalities.
         modulus: primitive modulus of GF(q^2) over GF(p), low-degree-first.
         beta: code of the primitive element (residue class of the variable).
-        _exp, _log: private log tables (_exp[i] is beta^i, _log[0] = -1),
-            read elsewhere only through power, logs, codes and add_rows.
+        _exp, _log: private array('i') log tables (_exp[i] is beta^i,
+            _log[0] = -1), built on first read, and read elsewhere only
+            through power, logs, codes and add_rows.
         subfield: sorted codes of the q elements of GF(q), which are 0 and
             the powers of beta^(q+1).
         zech: GF(q) as logs to beta^(q+1), the arithmetic of poly.py.
     """
+
+    _exp, _log = _Table(), _Table()
 
     def __init__(self, p: int, m: int, modulus) -> None:
         _check_tower(p, m)
@@ -189,15 +221,47 @@ class FieldTower:
             raise ValueError(
                 f"modulus must be monic of degree {self.ext_degree} over GF({p})"
             )
-        self._build_tables()
-        self.beta = self._exp[1]
-        gammas = self._exp[:: self.q + 1]
+        if not is_primitive(self.modulus, p):
+            raise NoPrimitivePolynomialError(
+                f"modulus {self.modulus} over GF({p}) is not primitive"
+            )
+        self.beta = p  # the code of x: digit 1 in place 1
+        gammas = self._subfield_powers()
         self.subfield = tuple(sorted([0] + gammas))
-        self.zech = ZechLogs(p, gammas, [self.add(1, c) for c in gammas])
+        # 1 + c differs from c in the lowest digit only
+        self.zech = ZechLogs(p, gammas, [c - c % p + (c + 1) % p for c in gammas])
 
     # -- construction -------------------------------------------------
 
-    def _build_tables(self) -> None:
+    def _subfield_powers(self) -> list:
+        """Codes of gamma^0 .. gamma^(q-2), gamma = beta^(q+1), without the
+        GF(q^2) tables.
+
+        v -> gamma v is GF(p)-linear on the 2m digits of v, so gamma v is
+        the sum of two lookups on v = h q + lo, into tables of q entries
+        spanned by gamma beta^j for j < m and for m <= j < 2m, from
+        gamma = x^(q+1) mod f computed in GF(p)[x].
+        """
+        p, m, q, f, add = self.p, self.m, self.q, self.modulus, self.add
+        z = _prime_zech(p)
+        col = list(z.to_codes(z.powmod([-1, 0], q + 1, z.to_logs(f))))
+        col += [0] * (2 * m - len(col))
+        tables = []
+        for _ in range(2):
+            table = [0]
+            for _ in range(m):  # col is gamma beta^j, j the next digit place
+                mults = [sum(c * a % p * p ** i for i, a in enumerate(col)) for c in range(p)]
+                table = [add(y, x) for x in mults for y in table]
+                col = [(a - col[-1] * fj) % p for a, fj in zip([0] + col[:-1], f)]
+            tables.append(table)
+        low, high = tables
+        powers, v = [0] * (q - 1), 1
+        for i in range(q - 1):
+            powers[i] = v
+            v = add(low[v % q], high[v // q])
+        return powers
+
+    def _build_tables(self) -> tuple:
         """exp and log by exp[i + 1] = beta exp[i]; above PURE_TABLE_SIZE by numpy.
 
         beta v is v's digits shifted up one place plus -t f, t the digit
@@ -209,8 +273,7 @@ class FieldTower:
         if self.q2 > PURE_TABLE_SIZE:  # the one place outside a sweep that loads numpy
             from .packed import doubling_tables
 
-            self._exp, self._log = doubling_tables(p, d, f)
-            return
+            return doubling_tables(p, d, f)
 
         def part(t, j0, j1, out):  # digits j0 .. j1 - 1 of beta v, over the digits shifted in
             for j in range(j0, j1):  # digit a - t f_j at place j: col rotated by t f_j
@@ -222,13 +285,13 @@ class FieldTower:
         rows = [part(t, 1, k + 1, [-t * f[0] % p]) for t in range(p)]
         low = [rows[h // p ** (d - 1 - k)] for h in range(p ** (d - k))]
         high = [y for t in range(p) for y in part(t, k + 1, d, [0])]
-        exp, log, v = [0] * n, [-1] * (n + 1), 1
+        exp, log, v = array("i", [0]) * n, array("i", [-1]) * (n + 1), 1
         for i in range(n):
             exp[i], log[v] = v, i
             v = low[h := v // pk][v % pk] + high[h]
         if v != 1 or log[1] != 0:  # beta^n != 1, or beta^i = 1 for some 0 < i < n
             raise NoPrimitivePolynomialError(f"modulus {f} over GF({p}) is not primitive")
-        self._exp, self._log = exp, log
+        return exp, log
 
     # -- element arithmetic (codes are plain ints) ---------------------
 
@@ -304,7 +367,7 @@ class FieldTower:
         return self.add(a, self.conjugate(a))
 
     def in_subfield(self, a: int) -> bool:
-        return self.conjugate(a) == a
+        return a in self.zech.log
 
     # -- encoding helpers ----------------------------------------------
 
@@ -313,7 +376,8 @@ class FieldTower:
         beta^k; raises ValueError for a code outside GF(q^2)."""
         if self.check_element(a) < self.p:
             return str(a)
-        return f"b{self._log[a]}"
+        k = self.zech.log.get(a)  # in GF(q), log_beta is (q + 1) log_gamma
+        return f"b{self._log[a] if k is None else (self.q + 1) * k}"
 
     def parse_element(self, token: str) -> int:
         """Inverse of element_str; also accepts plain integer codes."""

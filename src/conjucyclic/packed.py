@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -78,8 +79,8 @@ def packed_span(add, multiples, nw):
 
 
 def doubling_tables(p, d, modulus):
-    """FieldTower's exp and log lists by doubling, as the field docstring
-    says; the log list reuses the exp list's int objects."""
+    """FieldTower's exp and log tables by doubling, as the field docstring
+    says, as flat array('i') tables."""
     n, c = p ** d - 1, _layout(p, d)[0]
     per = max(1, 8 // c)  # digits per lookup group: 8 bits' worth, or one digit
     groups, width, digit = -(-d // per), per * c, (1 << c) - 1
@@ -109,18 +110,20 @@ def doubling_tables(p, d, modulus):
             add(out, tables[t][block >> t * width & mask], out, tmp[: len(out)])
         power = times_x([int(exp[size - 1]) >> (j * c) & digit for j in range(d)])
     del tmp, block, out  # block and out are views that would keep exp alive
-    if p > 2:
-        exp = sum((exp >> s & digit) * p ** j for j, s in enumerate(shifts))
-    log = np.full(n + 1, -1, dtype=np.int64)
-    log[exp] = np.arange(n)
+    if p > 2:  # packed digits to codes in place, a block at a time
+        for i in range(0, n, _CHUNK_WORDS):
+            block = exp[i : i + _CHUNK_WORDS]
+            block[:] = sum((block >> s & digit) * p ** j for j, s in enumerate(shifts))
+        del block
+    exp = exp.astype(np.int32)
+    log = np.full(n + 1, -1, dtype=np.int32)
+    log[exp] = np.arange(n, dtype=np.int32)
     if (log[1:] < 0).any() or power != [1] + [0] * (d - 1):
         raise NoPrimitivePolynomialError(f"modulus {modulus} over GF({p}) is not primitive")
-    exp = exp.tolist()
-    log = log[log]
-    # value v >= 1 is exp[log[v]]; codes 0 (no log) and 1 (log 0) are set by hand
-    log = np.array(exp, dtype=object)[log].tolist()
-    log[:2] = [-1, 0]
-    return exp, log
+    flat = array("i"), array("i")
+    for table, values in zip(flat, (exp, log)):
+        table.frombytes(memoryview(values).cast("B"))
+    return flat
 
 
 def _layout(p, d):

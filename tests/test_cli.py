@@ -380,8 +380,8 @@ def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_
 
 
 # factor, code and dual at q <= 512 build their towers in pure Python,
-# quantum at odd p answers without a sweep, and numpy's import waits for
-# the first weight sweep
+# factor at any q builds no GF(q^2) table, quantum at odd p answers without
+# a sweep, and numpy's import waits for the first weight sweep
 STARTUP_SCRIPT = """
 import contextlib, io, sys
 from conjucyclic import cli
@@ -391,6 +391,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         g = f"{q % 2 + 1},1"  # x - 1
         for argv in (["factor"], ["code", "--g", g], ["dual", "--g", g]):
             assert cli.main(argv + ["--q", str(q), "--n", "3"]) == 0, argv
+    for q in (1024, 4096):
+        assert cli.main(["factor", "--q", str(q), "--n", "3"]) == 0, q
     assert cli.main(["quantum", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
     assert "numpy" not in sys.modules, "after factor, code, dual and odd-p quantum"
     assert cli.main(["weights", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
@@ -405,3 +407,26 @@ def test_numpy_loads_with_the_first_sweep():
         [sys.executable, "-c", STARTUP_SCRIPT], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+# `factor --q 4096 --n 1` at the 2^24 cap: its sha256 and its peak RSS,
+# read as the ru_maxrss (kilobytes on Linux) of a grandchild, so that no
+# other child of the test process counts
+CAP_FACTOR_DIGEST = "9ae6c4475de3a1f12484a66b52a7547f54427cdd6b6ebebdee692ae008f29972"
+CAP_FACTOR_SCRIPT = """
+import resource, subprocess, sys
+argv = [sys.executable, "-m", "conjucyclic.cli", "factor", "--q", "4096", "--n", "1"]
+sys.stdout.buffer.write(subprocess.run(argv, capture_output=True, check=True).stdout)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_factor_at_the_cap_builds_no_gf_q2_table():
+    src = os.path.dirname(os.path.dirname(conjucyclic.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", CAP_FACTOR_SCRIPT], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == CAP_FACTOR_DIGEST
+    assert int(done.stderr) < 100 * 1024

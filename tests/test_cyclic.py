@@ -65,8 +65,9 @@ def test_shift_iterates_matches_stepwise_iteration(q):
             for _ in range(2 * n):
                 expected.append(out)
                 out = step(out)
+            twisted = None if twist is None else tuple(map(twist, row))
             for count in range(2 * n + 1):
-                assert shift_iterates(row, count, twist) == expected[:count]
+                assert shift_iterates(row, count, twisted) == expected[:count]
     with pytest.raises(AssertionError):
         shift_iterates((1, 2), 5)
 

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import random
+import threading
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,6 +17,7 @@ from conjucyclic import (
     build_tower,
     contract,
     expand,
+    factor_x2n_minus_1,
     largest_cyclic_subcode,
     tower_for_q,
     weight_distribution,
@@ -287,8 +291,17 @@ def test_tables_match_shift_register(p, m):
     modulus = CONWAY_POLYNOMIALS.get(size) or field.smallest_primitive(p, 2 * m)
     t = FieldTower(p, m, modulus)
     exp, log = naive.tower_tables(p, 2 * m, modulus)
-    assert t._exp == exp
-    assert t._log == log
+    assert list(t._exp) == exp
+    assert list(t._log) == log
+    assert_subfield_from_tables(t, exp, log)
+
+
+def assert_subfield_from_tables(t, exp, log):
+    # the powers of gamma, built without the tables, as read off them
+    gammas = exp[:: t.q + 1]
+    assert t.subfield == tuple(sorted([0] + gammas))
+    assert t.zech.code == gammas + [0]
+    assert t.zech.log == {c: log[c] // (t.q + 1) for c in [0] + gammas}
 
 
 @pytest.mark.parametrize(
@@ -300,11 +313,21 @@ def test_tables_match_shift_register(p, m):
         (10, (1,) + (0,) * 19 + (1,)),  # x^20 + 1 = (x^5 + 1)^4, on numpy's route
     ],
 )
-def test_both_builders_reject_non_primitive_moduli(m, modulus):
+def test_both_builders_reject_non_primitive_moduli(m, modulus, monkeypatch):
+    # the constructor refuses before any table is built, and the table
+    # builders (both routes) keep their own check
+    bare = types.SimpleNamespace(p=2, ext_degree=2 * m, modulus=modulus, q2=4**m)
     with pytest.raises(NoPrimitivePolynomialError, match="not primitive"):
-        FieldTower(2, m, modulus)
+        FieldTower._build_tables(bare)
     with pytest.raises(NoPrimitivePolynomialError, match="not primitive"):
         naive.tower_tables(2, 2 * m, modulus)
+
+    def no_tables(self):
+        raise AssertionError("tables built for a modulus that is not primitive")
+
+    monkeypatch.setattr(FieldTower, "_build_tables", no_tables)
+    with pytest.raises(NoPrimitivePolynomialError, match="not primitive"):
+        FieldTower(2, m, modulus)
 
 
 @pytest.mark.parametrize("q", [243, 512, 1024])
@@ -313,10 +336,12 @@ def test_table_routes_agree_across_the_threshold(q, monkeypatch):
     # doubling; moving the threshold sends the same modulus the other way
     t = tower_for_q(q)
     assert (t.q2 <= field.PURE_TABLE_SIZE) == (q < 1024)
+    exp, log = list(t._exp), list(t._log)  # built before the threshold moves
     monkeypatch.setattr(field, "PURE_TABLE_SIZE", 0 if q < 1024 else t.q2)
     other = FieldTower(t.p, t.m, t.modulus)
-    assert other._exp == t._exp
-    assert other._log == t._log
+    assert list(other._exp) == exp
+    assert list(other._log) == log
+    assert_subfield_from_tables(other, exp, log)
 
 
 def test_tower_tables_at_q2_2_20():
@@ -344,16 +369,47 @@ def test_canonical_tower_is_cached_per_p_m():
     assert tower_for_q(4) is build_tower(2, 2)
 
 
-def test_tower_gains_no_state_after_construction():
-    t = FieldTower(3, 1, (2, 2, 1))  # not the cached canonical object
+def test_tower_tables_are_built_once_on_first_use():
+    t = FieldTower(3, 2, CONWAY_POLYNOMIALS[81])  # not the cached canonical object
     keys = set(vars(t))
-    assert not keys & {"exp", "log"}  # the tables are private: _exp, _log
+    assert not keys & {"exp", "log", "_exp", "_log"}
+    # factoring, GF(q) membership and GF(q) display read the Zech table only
+    factor_x2n_minus_1(t, 4)
+    assert [t.in_subfield(c) for c in range(t.q2)] == [c in t.subfield for c in range(t.q2)]
+    shown = [t.element_str(c) for c in t.subfield]
+    assert set(vars(t)) == keys
+    assert t.mul(t.beta, t.beta) == t.p ** 2
+    assert set(vars(t)) == keys | {"_exp", "_log"}
+    assert shown == [str(c) if c < t.p else f"b{t._log[c]}" for c in t.subfield]
+    keys = set(vars(t))
     code = ConjucyclicCode(t, 4, (2, 0, 1))  # x^2 + 2 divides x^8 - 1
     for row in code.gen_matrix:
         assert contract(t, expand(t, row)) == row
+    code.alternating_dual_matrix()
     largest_cyclic_subcode(code)
     weight_distribution(code)
     assert set(vars(t)) == keys
+
+
+def test_concurrent_first_use_builds_one_set_of_tables():
+    # two threads make the first GF(q^2) call on one fresh tower at once;
+    # q = 1024 takes numpy's route, long enough for both to be inside it
+    canonical = tower_for_q(1024)
+    t = FieldTower(2, 10, canonical.modulus)
+    xs = random.Random(1024).sample(range(t.q2), 1000)
+    barrier = threading.Barrier(2, timeout=60)
+
+    def first_use(_):
+        barrier.wait()
+        return t.logs(xs), t.codes(range(-1, 999), 7), t._exp, t._log
+
+    with ThreadPoolExecutor(2) as pool:
+        first, second = pool.map(first_use, range(2), timeout=120)
+    assert first[:2] == second[:2]
+    assert first[0] == canonical.logs(xs)
+    assert first[1] == canonical.codes(range(-1, 999), 7)
+    assert first[2] is second[2] is t._exp and first[3] is second[3] is t._log
+    assert list(t._exp) == list(canonical._exp)
 
 
 def test_element_display_and_parse():
