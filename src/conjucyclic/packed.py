@@ -1,10 +1,10 @@
 """numpy's one module: packed digit vectors, c bits a base-p digit in uint64
 words, for the tower tables above field.PURE_TABLE_SIZE and the weight sweep,
-which packs rows that weights has already shortened and counts."""
+which gathers the multiples of rows that weights has shortened, and counts."""
 
 from __future__ import annotations
 
-import itertools
+import functools
 import os
 import threading
 from array import array
@@ -25,6 +25,7 @@ _STEPS = 16
 _scratch = threading.local()  # each thread's buffers, kept across calls
 
 
+@functools.cache
 def packed_add(p: int, c: int, fields: int):
     """add(a, b, out, tmp): digitwise a + b mod p on words of `fields` c-bit digits.
 
@@ -126,44 +127,40 @@ def doubling_tables(p, d, modulus):
     return flat
 
 
+@functools.cache
 def _layout(p, d):
-    """(c, width, per) for coordinates of d base-p digits: bits per digit (1
-    for p = 2, else room for a sum of two), per coordinate, coordinates per word."""
+    """(c, width, per, place, top) for coordinates of d base-p digits: bits
+    per digit (1 for p = 2, else room for a sum of two), per coordinate,
+    coordinates per word, their place values 2^(j width) in a word
+    (read-only), and the mark mask of their top bits."""
     c = 1 if p == 2 else (2 * p - 2).bit_length()
-    return c, d * c, 64 // (d * c)
-
-
-def _pack(tower, rows, n):
-    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as weights says."""
-    p = tower.p
-    c, width, per = _layout(p, tower.ext_degree)
-    nw = -(-n // per)
-    codes = np.fromiter(itertools.chain.from_iterable(rows), np.uint64).reshape(-1, n)
-    if nw * per > n:
-        codes = np.concatenate([codes, np.zeros((len(rows), nw * per - n), np.uint64)], axis=1)
-    coords = codes  # for p = 2 (c = 1) a code's bits are its packed digits
-    if p > 2:
-        coords = np.zeros_like(codes)
-        for k in range(tower.ext_degree):  # base-p digit k to bit k * c
-            coords |= codes // p ** k % p << np.uint64(k * c)
-    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
-    words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
-    return np.ascontiguousarray(words.T)
+    width, per = d * c, 64 // (d * c)
+    place = np.uint64(1) << np.arange(0, per * width, width, dtype=np.uint64)
+    place.flags.writeable = False
+    return c, width, per, place, np.uint64(int(place.sum()) << width - 1)
 
 
 def _multiples(tower, rows, n):
     """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
 
     tower.subfield is sorted, so column 0 is the zero word and column 1 the
-    row itself.  Each product is one table lookup on the sum of the logs.
+    row itself.  The products are one gather from the exp table at the
+    summed logs mod q^2 - 1 (take's wrap), 0 where the row's entry is.
+    Base-p digit k of a code is t_k - p t_(k+1), t_k = code // p^k, so its
+    c-bit fields read code + (2^c - p) sum_(k >= 1) t_k 2^((k-1) c); a
+    word sums its coordinates times their place values.
     """
-    scales, scaled = tower.logs(tower.subfield[1:]), []
-    for row in rows:
-        logs = tower.logs(row)
-        scaled.append([0] * len(row))
-        scaled.extend(tower.codes(logs, lk) for lk in scales)
-    packed = _pack(tower, scaled, n)
-    return packed.reshape(len(packed), len(rows), tower.q)
+    p, q, r, d = tower.p, tower.q, len(rows), tower.ext_degree
+    c, _, per, place, _ = _layout(p, d)
+    exp, log = np.frombuffer(tower._exp, np.int32), np.frombuffer(tower._log, np.int32)
+    logs = log[np.array(rows)][:, None, :]
+    scales = log[np.array(tower.subfield[1:])][:, None]
+    codes = np.zeros((r, q, -(-n // per) * per), np.uint64)
+    codes[:, 1:, :n] = np.where(logs < 0, 0, np.take(exp, logs + scales, mode="wrap"))
+    if p > 2:
+        codes += sum(codes // p ** k << (k - 1) * c for k in range(1, d)) * ((1 << c) - p)
+    words = codes.reshape(r, q, -1, per) @ place
+    return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
 def _block(outer_words, inner, words):
@@ -294,10 +291,9 @@ def _sweep(tower, factors, n, workers):
         return [1] + [0] * n
     multiples = _multiples(tower, big + small, n)
     nw = len(multiples)
-    c, width, per = _layout(tower.p, tower.ext_degree)
+    c, _, per, _, top = _layout(tower.p, tower.ext_degree)
     fields = per * tower.ext_degree
     add = packed_add(tower.p, c, fields)
-    top = np.uint64(sum(1 << (i * width + width - 1) for i in range(per)))
     cols = [multiples[:, j] for j in range(a + b)]
 
     def representatives(picks):

@@ -47,7 +47,8 @@ clear in canonical words, and four for p = 2; no table lookups and no
 digit additions run inside the hot loop.
 
 The kernel, in packed (numpy's one module, imported by the first sweep),
-is a blocked meet-in-the-middle sweep: the rows are split in half, and
+is a blocked meet-in-the-middle sweep: the rows' GF(q)-multiples are one
+gather from the exp table at summed logs, the rows are split in half, and
 the inner half's full span is built as packed words by packed.packed_span.
 The outer words are the zero word and the outer half's projective
 representatives (the messages whose first nonzero digit is 1).  One
@@ -115,11 +116,14 @@ keeps the GF(q^2) Hamming weight.
   subcode; A <= B0, as g+ has each factor at least as often as g1.  So
   wt(v) >= wt(s), with equality on the (s, s) words, and d(C) = d(B0).
   C^perp's mirror is <h*>, so B0' = <h*/gcd(h*, x^n + 1)> <= B0 plays
-  B0's part for it: d(C^perp) = d(B0').  Write B0 - B0' for the set
-  difference.  The words (s, s), s in B0 - B0', lie in C - C^perp.  Any
-  other word v of C - C^perp has s = 0, so v = (a, a) with a in B0 - B0',
-  or s != 0 in A <= B0, and then s lies in B0 - B0' or in A cap B0';
-  hence
+  B0's part for it: d(C^perp) = d(B0').  B0' is A^perp, by one division:
+  if x^n + 1 = prod f_i^mu and g = prod f_i^e_i, then h = (x^(2n) + 1)/g
+  = prod f_i^(2 mu - e_i), h/gcd(h, x^n + 1) = prod f_i^max(mu - e_i, 0)
+  = (x^n + 1)/g+, and monic reciprocation commutes with a gcd against
+  the self-reciprocal x^n + 1.  Write B0 - B0' for the set difference.
+  The words (s, s), s in B0 - B0', lie in C - C^perp.  Any other word v
+  of C - C^perp has s = 0, so v = (a, a) with a in B0 - B0', or s != 0
+  in A <= B0, and then s lies in B0 - B0' or in A cap B0'; hence
   min(d(B0 - B0'), d(A cap B0')) <= d_Q <= d(B0 - B0'),
   with d(B0 - B0') = min{w : A_w(B0) > A_w(B0')} from two length-n
   distributions.  Where d(A cap B0') >= d(B0 - B0'), d_Q is exact; as
@@ -387,7 +391,7 @@ def stabilizer_params(
     if tower.p != 2:
         return StabilizerParams(n=n, k_logical=k - n, d=1, d_lower=1, q=tower.q, pure=True)
     b0, a = _split(tower, n, code.cyclic.g_logs)
-    b0_perp = _split(tower, n, code.cyclic.h_star_logs)[0]  # B0', C^perp's B0
+    b0_perp = a.dual()  # B0', C^perp's B0, is A^perp: see the module docstring
     c0 = b0.counts(budget, workers)
     d_lower = next(w for w in range(1, n + 1) if c0[w])
     c1 = b0_perp.counts(budget, workers) if k > n else c0

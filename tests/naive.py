@@ -65,6 +65,45 @@ def span_counts(tower, rows, n, workers):
     return packed._sweep(tower, [rows], n, workers)
 
 
+def pack(tower, rows, n):
+    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as weights says."""
+    import numpy as np
+
+    from conjucyclic.packed import _layout
+
+    p = tower.p
+    c, width, per = _layout(p, tower.ext_degree)[:3]
+    nw = -(-n // per)
+    codes = np.fromiter(itertools.chain.from_iterable(rows), np.uint64).reshape(-1, n)
+    if nw * per > n:
+        codes = np.concatenate([codes, np.zeros((len(rows), nw * per - n), np.uint64)], axis=1)
+    coords = codes  # for p = 2 (c = 1) a code's bits are its packed digits
+    if p > 2:
+        coords = np.zeros_like(codes)
+        for k in range(tower.ext_degree):  # base-p digit k to bit k * c
+            coords |= codes // p ** k % p << np.uint64(k * c)
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
+    words = np.bitwise_or.reduce(coords.reshape(len(rows), nw, per) << shifts, axis=2)
+    return np.ascontiguousarray(words.T)
+
+
+def multiples(tower, rows, n):
+    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j,
+    one entry at a time: the per-entry route that packed._multiples
+    replaces by one gather.
+
+    tower.subfield is sorted, so column 0 is the zero word and column 1 the
+    row itself.  Each product is one table lookup on the sum of the logs.
+    """
+    scales, scaled = tower.logs(tower.subfield[1:]), []
+    for row in rows:
+        logs = tower.logs(row)
+        scaled.append([0] * len(row))
+        scaled.extend(tower.codes(logs, lk) for lk in scales)
+    packed = pack(tower, scaled, n)
+    return packed.reshape(len(packed), len(rows), tower.q)
+
+
 def shorten(tower, rows):
     """A GF(q)-basis of the words of the rows' span that vanish at 0.
 

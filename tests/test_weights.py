@@ -28,6 +28,8 @@ from conjucyclic import (
     weight_distribution,
     weights,
 )
+from conjucyclic.cyclic import split
+from conjucyclic.field import FieldTower
 from conjucyclic.poly import poly_mod
 from conjucyclic.refdata import QUATERNARY_N11
 
@@ -569,6 +571,64 @@ def test_macwilliams_digits_that_carry_fail():
             weights._macwilliams(counts, 1, 4)
 
 
+def test_multiples_gather_matches_the_per_entry_route():
+    # packed._multiples takes every GF(q)-multiple of every row by one
+    # gather; against naive.multiples, one entry at a time, bit for bit with
+    # the same shape and dtype, on the rows each sweep takes: the p = 2
+    # mirror rows and both factors of the odd-p split, alone and together,
+    # of g and h* for every divisor code of the small grid, and at q = 25,
+    # 27, 49 and 512 for multi-digit layouts and rows of nw > 1 words
+    pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3, 4)]
+    seen, checked = set(), 0
+    for code in naive.divisor_codes(pairs + [(25, 5), (27, 4), (49, 5), (512, 4)]):
+        tower, n = code.tower, code.n
+        for f in (code.cyclic.g_logs, code.cyclic.h_star_logs):
+            if tower.p == 2:
+                factors = [weights._mirror_short_rows(tower, n, f)]
+            else:
+                factors = [part.short_rows(i) for i, part in enumerate(weights._split(tower, n, f))]
+            for rows in factors + [factors[0] + factors[-1]] * (len(factors) > 1):
+                if not rows:
+                    continue
+                got, expected = packed._multiples(tower, rows, n), naive.multiples(tower, rows, n)
+                assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+                assert np.array_equal(got, expected)
+                seen |= {("p", min(tower.p, 3)), ("digits", tower.ext_degree), ("nw", len(got) > 1)}
+                seen.add(("zero entry", any(0 in row for row in rows)))
+                checked += 1
+    assert {("p", 2), ("p", 3), ("nw", True), ("zero entry", True), ("digits", 18)} <= seen
+    assert checked == 3012
+
+
+def test_sweeps_make_no_per_entry_field_calls(ternary_code, quaternary_code, monkeypatch):
+    # the multiples of the rows come from whole-array gathers: no
+    # FieldTower.codes or FieldTower.logs call runs inside packed._multiples
+    inside, entries, calls, multiples = [], [], [], packed._multiples
+
+    def entered(tower, rows, n):
+        inside.append(True)
+        entries.append(len(rows))
+        try:
+            return multiples(tower, rows, n)
+        finally:
+            inside.pop()
+
+    def counting(method):
+        def wrapper(self, *args, **kwargs):
+            if inside:
+                calls.append(method.__name__)
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(packed, "_multiples", entered)
+    for name in ("codes", "logs"):
+        monkeypatch.setattr(FieldTower, name, counting(getattr(FieldTower, name)))
+    for code in (ternary_code, quaternary_code):
+        weight_distribution(code)
+    assert len(entries) == 2 and calls == []
+
+
 def test_packed_negation_is_digitwise_and_canonical():
     # -v mod p in every digit field, canonical (0 stays 0), for random words
     # whose last coordinate is zero padding in half of them; no bit above
@@ -576,7 +636,7 @@ def test_packed_negation_is_digitwise_and_canonical():
     rng = np.random.default_rng(29)
     for p in (3, 5, 7, 11, 13):
         for d in (1, 2, 4, 6):
-            c, _, per = packed._layout(p, d)
+            c, _, per, _, _ = packed._layout(p, d)
             fields = per * d
             digits = rng.integers(0, p, size=(200, fields))
             digits[::2, -d:] = 0
@@ -781,6 +841,20 @@ def test_length_n_codes_match_enumeration():
                 checked += 1
     assert checked == 1408
     assert proper == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_b0_perp_is_the_dual_of_a():
+    # B0' = <h*/gcd(h*, x^n + 1)>, C^perp's B0, is A^perp: stabilizer_params
+    # takes it from A = <gcd(g, x^n + 1)> by one division; against the split
+    # of h* on every p = 2 divisor code of the small grid and of even n,
+    # where x^n + 1 has repeated factors, and on the p = 2 codes of split_grid
+    pairs = [(q, n) for q in (2, 4, 8) for n in (1, 2, 3)] + [(2, 6), (2, 12), (4, 6), (8, 4)]
+    codes = list(naive.divisor_codes(pairs)) + [c for c in split_grid() if c.tower.p == 2]
+    for code in codes:
+        tower, n = code.tower, code.n
+        a = weights._split(tower, n, code.cyclic.g_logs)[1]
+        assert a.dual().f == split(tower, n, code.cyclic.h_star_logs)[0]
+    assert (len(codes), sum(c.n % 2 == 0 for c in codes)) == (1301, 692)
 
 
 def test_split_sweeps_fit_the_exhaustive_budget():
