@@ -4,6 +4,7 @@ which gathers the multiples of rows that weights has shortened, and counts."""
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 import threading
@@ -16,12 +17,20 @@ from .errors import NoPrimitivePolynomialError
 
 _CHUNK_WORDS = 1 << 16  # sums per block of work; a thread takes whole blocks
 # A histogram call takes about _STEPS steps, each marking at least
-# _BLOCK_WORDS words (odd p marks in place, p = 2 in a second buffer and
-# takes half as many) and at most _CHUNK_WORDS: small calls keep their
-# buffers small, and large ones take few steps, as every step costs a few
-# GIL handoffs and a pass over the joint histogram.
+# _BLOCK_WORDS words (a layout with a carry bit marks in place, the others
+# in a second buffer and take half as many) and at most _CHUNK_WORDS: small
+# calls keep their buffers small, and large ones take few steps, as every
+# step costs a few GIL handoffs and a pass over the joint histogram.
 _BLOCK_WORDS = 1 << 15
 _STEPS = 16
+# numpy copies a broadcast ufunc through buffers when its inner row has at
+# most a third of the buffer size (8192 by default), at about 3x the cost of
+# a plain pass.  The pair XOR's inner rows are a few hundred words, so it
+# runs with this buffer size, in a context that each thread keeps, which
+# leaves the caller's numpy settings alone.  The other passes keep the
+# default, as a broadcast uint8 add is slower unbuffered, and smaller sizes
+# slow the XOR of rows of a few dozen words.
+_BUFSIZE = 256
 _scratch = threading.local()  # each thread's buffers, kept across calls
 
 
@@ -82,7 +91,7 @@ def packed_span(add, multiples, nw):
 def doubling_tables(p, d, modulus):
     """FieldTower's exp and log tables by doubling, as the field docstring
     says, as flat array('i') tables."""
-    n, c = p ** d - 1, _layout(p, d)[0]
+    n, c = p ** d - 1, _digit_bits(p)
     per = max(1, 8 // c)  # digits per lookup group: 8 bits' worth, or one digit
     groups, width, digit = -(-d // per), per * c, (1 << c) - 1
     add, mask = packed_add(p, c, d), (1 << width) - 1
@@ -127,14 +136,25 @@ def doubling_tables(p, d, modulus):
     return flat
 
 
+def _digit_bits(p):
+    """Bits per base-p digit: 1 for p = 2, else room for a sum of two digits."""
+    return 1 if p == 2 else (2 * p - 2).bit_length()
+
+
 @functools.cache
-def _layout(p, d):
-    """(c, width, per, place, top) for coordinates of d base-p digits: bits
-    per digit (1 for p = 2, else room for a sum of two), per coordinate,
-    coordinates per word, their place values 2^(j width) in a word
-    (read-only), and the mark mask of their top bits."""
-    c = 1 if p == 2 else (2 * p - 2).bit_length()
-    width, per = d * c, 64 // (d * c)
+def _layout(p, d, n):
+    """(c, width, per, place, top) for n coordinates of d base-p digits:
+    bits per digit (_digit_bits), per coordinate, coordinates per word,
+    their place values 2^(j width) in a word (read-only), and the mark
+    mask of their top bits.  For p = 2 a coordinate takes a spare top bit,
+    width d + 1, wherever that adds no word to the n coordinates, so that
+    its top bit, like an odd-p coordinate's, is a carry bit, clear in
+    canonical words; width > d tells the layouts whose top bit is one."""
+    c = _digit_bits(p)
+    width = d * c
+    if p == 2 and -(-n // (64 // (d + 1))) == -(-n // (64 // d)):
+        width += 1
+    per = 64 // width
     place = np.uint64(1) << np.arange(0, per * width, width, dtype=np.uint64)
     place.flags.writeable = False
     return c, width, per, place, np.uint64(int(place.sum()) << width - 1)
@@ -151,7 +171,7 @@ def _multiples(tower, rows, n):
     word sums its coordinates times their place values.
     """
     p, q, r, d = tower.p, tower.q, len(rows), tower.ext_degree
-    c, _, per, place, _ = _layout(p, d)
+    c, _, per, place, _ = _layout(p, d, n)
     exp, log = np.frombuffer(tower._exp, np.int32), np.frombuffer(tower._log, np.int32)
     logs = log[np.array(rows)][:, None, :]
     scales = log[np.array(tower.subfield[1:])][:, None]
@@ -168,7 +188,7 @@ def _block(outer_words, inner, words):
     return max(1, min(outer_words, words // inner.size))
 
 
-def _histogram(outer, inner, ones, top, n, odd, zero):
+def _histogram(outer, inner, ones, top, n, carry, zero):
     """Weight histograms of every sum outer word - inner word, (H, Z): row
     0 over the inner columns before `ones` and, if any are left, row 1 over
     the rest; Z counts outer column 0 alone when `zero` is set, else None.
@@ -176,11 +196,13 @@ def _histogram(outer, inner, ones, top, n, odd, zero):
     A coordinate of the difference is zero exactly where the two words'
     canonical digits agree, so its weight is that of x = outer XOR inner:
     one mark bit per nonzero coordinate in the masks top and low = ~top.
-    For odd p a coordinate's top bit is its top digit's carry bit, 0 in
+    Where `carry` is set, a coordinate's top bit is a carry bit (an odd-p
+    digit's, or the spare bit of a p = 2 layout that has one), 0 in
     canonical words and in x, so x <= low fieldwise and (x + low) & top
-    marks it; for p = 2 every bit is a digit, and ((x & low) + low | x) &
-    top marks it.  The longer of an outer block and the inner words runs
-    innermost.  Each thread keeps its scratch buffers across calls.  A
+    marks it in place; else every bit is a digit, and ((x & low) + low |
+    x) & top marks it in a second buffer.  The longer of an outer block
+    and the inner words runs innermost, and the XOR runs unbuffered (see
+    _BUFSIZE).  Each thread keeps its scratch buffers across calls.  A
     weight in row 1 is stored plus n + 1; where that fits in a byte (at
     most 256 bins: 2n + 1 <= 255 with row 1, n <= 255 without), weights
     are written as bytes and np.bincount reads them as uint16 pairs, at
@@ -192,7 +214,7 @@ def _histogram(outer, inner, ones, top, n, odd, zero):
     rows = 2 if ones < cols else 1
     bins = rows * (n + 1)
     paired = bins <= 256
-    words = max(_BLOCK_WORDS if odd else _BLOCK_WORDS // 2, outer.shape[1] * inner.size // _STEPS)
+    words = max(_BLOCK_WORDS if carry else _BLOCK_WORDS // 2, outer.shape[1] * inner.size // _STEPS)
     step = _block(outer.shape[1], inner, min(_CHUNK_WORDS, words))
     flip = step > cols
     size = nw * step * cols
@@ -200,6 +222,9 @@ def _histogram(outer, inner, ones, top, n, odd, zero):
     buf = getattr(_scratch, "buf", None)
     if buf is None:  # one size, so a thread's buffer is never freed and remade
         buf = _scratch.buf = np.empty(3 * _BLOCK_WORDS + 8, dtype=np.uint64)
+        _scratch.unbuffered = contextvars.Context()  # for the XOR; see _BUFSIZE
+        _scratch.unbuffered.run(np.setbufsize, _BUFSIZE)
+    unbuffered = _scratch.unbuffered
     if len(buf) < need:
         buf = np.empty(need, dtype=np.uint64)
     x, y = buf[:size], buf[size : 2 * size]
@@ -213,8 +238,8 @@ def _histogram(outer, inner, ones, top, n, odd, zero):
         u, v = (inner, block) if flip else (block, inner)
         m, k = u.shape[1], v.shape[1]
         xs = x[: nw * m * k].reshape(nw, m, k)
-        np.bitwise_xor(u[:, :, None], v[:, None, :], out=xs)
-        if odd:
+        unbuffered.run(np.bitwise_xor, u[:, :, None], v[:, None, :], out=xs)
+        if carry:
             xs += low
             xs &= top
             marks, free = xs, y
@@ -291,7 +316,7 @@ def _sweep(tower, factors, n, workers):
         return [1] + [0] * n
     multiples = _multiples(tower, big + small, n)
     nw = len(multiples)
-    c, _, per, _, top = _layout(tower.p, tower.ext_degree)
+    c, width, per, _, top = _layout(tower.p, tower.ext_degree, n)
     fields = per * tower.ext_degree
     add = packed_add(tower.p, c, fields)
     cols = [multiples[:, j] for j in range(a + b)]
@@ -316,7 +341,7 @@ def _sweep(tower, factors, n, workers):
     outer = representatives(cols[i:a])
     blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
-    args = inner, q ** i, top, n, tower.p > 2
+    args = inner, q ** i, top, n, width > tower.ext_degree
     if workers == 1:
         h, z = _histogram(outer, *args, q > 2)
     else:

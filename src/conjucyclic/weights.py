@@ -35,16 +35,19 @@ a nonzero lambda in GF(q) keeps its weight, so the nonzero words fall into
 (q^r - 1)/(q - 1) classes of q - 1 words of equal weight, one class per
 GF(q)-projective point, and the sweep visits about one word per class.  A
 word is packed into uint64 words: each base-p digit takes a c-bit field
-and adds as in packed.packed_add, a coordinate takes 2m*c contiguous bits,
-and 64 // (2m*c) whole coordinates share a word (at most 42 bits under the
-2^24 table cap, so none straddles two words).  Digits are kept canonical,
-so a coordinate of a sum x + y is zero exactly where the bits of x and -y
-agree: the sweep negates its inner words once (packed.packed_neg, the
-identity for p = 2), and the hot loop forms x XOR (-y), whose weight is
-the popcount of one mark bit per nonzero coordinate.  The marks take two
-passes for odd p, where a coordinate's top bit is a digit's carry bit and
-clear in canonical words, and four for p = 2; no table lookups and no
-digit additions run inside the hot loop.
+and adds as in packed.packed_add, and a coordinate takes its 2m*c digit
+bits plus, for p = 2, one spare top bit wherever that adds no uint64 word
+to the n coordinates (packed._layout).  64 // width whole coordinates of
+width bits share a word (at most 42 bits under the 2^24 table cap, so
+none straddles two words).  Digits are kept canonical, so a coordinate of
+a sum x + y is zero exactly where the bits of x and -y agree: the sweep
+negates its inner words once (packed.packed_neg, the identity for p = 2),
+and the hot loop forms x XOR (-y), whose weight is the popcount of one
+mark bit per nonzero coordinate.  The marks take two passes where a
+coordinate's top bit is a carry bit, clear in canonical words: an odd-p
+digit's, or the spare bit.  They take four for the p = 2 layouts with no
+room for one, (q, n) = (2, 28) and (4, 14) among them.  No table lookups
+and no digit additions run inside the hot loop.
 
 The kernel, in packed (numpy's one module, imported by the first sweep),
 is a blocked meet-in-the-middle sweep: the rows' GF(q)-multiples are one
@@ -233,11 +236,12 @@ class _Constacyclic:
     """The length-n code <f> over GF(q), f a log list of tower.zech dividing
     x^n - lambda = binomial(n, c), lambda = +-1: c is minus_one for a cyclic
     code and 0 for a negacyclic one.  Its shift (lambda v_(n-1), v_0, ...)
-    is transitive on the coordinates and keeps the weight, as _lift needs."""
+    is transitive on the coordinates and keeps the weight, as _lift needs.
+    perp is its Euclidean dual where that is known, else None."""
 
     def __init__(self, tower, n, f, c):
         self.tower, self.n, self.f, self.c = tower, n, f, c
-        self.dim = n + 1 - len(f)
+        self.dim, self.perp = n + 1 - len(f), None
 
     def short_rows(self, shift=0):
         """The words with c_0 = 0, as GF(q^2) rows of the GF(q) coefficients
@@ -248,10 +252,13 @@ class _Constacyclic:
         return shift_iterates(tuple(row), self.dim)[1:]
 
     def dual(self):
-        """The Euclidean dual <h*>, h = (x^n - lambda)/f, of the same lambda."""
+        """The Euclidean dual <h*>, h = (x^n - lambda)/f, of the same lambda,
+        whose perp is this code."""
         z = self.tower.zech
         h = z.divmod(z.binomial(self.n, self.c), self.f)[0]
-        return _Constacyclic(self.tower, self.n, z.monic(h[::-1]), self.c)
+        dual = _Constacyclic(self.tower, self.n, z.monic(h[::-1]), self.c)
+        dual.perp = self
+        return dual
 
     def meet(self, other):
         """The intersection <lcm(f, f')> with the code <f'> of the same lambda."""
@@ -264,7 +271,7 @@ class _Constacyclic:
         and its dual (the code on a tie), lifted, and MacWilliams over GF(q)
         for a dual.  The budget caps the swept side's words."""
         q, n = self.tower.q, self.n
-        side = self.dual() if 2 * self.dim > n else self
+        side = (self.perp or self.dual()) if 2 * self.dim > n else self
         _check_budget(q, side.dim, budget, f"of a length-{n} cyclic code")
         from . import packed  # numpy loads with the first sweep
         counts = _lift(packed._sweep(self.tower, [side.short_rows()], n, workers), n, q ** side.dim)

@@ -43,13 +43,15 @@ def same_span(tower, rows_a, rows_b) -> bool:
     )
 
 
-def divisor_codes(pairs):
-    """The conjucyclic code of every divisor of x^(2n) - 1, per (q, n)."""
+def divisor_codes(pairs, every=1):
+    """The conjucyclic code of every divisor of x^(2n) - 1, per (q, n), or
+    of every `every`-th one in enumeration order."""
     from conjucyclic import ConjucyclicCode, enumerate_divisors, factor_x2n_minus_1, tower_for_q
 
     for q, n in pairs:
         tower = tower_for_q(q)
-        for _, g in enumerate_divisors(factor_x2n_minus_1(tower, n)):
+        divisors = enumerate_divisors(factor_x2n_minus_1(tower, n))
+        for _, g in itertools.islice(divisors, 0, None, every):
             yield ConjucyclicCode(tower, n, g)
 
 
@@ -66,13 +68,19 @@ def span_counts(tower, rows, n, workers):
 
 
 def pack(tower, rows, n):
-    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as weights says."""
+    """Rows of GF(q^2)^n as an (nw, len(rows)) uint64 array, packed as weights says.
+
+    A base-p digit takes c bits, 1 for p = 2, else room for a sum of two
+    digits.  A coordinate of d digits takes d c bits, and for p = 2 one
+    spare bit more where the n coordinates need no more words with it.
+    """
     import numpy as np
 
-    from conjucyclic.packed import _layout
-
-    p = tower.p
-    c, width, per = _layout(p, tower.ext_degree)[:3]
+    p, d = tower.p, tower.ext_degree
+    c = 1 if p == 2 else (2 * p - 2).bit_length()
+    words = -(-n // (64 // (d * c)))  # words per row without a spare bit
+    width = d * c + (p == 2 and 64 // (d + 1) * words >= n)
+    per = 64 // width
     nw = -(-n // per)
     codes = np.fromiter(itertools.chain.from_iterable(rows), np.uint64).reshape(-1, n)
     if nw * per > n:

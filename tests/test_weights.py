@@ -186,6 +186,33 @@ def test_concurrent_sweeps_match_serial(ternary_code, quaternary_code, monkeypat
     assert results == [[dist] * 20 for dist in serial]
 
 
+def test_sweeps_leave_the_callers_buffer_size(quaternary_code, monkeypatch):
+    # the pair XOR runs in each thread's own context with numpy's buffer
+    # size set to packed._BUFSIZE, serial or in a pool, and the caller's
+    # buffer size, numpy's default or its own inside np.errstate, stays;
+    # small blocks and two cores make workers = 2 start a pool
+    monkeypatch.setattr(packed, "_CHUNK_WORDS", 1 << 8)
+    monkeypatch.setattr(packed, "_cores", lambda: 2)
+    histogram, inside = packed._histogram, []
+
+    def recorded(*args):
+        result = histogram(*args)
+        inside.append((np.getbufsize(), packed._scratch.unbuffered.run(np.getbufsize)))
+        return result
+
+    monkeypatch.setattr(packed, "_histogram", recorded)
+    default, expected = np.getbufsize(), weight_distribution(quaternary_code)
+    for size in (default, 4096):
+        with np.errstate():
+            np.setbufsize(size)
+            for workers in (1, 2):
+                assert weight_distribution(quaternary_code, workers=workers) == expected
+                assert np.getbufsize() == size
+    assert np.getbufsize() == default
+    assert {bufsize for _, bufsize in inside} == {packed._BUFSIZE}
+    assert len(inside) == 7 and {size for size, _ in inside} == {default, 4096}
+
+
 def test_multi_word_rows_match_naive_enumeration():
     # every family needs two uint64 words per codeword; (256, 5) fills bit 63
     # of the first word and (251, 4) has 9-bit digit fields
@@ -571,16 +598,27 @@ def test_macwilliams_digits_that_carry_fail():
             weights._macwilliams(counts, 1, 4)
 
 
+#: (q, n) on both sides of the last n at which a p = 2 coordinate of 2m
+#: bits takes a spare top bit without adding a word to the n coordinates
+SPARE_BIT_BOUNDARIES = ((2, 21), (2, 22), (4, 12), (4, 13), (8, 9), (8, 10), (16, 7), (16, 8))
+
+
 def test_multiples_gather_matches_the_per_entry_route():
     # packed._multiples takes every GF(q)-multiple of every row by one
     # gather; against naive.multiples, one entry at a time, bit for bit with
     # the same shape and dtype, on the rows each sweep takes: the p = 2
     # mirror rows and both factors of the odd-p split, alone and together,
-    # of g and h* for every divisor code of the small grid, and at q = 25,
-    # 27, 49 and 512 for multi-digit layouts and rows of nw > 1 words
+    # of g and h* for every divisor code of the small grid, at q = 25, 27,
+    # 49 and 512 for multi-digit layouts and rows of nw > 1 words, and of
+    # every eighth divisor at the spare-bit boundaries, whose p = 2 layouts
+    # have the spare bit below and none above
     pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3, 4)]
     seen, checked = set(), 0
-    for code in naive.divisor_codes(pairs + [(25, 5), (27, 4), (49, 5), (512, 4)]):
+    codes = itertools.chain(
+        naive.divisor_codes(pairs + [(25, 5), (27, 4), (49, 5), (512, 4)]),
+        naive.divisor_codes(SPARE_BIT_BOUNDARIES, every=8),
+    )
+    for code in codes:
         tower, n = code.tower, code.n
         for f in (code.cyclic.g_logs, code.cyclic.h_star_logs):
             if tower.p == 2:
@@ -595,9 +633,41 @@ def test_multiples_gather_matches_the_per_entry_route():
                 assert np.array_equal(got, expected)
                 seen |= {("p", min(tower.p, 3)), ("digits", tower.ext_degree), ("nw", len(got) > 1)}
                 seen.add(("zero entry", any(0 in row for row in rows)))
+                if tower.p == 2:
+                    d = tower.ext_degree
+                    seen.add(("spare bit", packed._layout(2, d, n)[1] > d))
                 checked += 1
     assert {("p", 2), ("p", 3), ("nw", True), ("zero entry", True), ("digits", 18)} <= seen
-    assert checked == 3012
+    assert {("spare bit", True), ("spare bit", False)} <= seen
+    assert checked == 3464
+
+
+def test_spare_bit_layouts_match_naive_at_their_boundaries():
+    # below each boundary the p = 2 layout has a spare top bit and marks in
+    # two passes, above it has none and marks in four; the spare bit never
+    # adds a word per sum.  On each side of k = n, the code whose smaller
+    # side is the largest up to 2^14 words gives the naive span histogram
+    # of that side and its MacWilliams transform
+    for d in range(2, 25, 2):
+        for n in range(1, 130):
+            assert -(-n // packed._layout(2, d, n)[2]) == -(-n // (64 // d))
+    for j, (q, n) in enumerate(SPARE_BIT_BOUNDARIES):
+        tower = tower_for_q(q)
+        d = tower.ext_degree
+        assert packed._layout(2, d, n)[1] == d + (j % 2 == 0)
+        largest = {}
+        for code in naive.divisor_codes([(q, n)]):
+            k = code.card_log_q
+            small = min(k, 2 * n - k)
+            if k != n and q ** small <= 1 << 14 and small > largest.get(k < n, (-1,))[0]:
+                largest[k < n] = small, code
+        assert len(largest) == 2
+        for below, (small, code) in largest.items():
+            rows = code.gen_matrix if below else code.alternating_dual_matrix()
+            expected = naive.weight_histogram(naive.span(tower, rows, n), n, naive.hamming_weight)
+            other = naive.macwilliams_horner(expected, q ** small, tower.q2)
+            dist = weight_distribution(code)
+            assert (dist.counts, dist.dual_counts) == ((expected, other) if below else (other, expected))
 
 
 def test_sweeps_make_no_per_entry_field_calls(ternary_code, quaternary_code, monkeypatch):
@@ -636,7 +706,7 @@ def test_packed_negation_is_digitwise_and_canonical():
     rng = np.random.default_rng(29)
     for p in (3, 5, 7, 11, 13):
         for d in (1, 2, 4, 6):
-            c, _, per, _, _ = packed._layout(p, d)
+            c, _, per, _, _ = packed._layout(p, d, 1)
             fields = per * d
             digits = rng.integers(0, p, size=(200, fields))
             digits[::2, -d:] = 0
@@ -855,6 +925,26 @@ def test_b0_perp_is_the_dual_of_a():
         a = weights._split(tower, n, code.cyclic.g_logs)[1]
         assert a.dual().f == split(tower, n, code.cyclic.h_star_logs)[0]
     assert (len(codes), sum(c.n % 2 == 0 for c in codes)) == (1301, 692)
+
+
+def test_stabilizer_params_reuses_a_as_the_dual_of_b0_perp(monkeypatch):
+    # B0' is A^perp, and its histogram comes from its dual where that is
+    # the smaller side: A itself, not a second division of x^n + 1.  On
+    # this (2, 21) code, dim A = 10, dim B0 = 12 and dim B0' = 11, so B0
+    # and B0' each sweep their dual, and only A and B0 take a division
+    calls, dual = [], weights._Constacyclic.dual
+
+    def counted(self):
+        calls.append(self.dim)
+        return dual(self)
+
+    monkeypatch.setattr(weights._Constacyclic, "dual", counted)
+    tower = tower_for_q(2)
+    code = ConjucyclicCode(tower, 21, factor_x2n_minus_1(tower, 21).divisor([0, 1, 0, 2, 0, 2]))
+    params = stabilizer_params(code)
+    assert calls == [10, 12]
+    assert str(params) == "[[21,1,3]]_2"
+    assert (params.d, params.d_lower, params.pure) == naive.stabilizer_params_exhaustive(code)[:3]
 
 
 def test_split_sweeps_fit_the_exhaustive_budget():
