@@ -7,19 +7,19 @@ digits of the code are the coordinates of the element on the power basis
 code p is beta itself.  Multiplicative structure lives in exp/log tables of
 size q^2 - 1, flat array('i') tables built once, on the first GF(q^2)
 operation: without numpy by the recurrence exp[i + 1] = beta exp[i] up to
-q^2 = 2^18, and above it by numpy doubling: beta^L .. beta^(2L-1) are
-beta^0 .. beta^(L-1) times beta^L, a GF(p)-linear map on packed digits
-applied as 2^8-entry lookups per digit group (q^2 = 2^24: 1.2-1.5 s, 0.36 GB
-peak RSS).  Other modules read them only through FieldTower.power, logs,
-codes and add_rows.  Element addition is digitwise mod p on the codes;
-polynomials over GF(q) use the tower's Zech table of GF(q) instead
-(poly.ZechLogs, q - 1 entries).
+q^2 = 2^18, and above it by numpy a coset of GF(q)* at a time: row j of
+exp is gamma^j beta^0 .. gamma^j beta^q, the row before times gamma
+(q^2 = 2^24: 0.9-1.1 s, 0.17 GB peak RSS).  Other modules read them through
+FieldTower.power, logs, codes and add_rows, except packed, which fills
+them above 2^18 and gathers from them in a sweep.  Element addition is
+digitwise mod p on the codes; polynomials over GF(q) use the tower's Zech
+table of GF(q) instead (poly.ZechLogs, q - 1 entries).
 
 The subfield GF(q) is 0 and the q - 1 powers of gamma = beta^(q+1), which
-the constructor steps out on codes mod f without the GF(q^2) tables, so a
-tower that only factors x^(2n) - 1 never builds them (q = 4096: 0.02 s,
-its modulus search included).  Membership in GF(q) and the display of its
-elements read the Zech table.
+the constructor steps out on codes mod f without the GF(q^2) tables, by
+the same map v -> gamma v, so a tower that only factors x^(2n) - 1 never
+builds them (q = 4096: 0.02 s, its modulus search included).  Membership
+in GF(q) and the display of its elements read the Zech table.
 
 The canonical tower is a pure function of (p, m), so that constructions
 are reproducible bit for bit: a built-in table of Conway polynomials covers
@@ -50,14 +50,15 @@ from .poly import ZechLogs
 
 #: Hard cap on q^2 so the GF(q^2) tables fit in memory.  Up to
 #: PURE_TABLE_SIZE the tables come from the pure-Python recurrence, above it
-#: from numpy's doubling.  A tower and its tables in a fresh process, imports
-#: (numpy's too) included, pure against numpy: q = 1024 0.42 against 0.25 s;
-#: q = 3^7 1.36 against 1.08 s; prime q = 2039 3.3 against 0.40 s (the
-#: p^2-entry low table at d = 2); q = 4096, the cap, 5.2 against 1.2-1.5 s at
-#: 0.15 against 0.36 GB peak RSS (2-core Xeon, Python 3.11, numpy 2.4).  So
-#: above 2^18 numpy's route is the faster for every p measured; at q = 512
-#: the pure route takes 0.11 s, and keeps numpy's import (0.15 s) off the
-#: commands that build no sweep.
+#: from numpy's coset rows.  A tower and its tables in a fresh process,
+#: imports (numpy's too) included, pure against numpy (numpy's doubling
+#: before it in parentheses): q = 1024 0.42 against 0.15 s (0.21); q = 3^7
+#: 1.36 against 0.43 s (0.98); prime q = 2039 3.3 against 0.31 s (0.40; the
+#: p^2-entry low table at d = 2); q = 4096, the cap, 5.2 against 0.96 s (1.6)
+#: at 0.15 against 0.17 GB peak RSS (0.34), on a 2-core Xeon, Python 3.11,
+#: numpy 2.4.  So above 2^18 numpy's route is the faster for every p
+#: measured; at q = 512 the pure route takes 0.11 s, and keeps numpy's
+#: import (0.15 s) off the commands that build no sweep.
 MAX_FIELD_SIZE = 1 << 24
 PURE_TABLE_SIZE = 1 << 18
 _TABLES_LOCK = threading.Lock()
@@ -165,6 +166,32 @@ def _check_tower(p: int, m: int) -> None:
         raise NotPrimeError(f"characteristic {p} is not prime")
 
 
+def _times_x(v, p, f) -> list:
+    """beta v on the digit list v: shifted up one place, reduced by x^d = -f[:d]."""
+    return [(a - v[-1] * fj) % p for a, fj in zip([0] + v[:-1], f)]
+
+
+def _gamma_tables(tower) -> tuple:
+    """(low, high), q entries each: gamma v, gamma = beta^(q+1), is low[v % q]
+    plus high[v // q], as v -> gamma v is GF(p)-linear on v's 2m digits, so
+    each is spanned by gamma beta^j (j < m, m <= j < 2m), from gamma = x^(q+1)
+    mod f in GF(p)[x].  Reads p, ext_degree and modulus alone (FieldTower.add
+    reads p), so the table builders run on any namespace of those fields."""
+    p, d, f = tower.p, tower.ext_degree, tower.modulus
+    add, m, z = functools.partial(FieldTower.add, tower), d // 2, _prime_zech(p)
+    col = list(z.to_codes(z.powmod([-1, 0], p ** m + 1, z.to_logs(f))))
+    col += [0] * (d - len(col))
+    tables = []
+    for _ in range(2):
+        table = [0]
+        for _ in range(m):  # col is gamma beta^j, j the next digit place
+            mults = [sum(c * a % p * p ** i for i, a in enumerate(col)) for c in range(p)]
+            table = [add(y, x) for x in mults for y in table]
+            col = _times_x(col, p, f)
+        tables.append(table)
+    return tables
+
+
 class _Table:
     """FieldTower._exp or _log: on the first read, the build of both tables.
 
@@ -200,8 +227,8 @@ class FieldTower:
         modulus: primitive modulus of GF(q^2) over GF(p), low-degree-first.
         beta: code of the primitive element (residue class of the variable).
         _exp, _log: private array('i') log tables (_exp[i] is beta^i,
-            _log[0] = -1), built on first read, and read elsewhere only
-            through power, logs, codes and add_rows.
+            _log[0] = -1), built on first read, and read elsewhere through
+            power, logs, codes and add_rows, or as numpy views in packed.
         subfield: sorted codes of the q elements of GF(q), which are 0 and
             the powers of beta^(q+1).
         zech: GF(q) as logs to beta^(q+1), the arithmetic of poly.py.
@@ -234,27 +261,8 @@ class FieldTower:
     # -- construction -------------------------------------------------
 
     def _subfield_powers(self) -> list:
-        """Codes of gamma^0 .. gamma^(q-2), gamma = beta^(q+1), without the
-        GF(q^2) tables.
-
-        v -> gamma v is GF(p)-linear on the 2m digits of v, so gamma v is
-        the sum of two lookups on v = h q + lo, into tables of q entries
-        spanned by gamma beta^j for j < m and for m <= j < 2m, from
-        gamma = x^(q+1) mod f computed in GF(p)[x].
-        """
-        p, m, q, f, add = self.p, self.m, self.q, self.modulus, self.add
-        z = _prime_zech(p)
-        col = list(z.to_codes(z.powmod([-1, 0], q + 1, z.to_logs(f))))
-        col += [0] * (2 * m - len(col))
-        tables = []
-        for _ in range(2):
-            table = [0]
-            for _ in range(m):  # col is gamma beta^j, j the next digit place
-                mults = [sum(c * a % p * p ** i for i, a in enumerate(col)) for c in range(p)]
-                table = [add(y, x) for x in mults for y in table]
-                col = [(a - col[-1] * fj) % p for a, fj in zip([0] + col[:-1], f)]
-            tables.append(table)
-        low, high = tables
+        """Codes of gamma^0 .. gamma^(q-2), two _gamma_tables lookups a step."""
+        (low, high), q, add = _gamma_tables(self), self.q, self.add
         powers, v = [0] * (q - 1), 1
         for i in range(q - 1):
             powers[i] = v
@@ -262,7 +270,7 @@ class FieldTower:
         return powers
 
     def _build_tables(self) -> tuple:
-        """exp and log by exp[i + 1] = beta exp[i]; above PURE_TABLE_SIZE by numpy.
+        """exp and log by exp[i + 1] = beta exp[i]; above PURE_TABLE_SIZE by numpy's coset rows.
 
         beta v is v's digits shifted up one place plus -t f, t the digit
         shifted out: two lookups on v = h p^k + lo, as digits 0 .. k of
@@ -271,9 +279,12 @@ class FieldTower:
         """
         p, d, f, n = self.p, self.ext_degree, self.modulus, self.q2 - 1
         if self.q2 > PURE_TABLE_SIZE:  # the one place outside a sweep that loads numpy
-            from .packed import doubling_tables
+            from .packed import coset_tables
 
-            return doubling_tables(p, d, f)
+            leaders = [[1] + [0] * (d - 1)]  # beta^0 .. beta^q
+            while len(leaders) <= p ** (d // 2):
+                leaders.append(_times_x(leaders[-1], p, f))
+            return coset_tables(p, d, f, _gamma_tables(self), leaders)
 
         def part(t, j0, j1, out):  # digits j0 .. j1 - 1 of beta v, over the digits shifted in
             for j in range(j0, j1):  # digit a - t f_j at place j: col rotated by t f_j

@@ -26,12 +26,12 @@ _STEPS = 16
 # numpy copies a broadcast ufunc through buffers when its inner row has at
 # most a third of the buffer size (8192 by default), at about 3x the cost of
 # a plain pass.  The pair XOR's inner rows are a few hundred words, so it
-# runs with this buffer size, in a context that each thread keeps, which
-# leaves the caller's numpy settings alone.  The other passes keep the
+# runs with this buffer size, in a context kept with the scratch buffers,
+# which leaves the caller's numpy settings alone.  The other passes keep the
 # default, as a broadcast uint8 add is slower unbuffered, and smaller sizes
 # slow the XOR of rows of a few dozen words.
 _BUFSIZE = 256
-_scratch = threading.local()  # each thread's buffers, kept across calls
+_scratch = threading.local()  # a thread's buffers; _sweep's pool threads end with it
 
 
 @functools.cache
@@ -88,57 +88,47 @@ def packed_span(add, multiples, nw):
     return acc
 
 
-def doubling_tables(p, d, modulus):
-    """FieldTower's exp and log tables by doubling, as the field docstring
-    says, as flat array('i') tables."""
-    n, c = p ** d - 1, _digit_bits(p)
-    per = max(1, 8 // c)  # digits per lookup group: 8 bits' worth, or one digit
-    groups, width, digit = -(-d // per), per * c, (1 << c) - 1
-    add, mask = packed_add(p, c, d), (1 << width) - 1
-    shifts = np.arange(d, dtype=np.uint64) * c
-
-    def times_x(v):  # reduce by x^d = -modulus[:d]
-        return [(a - v[-1] * f) % p for a, f in zip([0] + v[:-1], modulus)]
-
-    # exp[:size] holds beta^0 .. beta^(size-1) packed, and power is beta^size;
-    # each pass doubles size by one GF(p)-linear map, multiplication by beta^size
-    exp = np.empty(n, dtype=np.uint64)
-    exp[0], size, power = 1, 1, times_x([1] + [0] * (d - 1))
-    tmp = np.empty(n // 2 + 1, dtype=np.uint64)
-    while size < n:
-        basis = np.zeros((groups * per, d), dtype=np.uint64)  # row j: beta^(size + j)
-        for j in range(d):
-            basis[j], power = power, times_x(power)
-        scalars = np.arange(digit + 1, dtype=np.uint64)[:, None, None]
-        mults = (scalars * basis % p << shifts).sum(axis=2).T.reshape(groups, per, -1)
-        # tables[t][v]: beta^size times the element whose group-t digits are v
-        tables = packed_span(add, [mults[:, k] for k in reversed(range(per))], groups)
-        block = exp[: min(size, n - size)]
-        out, size = exp[size : size + len(block)], size + len(block)
-        np.take(tables[0], block & mask, out=out)
-        for t in range(1, groups):
-            add(out, tables[t][block >> t * width & mask], out, tmp[: len(out)])
-        power = times_x([int(exp[size - 1]) >> (j * c) & digit for j in range(d)])
-    del tmp, block, out  # block and out are views that would keep exp alive
-    if p > 2:  # packed digits to codes in place, a block at a time
-        for i in range(0, n, _CHUNK_WORDS):
-            block = exp[i : i + _CHUNK_WORDS]
-            block[:] = sum((block >> s & digit) * p ** j for j, s in enumerate(shifts))
-        del block
-    exp = exp.astype(np.int32)
-    log = np.full(n + 1, -1, dtype=np.int32)
-    log[exp] = np.arange(n, dtype=np.int32)
-    if (log[1:] < 0).any() or power != [1] + [0] * (d - 1):
+def coset_tables(p, d, modulus, gamma, leaders):
+    """FieldTower's exp and log, array('i') tables written through numpy
+    views: row j of exp is gamma^j times the leaders beta^0 .. beta^q (digit
+    lists), gamma times the row before, by field._gamma_tables and by code
+    tables, each indexed by the packed low or high half of an entry.  A log
+    left at -1 means that beta is not primitive."""
+    q, c = len(leaders) - 1, _digit_bits(p)
+    w, add = c * (d // 2), packed_add(p, c, d)
+    exp, log = array("i", [0]) * (q * q - 1), array("i", [-1]) * (q * q)
+    exps, logs = np.frombuffer(exp, np.int32), np.frombuffer(log, np.int32)
+    halves = _pack(np.arange(q, dtype=np.uint64), p, c, d // 2)
+    codes = [np.zeros(1 << w, np.int32) for _ in range(2)]  # zero pages stay unmapped
+    codes[0][halves], codes[1][halves] = np.arange(q), np.arange(0, q * q, q)
+    steps = [np.zeros(1 << w, np.uint64) for _ in range(2)]
+    for step, table in zip(steps, gamma):
+        step[halves] = _pack(np.array(table, np.uint64), p, c, d)
+    v = np.array(leaders, np.uint64) @ (np.uint64(1) << np.arange(0, d * c, c, dtype=np.uint64))
+    tmp, cols = np.empty_like(v), np.arange(q + 1, dtype=np.int32)
+    for row in exps.reshape(q - 1, q + 1):
+        lo, hi = (ix := v.view(np.intp)) & (1 << w) - 1, ix >> w  # intp gathers run 2-3x faster
+        np.add(codes[0][lo], codes[1][hi], out=row)
+        logs[row] = cols
+        cols += q + 1
+        add(steps[0][lo], steps[1][hi], v, tmp)
+    if (logs[1:] < 0).any():
         raise NoPrimitivePolynomialError(f"modulus {modulus} over GF({p}) is not primitive")
-    flat = array("i"), array("i")
-    for table, values in zip(flat, (exp, log)):
-        table.frombytes(memoryview(values).cast("B"))
-    return flat
+    return exp, log
 
 
 def _digit_bits(p):
     """Bits per base-p digit: 1 for p = 2, else room for a sum of two digits."""
     return 1 if p == 2 else (2 * p - 2).bit_length()
+
+
+def _pack(codes, p, c, digits):
+    """uint64 codes of `digits` base-p digits to c-bit fields, in place:
+    digit k is t_k - p t_(k+1), t_k = code // p^k, so the fields read
+    code + (2^c - p) sum_(k >= 1) t_k 2^((k-1) c)."""
+    if p > 2:
+        codes += sum(codes // p ** k << (k - 1) * c for k in range(1, digits)) * ((1 << c) - p)
+    return codes
 
 
 @functools.cache
@@ -165,10 +155,8 @@ def _multiples(tower, rows, n):
 
     tower.subfield is sorted, so column 0 is the zero word and column 1 the
     row itself.  The products are one gather from the exp table at the
-    summed logs mod q^2 - 1 (take's wrap), 0 where the row's entry is.
-    Base-p digit k of a code is t_k - p t_(k+1), t_k = code // p^k, so its
-    c-bit fields read code + (2^c - p) sum_(k >= 1) t_k 2^((k-1) c); a
-    word sums its coordinates times their place values.
+    summed logs mod q^2 - 1 (take's wrap), 0 where the row's entry is,
+    packed by _pack; a word sums its coordinates times their place values.
     """
     p, q, r, d = tower.p, tower.q, len(rows), tower.ext_degree
     c, _, per, place, _ = _layout(p, d, n)
@@ -177,9 +165,7 @@ def _multiples(tower, rows, n):
     scales = log[np.array(tower.subfield[1:])][:, None]
     codes = np.zeros((r, q, -(-n // per) * per), np.uint64)
     codes[:, 1:, :n] = np.where(logs < 0, 0, np.take(exp, logs + scales, mode="wrap"))
-    if p > 2:
-        codes += sum(codes // p ** k << (k - 1) * c for k in range(1, d)) * ((1 << c) - p)
-    words = codes.reshape(r, q, -1, per) @ place
+    words = _pack(codes, p, c, d).reshape(r, q, -1, per) @ place
     return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
@@ -202,7 +188,7 @@ def _histogram(outer, inner, ones, top, n, carry, zero):
     marks it in place; else every bit is a digit, and ((x & low) + low |
     x) & top marks it in a second buffer.  The longer of an outer block
     and the inner words runs innermost, and the XOR runs unbuffered (see
-    _BUFSIZE).  Each thread keeps its scratch buffers across calls.  A
+    _BUFSIZE).  Scratch buffers are per thread (see _scratch).  A
     weight in row 1 is stored plus n + 1; where that fits in a byte (at
     most 256 bins: 2n + 1 <= 255 with row 1, n <= 255 without), weights
     are written as bytes and np.bincount reads them as uint16 pairs, at

@@ -6,9 +6,10 @@ lie in the subfield GF(q) of the ambient tower, where all generator
 polynomials of the cyclic codes of interest live: the arithmetic runs on
 their logs to a generator gamma of GF(q)*, and a coefficient outside GF(q)
 (its tower log no multiple of q + 1) raises ValueError.  ZechLogs is the
-arithmetic, and the one place that knows its log-list encoding: a FieldTower
-carries one for GF(q) as `zech`, with gamma = beta^(q+1), and the modulus
-search in field.py runs one on GF(p) directly.  A code's own polynomials
+arithmetic (a FieldTower carries one for GF(q) as `zech`, gamma = beta^(q+1),
+and field.py's modulus search one on GF(p)); its log lists, -1 for a zero,
+are also read by FieldTower.codes, conju's mirror rows, dual logs and largest
+cyclic subcode, and weights' shortened mirror rows.  A code's own polynomials
 (cyclic.CyclicCode: g, its prepared divisor and h*) are log lists from
 construction on, and every question asked of the code runs on those lists;
 the few functions here that take and return codes (poly_mod,

@@ -60,8 +60,8 @@ in vectorized blocks, one call per thread: H over the representatives,
 and Z over the zero word alone (the inner span itself), read off the first
 block.  A sum with an outer representative stands for its q - 1 nonzero
 multiples, so A = (q - 1) H + Z.  Weights that fit in a byte are counted
-two at a time, by one np.bincount over the bytes read as uint16 pairs, and
-each thread keeps its scratch buffers across calls.  On the r' = r - e
+two at a time, by one np.bincount over the bytes read as uint16 pairs, in
+scratch buffers per thread (a sweep's pool threads end with the sweep).  On the r' = r - e
 shortened rows the kernel visits (q^r'_out - 1)/(q - 1) q^r'_in + q^r'_in
 words, about q^(r - e)/(q - 1) of the enumerated side's q^r.  Work
 partitions across a thread pool, at most one thread per CPU this process

@@ -330,10 +330,12 @@ def test_both_builders_reject_non_primitive_moduli(m, modulus, monkeypatch):
         FieldTower(2, m, modulus)
 
 
-@pytest.mark.parametrize("q", [243, 512, 1024])
+@pytest.mark.parametrize("q", [2, 25, 101, 243, 512, 1024])
 def test_table_routes_agree_across_the_threshold(q, monkeypatch):
-    # 3^10 and 2^18 take the pure-Python recurrence and 2^20 numpy's
-    # doubling; moving the threshold sends the same modulus the other way
+    # up to 2^18 the tables take the pure-Python recurrence and 2^20 numpy's
+    # coset rows; moving the threshold sends the same modulus the other way:
+    # q = 2 is one coset row, 25 and 243 odd p at m = 2 and 5, and 101 a
+    # prime q, each half of a GF(q^2) element one digit
     t = tower_for_q(q)
     assert (t.q2 <= field.PURE_TABLE_SIZE) == (q < 1024)
     exp, log = list(t._exp), list(t._log)  # built before the threshold moves
