@@ -116,16 +116,6 @@ def alternating_inner(tower, u, v) -> int:
     return tower.mul(scale, acc)
 
 
-def mirror_rows(tower, n, f) -> list:
-    """The 2n - deg f T-iterates of the contracted coefficient vector of f,
-    a GF(q)-basis of the code whose mirror is <f>; f is a log list of
-    tower.zech dividing x^(2n) - 1."""
-    v = (f + [-1] * (2 * n))[: 2 * n]
-    row = _contract_logs(tower, v[:n], v[n:], tower.q + 1)
-    conj = tuple(tower.codes(tower.logs(row), 0, tower.q))  # conj(beta^t) = beta^(q t)
-    return shift_iterates(row, 2 * n + 1 - len(f), conj)
-
-
 def is_conjucyclic(tower, rows) -> bool:
     """True when the GF(q)-span of the rows is closed under the shift T."""
     rows = [tuple(r) for r in rows]
@@ -236,7 +226,10 @@ class ConjucyclicCode:
     def gen_matrix(self) -> list:
         """Built on first use (see the class docstring): weight enumeration,
         dual containment and the stabilizer parameters never read it."""
-        return mirror_rows(self.tower, self.n, self.cyclic.g_logs)
+        tower, n, v = self.tower, self.n, self.cyclic.g_logs + [-1] * (2 * self.n)
+        row = _contract_logs(tower, v[:n], v[n : 2 * n], tower.q + 1)
+        conj = tuple(tower.codes(tower.logs(row), 0, tower.q))  # conj(beta^t) = beta^(q t)
+        return shift_iterates(row, self.card_log_q, conj)
 
     @property
     def k(self) -> int:

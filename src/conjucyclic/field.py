@@ -10,8 +10,9 @@ operation: without numpy by the recurrence exp[i + 1] = beta exp[i] up to
 q^2 = 2^18, and above it by numpy a coset of GF(q)* at a time: row j of
 exp is gamma^j beta^0 .. gamma^j beta^q, the row before times gamma
 (q^2 = 2^24: 0.9-1.1 s, 0.17 GB peak RSS).  Other modules read them through
-FieldTower.power, logs, codes and add_rows, except packed, which fills
-them above 2^18 and gathers from them in a sweep.  Element addition is
+FieldTower.power, logs, codes and add_rows, except packed.coset_tables,
+which fills them above 2^18; a weight sweep reads none of them, only
+GF(q)'s codes and the modulus.  Element addition is
 digitwise mod p on the codes; polynomials over GF(q) use the tower's Zech
 table of GF(q) instead (poly.ZechLogs, q - 1 entries).
 
@@ -228,7 +229,8 @@ class FieldTower:
         beta: code of the primitive element (residue class of the variable).
         _exp, _log: private array('i') log tables (_exp[i] is beta^i,
             _log[0] = -1), built on first read, and read elsewhere through
-            power, logs, codes and add_rows, or as numpy views in packed.
+            power, logs, codes and add_rows; packed.coset_tables fills
+            them above 2^18 through numpy views.
         subfield: sorted codes of the q elements of GF(q), which are 0 and
             the powers of beta^(q+1).
         zech: GF(q) as logs to beta^(q+1), the arithmetic of poly.py.

@@ -1,6 +1,7 @@
 """numpy's one module: packed digit vectors, c bits a base-p digit in uint64
 words, for the tower tables above field.PURE_TABLE_SIZE and the weight sweep,
-which gathers the multiples of rows that weights has shortened, and counts."""
+which gathers the GF(q) multiples of the mirror log rows that weights has
+shortened from two tables of q - 1 entries per tower, and counts."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import contextvars
 import functools
 import os
 import threading
+import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,16 +34,19 @@ _STEPS = 16
 # slow the XOR of rows of a few dozen words.
 _BUFSIZE = 256
 _scratch = threading.local()  # a thread's buffers; _sweep's pool threads end with it
+#: _subfield_tables per tower, held weakly, so a dropped tower's tables go too
+_SUBFIELD_TABLES = weakref.WeakKeyDictionary()
 
 
 @functools.cache
 def packed_add(p: int, c: int, fields: int):
     """add(a, b, out, tmp): digitwise a + b mod p on words of `fields` c-bit digits.
 
-    Writes the sum to out (which may be a) and overwrites tmp; callers
-    preallocate both, as fresh temporaries cost page faults.  The digits
-    add by XOR for p = 2; for odd p they add as integers without carrying
-    into each other, and p is subtracted from every digit that reached p.
+    Writes the sum to out (which may be a) and overwrites tmp (which may
+    be b); callers preallocate both, as fresh temporaries cost page
+    faults.  The digits add by XOR for p = 2; for odd p they add as
+    integers without carrying into each other, and p is subtracted from
+    every digit that reached p.
     """
     if p == 2:
         return lambda a, b, out, tmp: np.bitwise_xor(a, b, out=out)
@@ -150,22 +155,55 @@ def _layout(p, d, n):
     return c, width, per, place, np.uint64(int(place.sum()) << width - 1)
 
 
-def _multiples(tower, rows, n):
-    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j.
+def _subfield_tables(tower):
+    """(tables, scales), once per tower: tables[0][k] and tables[1][k] are
+    gamma^k and beta gamma^k, packed as one coordinate's 2m c-bit digit
+    fields, and scales holds the logs of tower.subfield[1:] as a column.
+    gamma^k's digits come from the codes of tower.zech; beta v shifts v's
+    digits up one place and reduces x^2m by the modulus, a GF(p)-linear map
+    of the digits (the companion matrix)."""
+    if (tables := _SUBFIELD_TABLES.get(tower)) is None:
+        p, d, z, c = tower.p, tower.ext_degree, tower.zech, _digit_bits(tower.p)
+        gamma = np.array(z.code[:-1], np.int64)[:, None] // p ** np.arange(d) % p
+        # row j of times_beta is x^(j + 1) mod the modulus: x^2m = -modulus[:2m]
+        times_beta = np.vstack([np.eye(d - 1, d, 1, np.int64), np.negative(tower.modulus[:d]) % p])
+        fields = np.uint64(1) << np.arange(0, d * c, c, dtype=np.uint64)
+        tables = np.stack([gamma, gamma @ times_beta % p]).astype(np.uint64) @ fields
+        scales = np.array([z.log[x] for x in tower.subfield[1:]])[:, None]
+        tables = _SUBFIELD_TABLES[tower] = tables, scales
+    return tables
 
-    tower.subfield is sorted, so column 0 is the zero word and column 1 the
-    row itself.  The products are one gather from the exp table at the
-    summed logs mod q^2 - 1 (take's wrap), 0 where the row's entry is,
-    packed by _pack; a word sums its coordinates times their place values.
+
+def _multiples(tower, factors, n):
+    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j of
+    the factors' rows, in order.
+
+    A row is a log list of tower.zech over the mirror, any negative log a
+    zero entry (ZechLogs leaves logs unreduced).  Rows of length 2n pack
+    coordinate i as v_i + beta v_(n+i), which is zero exactly where both
+    are; rows of length n pack v_i in the first factor and beta v_i in the
+    second.  tower.subfield is sorted, so column 0 is the zero word and
+    column 1 the row itself.  The products are gathers from
+    _subfield_tables at the summed logs mod q - 1 (take's wrap), one per
+    nonzero half, 0 where the row's entry is; a word sums its coordinates
+    times their place values.
     """
-    p, q, r, d = tower.p, tower.q, len(rows), tower.ext_degree
+    p, q, d = tower.p, tower.q, tower.ext_degree
     c, _, per, place, _ = _layout(p, d, n)
-    exp, log = np.frombuffer(tower._exp, np.int32), np.frombuffer(tower._log, np.int32)
-    logs = log[np.array(rows)][:, None, :]
-    scales = log[np.array(tower.subfield[1:])][:, None]
-    codes = np.zeros((r, q, -(-n // per) * per), np.uint64)
-    codes[:, 1:, :n] = np.where(logs < 0, 0, np.take(exp, logs + scales, mode="wrap"))
-    words = _pack(codes, p, c, d).reshape(r, q, -1, per) @ place
+    tables, scales = _subfield_tables(tower)
+    logs = np.array([row for rows in factors for row in rows])[:, None, :]
+    r, k = len(logs), len(factors[0])
+    codes = np.zeros((r, q, -(-n // per) * per), np.uint64)  # column 0 stays the zero word
+
+    def gather(half, logs):  # 0 where a log is negative
+        return np.where(logs < 0, 0, np.take(tables[half], logs + scales, mode="wrap"))
+
+    if logs.shape[2] == n:
+        codes[:k, 1:, :n], codes[k:, 1:, :n] = gather(0, logs[:k]), gather(1, logs[k:])
+    else:  # y, consumed by the sum, doubles as its scratch array
+        x, y = gather(0, logs[..., :n]), gather(1, logs[..., n:])
+        packed_add(p, c, d)(x, y, codes[:, 1:, :n], y)
+    words = codes.reshape(r, q, -1, per) @ place
     return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
@@ -276,11 +314,12 @@ def _sweep(tower, factors, n, workers):
 
     factors holds one or two lists of rows, each GF(q)-independent and
     packed by _multiples.  Two factors must meet only in 0 at every
-    coordinate (weights puts one in GF(q) and the other in beta GF(q)), so
-    that x + y weighs |supp x cup supp y| and x, y scale apart.  Call X
-    the larger factor, of a rows, and Y the other, of b.  The outer words
-    are one representative per GF(q)-projective point of the span of X's
-    last a - i rows, the messages whose first nonzero digit is 1.  The
+    coordinate (rows of length n do: the first factor's pack into GF(q),
+    the second's into beta GF(q)), so that x + y weighs |supp x cup supp y|
+    and x, y scale apart.  Call X the larger factor, of a rows, and Y the
+    other, of b.  The outer words are one representative per
+    GF(q)-projective point of the span of X's last a - i rows, the
+    messages whose first nonzero digit is 1.  The
     inner words are the span of X's first i rows plus 0 or one
     representative of each projective point of Y; the first q^i inner
     columns hold the zero y and count once, the rest q - 1 times.  Outer
@@ -296,16 +335,15 @@ def _sweep(tower, factors, n, workers):
     _CHUNK_WORDS sums, so a sweep of less than two starts no pool.
     """
     q = tower.q
-    big, small = sorted(factors, key=len, reverse=True) + [[]] * (2 - len(factors))
-    a, b = len(big), len(small)
-    if not a:
+    if not any(factors):
         return [1] + [0] * n
-    multiples = _multiples(tower, big + small, n)
+    multiples = _multiples(tower, factors, n)
     nw = len(multiples)
+    cols = [multiples[:, j] for j in range(multiples.shape[1])]
+    big, small = sorted((cols[: len(factors[0])], cols[len(factors[0]) :]), key=len, reverse=True)
     c, width, per, _, top = _layout(tower.p, tower.ext_degree, n)
     fields = per * tower.ext_degree
     add = packed_add(tower.p, c, fields)
-    cols = [multiples[:, j] for j in range(a + b)]
 
     def representatives(picks):
         # the zero word, then the representatives: one leads in the first h
@@ -321,10 +359,10 @@ def _sweep(tower, factors, n, workers):
         rest = [tail[:, q ** j : 2 * q ** j] for j in range(len(picks) - h)]
         return np.concatenate([tail[:, :1], out.reshape(nw, -1)] + rest, axis=1)
 
-    i = (a - b) // 2
-    ys = [representatives(cols[a:])] if b else []
-    inner = packed_neg(add, tower.p, c, fields, packed_span(add, ys + cols[:i], nw))
-    outer = representatives(cols[i:a])
+    i = (len(big) - len(small)) // 2
+    ys = [representatives(small)] if small else []
+    inner = packed_neg(add, tower.p, c, fields, packed_span(add, ys + big[:i], nw))
+    outer = representatives(big[i:])
     blocks = outer.shape[1] // _block(outer.shape[1], inner, _CHUNK_WORDS)
     workers = min(max(1, int(workers)), _cores(), blocks)
     args = inner, q ** i, top, n, width > tower.ext_degree
@@ -341,5 +379,5 @@ def _sweep(tower, factors, n, workers):
     if z is not None:  # the zero outer word stands for itself, not q - 1 words
         total -= (q - 2) * (scale @ z)
     counts = [int(v) for v in total]
-    assert sum(counts) == q ** (a + b), "histogram does not cover the span"
+    assert sum(counts) == q ** len(cols), "histogram does not cover the span"
     return counts

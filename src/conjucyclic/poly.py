@@ -8,8 +8,9 @@ their logs to a generator gamma of GF(q)*, and a coefficient outside GF(q)
 (its tower log no multiple of q + 1) raises ValueError.  ZechLogs is the
 arithmetic (a FieldTower carries one for GF(q) as `zech`, gamma = beta^(q+1),
 and field.py's modulus search one on GF(p)); its log lists, -1 for a zero,
-are also read by FieldTower.codes, conju's mirror rows, dual logs and largest
-cyclic subcode, and weights' shortened mirror rows.  A code's own polynomials
+are also read by FieldTower.codes, conju's generator matrix, dual logs and
+largest cyclic subcode, and weights' shortened mirror rows, which the sweep
+packs from them.  A code's own polynomials
 (cyclic.CyclicCode: g, its prepared divisor and h*) are log lists from
 construction on, and every question asked of the code runs on those lists;
 the few functions here that take and return codes (poly_mod,

@@ -34,13 +34,16 @@ rows has exactly q^r words, one per message in GF(q)^r.  Scaling a word by
 a nonzero lambda in GF(q) keeps its weight, so the nonzero words fall into
 (q^r - 1)/(q - 1) classes of q - 1 words of equal weight, one class per
 GF(q)-projective point, and the sweep visits about one word per class.  A
-word is packed into uint64 words: each base-p digit takes a c-bit field
-and adds as in packed.packed_add, and a coordinate takes its 2m*c digit
-bits plus, for p = 2, one spare top bit wherever that adds no uint64 word
-to the n coordinates (packed._layout).  64 // width whole coordinates of
-width bits share a word (at most 42 bits under the 2^24 table cap, so
-none straddles two words).  Digits are kept canonical, so a coordinate of
-a sum x + y is zero exactly where the bits of x and -y agree: the sweep
+word is packed into uint64 words straight from the mirror's GF(q) logs:
+coordinate i is v_i + beta v_(n+i), zero exactly where both mirror
+positions are, as 1 and beta are independent over GF(q); each of its 2m
+base-p digits takes a c-bit field and adds as in packed.packed_add, and a
+coordinate takes its 2m*c digit bits plus, for p = 2, one spare top bit
+wherever that adds no uint64 word to the n coordinates (packed._layout).
+64 // width whole coordinates of width bits share a word (at most 42 bits
+under the 2^24 table cap, so none straddles two words).  Digits are kept
+canonical, so a coordinate of a sum x + y is zero exactly where the bits
+of x and -y agree: the sweep
 negates its inner words once (packed.packed_neg, the identity for p = 2),
 and the hot loop forms x XOR (-y), whose weight is the popcount of one
 mark bit per nonzero coordinate.  The marks take two passes where a
@@ -50,8 +53,9 @@ room for one, (q, n) = (2, 28) and (4, 14) among them.  No table lookups
 and no digit additions run inside the hot loop.
 
 The kernel, in packed (numpy's one module, imported by the first sweep),
-is a blocked meet-in-the-middle sweep: the rows' GF(q)-multiples are one
-gather from the exp table at summed logs, the rows are split in half, and
+is a blocked meet-in-the-middle sweep: the rows' GF(q)-multiples are
+gathers from two packed tables of q - 1 entries, gamma^k and beta gamma^k,
+at summed logs, the rows are split in half, and
 the inner half's full span is built as packed words by packed.packed_span.
 The outer words are the zero word and the outer half's projective
 representatives (the messages whose first nonzero digit is 1).  One
@@ -92,9 +96,9 @@ keeps the GF(q^2) Hamming weight.
     product of the shortened factors is the side's words with c_0 = 0 (e
     is the number of nonzero factors), and x times a word of D, cyclic on
     u and negacyclic on w, is the transitive shift that the lift needs.
-  The A- part's entries stay in GF(q) and the A+ part's go to beta GF(q),
-  so a coordinate of a sum vanishes only where both parts do.  With a >= b
-  shortened rows in the factors and P(r) = (q^r - 1)/(q - 1), the kernel
+  The A- part's entries pack as themselves and the A+ part's as beta
+  times them, so a coordinate of a sum vanishes only where both parts do.
+  With a >= b shortened rows in the factors and P(r) = (q^r - 1)/(q - 1), the kernel
   (packed._sweep) visits (P(a - i) + 1) q^i (P(b) + 1) words,
   i = (a - b) // 2; b = 0 leaves the one-side sweep above.
 - Odd-p stabilizer codes: C^perp <= C forces A- or A+ to be all of
@@ -109,8 +113,8 @@ keeps the GF(q^2) Hamming weight.
   0 is zero where positions 0 and n both are, and x^j f has f_(n-j) at
   position n: the first row nonzero there is the pivot and leaves, and
   every other such row gains a GF(q) multiple of it, its scale read off
-  f's logs (_mirror_short_rows).  Contraction is GF(q)-linear, so this
-  runs on the contracted GF(q^2) rows; e = 2, or e = 1 where no row is
+  f's logs (_mirror_short_rows).  This runs on the mirror's own logs, and
+  the rows are packed as mirror words; e = 2, or e = 1 where no row is
   nonzero at n (f = x^n + 1, say).
 - p = 2 stabilizer codes: x^(2n) - 1 = (x^n + 1)^2.  Write v = a + x^n b
   in D and s = a + b = v mod (x^n + 1), which lies in A = <g+>,
@@ -140,7 +144,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conju import is_alternating_dual_containing, mirror_rows
+from .conju import is_alternating_dual_containing
 from .cyclic import shift_iterates, split
 from .errors import BudgetExceededError, NotDualContainingError
 
@@ -243,13 +247,12 @@ class _Constacyclic:
         self.tower, self.n, self.f, self.c = tower, n, f, c
         self.dim, self.perp = n + 1 - len(f), None
 
-    def short_rows(self, shift=0):
-        """The words with c_0 = 0, as GF(q^2) rows of the GF(q) coefficients
-        times beta^shift: the shifts x f, ..., x^(dim - 1) f, which do not
-        wrap (so are words whichever lambda) and, as f(0) != 0, span the
-        words m f, deg m < dim, with m(0) = 0."""
-        row = (self.tower.codes(self.f, shift, self.tower.q + 1) + [0] * self.n)[: self.n]
-        return shift_iterates(tuple(row), self.dim)[1:]
+    def short_rows(self):
+        """The words with c_0 = 0, as log lists: the shifts x f, ...,
+        x^(dim - 1) f, windows of f's log list, which do not wrap (so are
+        words whichever lambda) and, as f(0) != 0, span the words m f,
+        deg m < dim, with m(0) = 0."""
+        return shift_iterates((self.f + [-1] * self.n)[: self.n], self.dim)[1:]
 
     def dual(self):
         """The Euclidean dual <h*>, h = (x^n - lambda)/f, of the same lambda,
@@ -287,32 +290,31 @@ def _split(tower, n, f):
 
 def _mirror_short_rows(tower, n, f):
     """p = 2: the words with c_0 = 0 of the side whose mirror is <f>, as
-    GF(q^2) rows: the contracted shifts x f, ..., x^(d - 1) f with the
-    first one nonzero at mirror position n as the pivot, which leaves, as
-    the module docstring says.  f is a reduced log list of tower.zech.
+    mirror log rows of length 2n: the shifts x f, ..., x^(d - 1) f with the
+    first one nonzero at mirror position n as the pivot, which leaves, and
+    its multiple added to every other row nonzero there, as the module
+    docstring says.  f is a reduced log list of tower.zech; the rows' logs
+    are left unreduced (ZechLogs.add_scaled), any negative one a zero.
     """
-    q, d = tower.q, 2 * n + 1 - len(f)
-    rows = mirror_rows(tower, n, f)[1:]
-    heads = [f[n - j] if 0 <= n - j < len(f) else -1 for j in range(1, d)]
-    i = next((j for j, h in enumerate(heads) if h >= 0), None)
-    if i is None:
-        return rows
-    pivot, lp = tower.logs(rows.pop(i)), heads.pop(i)
-    scales = [(h - lp) % (q - 1) if h >= 0 else -1 for h in heads]
-    times = {s: tower.codes(pivot, s * (q + 1)) for s in set(scales) - {-1}}
-    return [tower.add_rows(row, times[s]) if s >= 0 else row for row, s in zip(rows, scales)]
+    z, rows = tower.zech, shift_iterates((f + [-1] * (2 * n))[: 2 * n], 2 * n + 1 - len(f))[1:]
+    pivot = next((row for row in rows if row[n] >= 0), None)
+    if pivot:
+        rows.remove(pivot)  # the shifts of f are distinct
+        terms = [(k, t) for k, t in enumerate(pivot) if t >= 0]
+        for row in (row for row in rows if row[n] >= 0):  # p = 2: plus clears position n
+            z.add_scaled(row, 0, (row[n] - pivot[n]) % z.q1, terms)
+    return rows
 
 
 def _mirror_counts(tower, n, f, workers):
     """Hamming weight histogram of the side whose mirror generator is f,
     g for C or h* for C^perp, from its words with c_0 = 0 and the lift:
-    for p = 2 the side's own shortened rows (_mirror_short_rows), for odd
-    p the product of _split's A- in GF(q) and A+ in beta GF(q)."""
+    for p = 2 the side's own shortened mirror rows (_mirror_short_rows),
+    for odd p the product of _split's A- in GF(q) and A+ in beta GF(q), the
+    first and second factor of packed._sweep."""
     from . import packed  # numpy loads with the first sweep
-    if tower.p == 2:
-        factors = [_mirror_short_rows(tower, n, f)]
-    else:
-        factors = [part.short_rows(shift) for shift, part in enumerate(_split(tower, n, f))]
+    parts = _split(tower, n, f) if tower.p != 2 else ()
+    factors = [part.short_rows() for part in parts] if parts else [_mirror_short_rows(tower, n, f)]
     return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
 
 

@@ -55,6 +55,15 @@ def divisor_codes(pairs, every=1):
             yield ConjucyclicCode(tower, n, g)
 
 
+def mirror_logs(tower, rows):
+    """Rows of GF(q^2)^n as the sweep's mirror rows: each expanded into
+    GF(q)^2n by the paper's map, entry by entry, and written as logs of
+    tower.zech, -1 for a zero."""
+    from conjucyclic import expand
+
+    return [[tower.zech.log[x] for x in expand(tower, row)] for row in rows]
+
+
 def span_counts(tower, rows, n, workers):
     """Hamming weight histogram over the GF(q)-span of the rows, by the
     packed sweep on the full span: no shortening and no lift.
@@ -64,7 +73,23 @@ def span_counts(tower, rows, n, workers):
     """
     from conjucyclic import packed
 
-    return packed._sweep(tower, [rows], n, workers)
+    return packed._sweep(tower, [mirror_logs(tower, rows)], n, workers)
+
+
+def coordinates(tower, factors, n):
+    """The sweep's log rows as rows of GF(q^2)^n, one entry at a time: a
+    mirror row of length 2n gives v_i + beta v_(n+i), a row of length n
+    gives v_i in the first factor and beta v_i in the second; a log is
+    read mod q - 1, and any negative one is a zero."""
+    z, rows = tower.zech, []
+    for half, logs in enumerate(factors):
+        for row in logs:
+            v = [z.code[t % z.q1] if t >= 0 else 0 for t in row]
+            if len(row) == 2 * n:
+                rows.append([tower.add(a, tower.mul(tower.beta, b)) for a, b in zip(v[:n], v[n:])])
+            else:
+                rows.append([tower.mul(tower.power(half), a) for a in v])
+    return rows
 
 
 def pack(tower, rows, n):
@@ -95,19 +120,17 @@ def pack(tower, rows, n):
     return np.ascontiguousarray(words.T)
 
 
-def multiples(tower, rows, n):
-    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j,
-    one entry at a time: the per-entry route that packed._multiples
-    replaces by one gather.
+def multiples(tower, factors, n):
+    """(nw, r, q) packed words: [:, j, i] is tower.subfield[i] times row j
+    of the factors' log rows (coordinates), one entry at a time: the
+    per-entry route that packed._multiples replaces by gathers.
 
     tower.subfield is sorted, so column 0 is the zero word and column 1 the
-    row itself.  Each product is one table lookup on the sum of the logs.
+    row itself.  Each product is one GF(q^2) multiplication.
     """
-    scales, scaled = tower.logs(tower.subfield[1:]), []
+    rows, scaled = coordinates(tower, factors, n), []
     for row in rows:
-        logs = tower.logs(row)
-        scaled.append([0] * len(row))
-        scaled.extend(tower.codes(logs, lk) for lk in scales)
+        scaled.extend([tower.mul(c, x) for x in row] for c in tower.subfield)
     packed = pack(tower, scaled, n)
     return packed.reshape(len(packed), len(rows), tower.q)
 
@@ -152,7 +175,8 @@ def side_counts(tower, rows, n, workers):
     short = shorten(tower, rows)
     # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
     assert not rows or len(short) < len(rows), "a nonzero side vanishes at coordinate 0"
-    return weights._lift(packed._sweep(tower, [short], n, workers), n, tower.q ** len(rows))
+    counts = packed._sweep(tower, [mirror_logs(tower, short)], n, workers)
+    return weights._lift(counts, n, tower.q ** len(rows))
 
 
 def stabilizer_params_exhaustive(code, budget=1 << 28, workers=1):

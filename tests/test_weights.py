@@ -144,7 +144,8 @@ def test_sweeps_past_byte_weights_match_naive(monkeypatch):
     # words count in both rows) and at n >= 256 for one factor, the
     # histogram counts intp weights, not byte pairs: p = 2 and odd p both
     # ways, and at (3, 200) one factor's 201 bins still paired; small
-    # blocks give several steps per call, and a pool at 2 workers
+    # blocks give several steps per call, and a pool at 2 workers.  The
+    # GF(q^2) rows reach the sweep as mirror log rows (naive.mirror_logs)
     rng = random.Random(128)
     monkeypatch.setattr(packed, "_CHUNK_WORDS", 1 << 6)
     monkeypatch.setattr(packed, "_BLOCK_WORDS", 1 << 8)
@@ -159,8 +160,9 @@ def test_sweeps_past_byte_weights_match_naive(monkeypatch):
         words = naive.span(tower, [row for rows in factors for row in rows], n)
         assert len(words) == q ** sum(dims) <= 1 << 12
         expected = naive.weight_histogram(words, n, naive.hamming_weight)
+        mirror = [naive.mirror_logs(tower, rows) for rows in factors]
         for workers in (1, 2):
-            assert packed._sweep(tower, factors, n, workers) == expected
+            assert packed._sweep(tower, mirror, n, workers) == expected
 
 
 def test_concurrent_sweeps_match_serial(ternary_code, quaternary_code, monkeypatch):
@@ -604,10 +606,11 @@ SPARE_BIT_BOUNDARIES = ((2, 21), (2, 22), (4, 12), (4, 13), (8, 9), (8, 10), (16
 
 
 def test_multiples_gather_matches_the_per_entry_route():
-    # packed._multiples takes every GF(q)-multiple of every row by one
-    # gather; against naive.multiples, one entry at a time, bit for bit with
-    # the same shape and dtype, on the rows each sweep takes: the p = 2
-    # mirror rows and both factors of the odd-p split, alone and together,
+    # packed._multiples takes every GF(q)-multiple of every row by a
+    # gather per half; against naive.multiples, one entry at a time, bit for
+    # bit with the same shape and dtype, on the rows each sweep takes: the
+    # p = 2 mirror rows and both factors of the odd-p split, A- alone in
+    # GF(q), A+ alone in beta GF(q) and the two together,
     # of g and h* for every divisor code of the small grid, at q = 25, 27,
     # 49 and 512 for multi-digit layouts and rows of nw > 1 words, and of
     # every eighth divisor at the spare-bit boundaries, whose p = 2 layouts
@@ -622,17 +625,19 @@ def test_multiples_gather_matches_the_per_entry_route():
         tower, n = code.tower, code.n
         for f in (code.cyclic.g_logs, code.cyclic.h_star_logs):
             if tower.p == 2:
-                factors = [weights._mirror_short_rows(tower, n, f)]
+                cases = [[weights._mirror_short_rows(tower, n, f)]]
             else:
-                factors = [part.short_rows(i) for i, part in enumerate(weights._split(tower, n, f))]
-            for rows in factors + [factors[0] + factors[-1]] * (len(factors) > 1):
+                minus, plus = (part.short_rows() for part in weights._split(tower, n, f))
+                cases = [[minus], [[], plus], [minus, plus]]
+            for factors in cases:
+                rows = [row for rows in factors for row in rows]
                 if not rows:
                     continue
-                got, expected = packed._multiples(tower, rows, n), naive.multiples(tower, rows, n)
+                got, expected = packed._multiples(tower, factors, n), naive.multiples(tower, factors, n)
                 assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
                 assert np.array_equal(got, expected)
                 seen |= {("p", min(tower.p, 3)), ("digits", tower.ext_degree), ("nw", len(got) > 1)}
-                seen.add(("zero entry", any(0 in row for row in rows)))
+                seen.add(("zero entry", any(t < 0 for row in rows for t in row)))
                 if tower.p == 2:
                     d = tower.ext_degree
                     seen.add(("spare bit", packed._layout(2, d, n)[1] > d))
@@ -675,11 +680,11 @@ def test_sweeps_make_no_per_entry_field_calls(ternary_code, quaternary_code, mon
     # FieldTower.codes or FieldTower.logs call runs inside packed._multiples
     inside, entries, calls, multiples = [], [], [], packed._multiples
 
-    def entered(tower, rows, n):
+    def entered(tower, factors, n):
         inside.append(True)
-        entries.append(len(rows))
+        entries.append(len(factors))
         try:
-            return multiples(tower, rows, n)
+            return multiples(tower, factors, n)
         finally:
             inside.pop()
 
@@ -697,6 +702,29 @@ def test_sweeps_make_no_per_entry_field_calls(ternary_code, quaternary_code, mon
     for code in (ternary_code, quaternary_code):
         weight_distribution(code)
     assert len(entries) == 2 and calls == []
+
+
+def test_sweeps_build_no_gf_q2_table():
+    # the sweeps gather from O(q) tables of GF(q) and beta GF(q), so on a
+    # fresh tower (the canonical ones may have built theirs elsewhere) no
+    # GF(q^2) exp/log table appears: at the 2^24 cap, on the p = 2 mirror
+    # route, on an odd-p product of two nonzero factors, and in the (2, 21)
+    # stabilizer code's length-n sweeps
+    cases = [
+        (4096, 3, (2, 1, 1)),
+        (4096, 3, (1, 1, 0)),
+        (4, 11, (0, 2, 0)),
+        (9, 5, (1, 0, 0, 0, 1, 1)),
+        (2, 21, (0, 1, 0, 2, 0, 2)),
+    ]
+    for q, n, exps in cases:
+        canonical = tower_for_q(q)
+        tower = FieldTower(canonical.p, canonical.m, canonical.modulus)
+        code = ConjucyclicCode(tower, n, factor_x2n_minus_1(tower, n).divisor(list(exps)))
+        weight_distribution(code)
+        if is_alternating_dual_containing(code):
+            stabilizer_params(code)
+        assert "_exp" not in vars(tower) and "_log" not in vars(tower), (q, n, exps)
 
 
 def test_packed_negation_is_digitwise_and_canonical():
