@@ -27,6 +27,7 @@ domain errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -186,16 +187,19 @@ def _cmd_code(args) -> int:
     code = _build_code(args)
     tower = code.tower
     payload = code.to_json()
-    lines = [
-        f"conjucyclic code over GF({tower.q2}), length {code.n}, "
-        f"size {tower.q}^{code.card_log_q}",
-        f"g = {list(code.g)}  =  {poly_str(tower, code.g)}",
-    ]
-    lines.extend(_matrix_lines(tower, code.gen_matrix, "generator matrix"))
-    lines.extend(_matrix_lines(tower, payload["dualMatrix"], "alternating dual matrix"))
     sub = code.largest_cyclic_subcode()
-    lines.extend(_matrix_lines(tower, sub, "largest cyclic subcode basis"))
     payload["cyclicSubcodeBasis"] = [list(r) for r in sub]
+    # lazy, so only text output reaches element_str and the GF(q^2) tables
+    lines = itertools.chain(
+        [
+            f"conjucyclic code over GF({tower.q2}), length {code.n}, "
+            f"size {tower.q}^{code.card_log_q}",
+            f"g = {list(code.g)}  =  {poly_str(tower, code.g)}",
+        ],
+        _matrix_lines(tower, code.gen_matrix, "generator matrix"),
+        _matrix_lines(tower, payload["dualMatrix"], "alternating dual matrix"),
+        _matrix_lines(tower, sub, "largest cyclic subcode basis"),
+    )
     _emit(args, payload, lines)
     return 0
 
@@ -229,9 +233,8 @@ def _cmd_dual(args) -> int:
         "dualMatrix": [list(r) for r in dual],
         "dualContaining": containing,
     }
-    lines = list(_matrix_lines(tower, dual, "alternating dual matrix"))
-    lines.append(f"dual-containing: {str(containing).lower()}")
-    _emit(args, payload, lines)
+    lines = _matrix_lines(tower, dual, "alternating dual matrix")
+    _emit(args, payload, itertools.chain(lines, [f"dual-containing: {str(containing).lower()}"]))
     return 0
 
 

@@ -28,8 +28,11 @@ for odd p.  The largest plain-cyclic subcode is the length-n cyclic code
 <g / gcd(g, x^n + 1)>, in closed form.
 
 The mirror's polynomials are Zech log lists of GF(q) from the code's
-construction on (cyclic.CyclicCode), and everything above runs on them;
-contraction scales them into GF(q^2) codes with FieldTower.codes.
+construction on (cyclic.CyclicCode), and everything above runs on them.
+Contraction turns them into GF(q^2) codes by lists of A gamma^k and
+-B gamma^k, and expand and contract read q-entry tables of the GF(p)-linear
+maps behind them (_linear_maps), so construction builds no GF(q^2) exp/log
+table.
 """
 
 from __future__ import annotations
@@ -40,48 +43,81 @@ import weakref
 from . import linalg
 from .cyclic import CyclicCode, shift_iterates, split
 from .errors import LengthMismatchError, OddLengthError
+from .field import _linear_tables, _prime_zech
 
 
 def _inversion_constants(tower):
     """(A, B) with alpha = A * Tr(beta*alpha) - B * Tr(beta^q * alpha)."""
-    a = tower.inv(tower.sub(tower.beta, tower.power(2 * tower.q - 1)))
-    return a, tower.mul(tower.power(tower.q - 1), a)
+    return _linear_maps(tower)[0][:2]
 
 
-#: held weakly, so a dropped tower and its tables are freed
-_CONTRACT_CONSTANTS = weakref.WeakKeyDictionary()
+#: _linear_maps per tower, held weakly, so a dropped tower and its tables are freed
+_LINEAR_MAPS = weakref.WeakKeyDictionary()
 
 
-def _contract_constants(tower) -> tuple:
-    """(log A, log(-B), A - B) for the inversion constants: the logs that
-    contraction scales by, and contract((1, 1)); once per tower."""
-    constants = _CONTRACT_CONSTANTS.get(tower)
-    if constants is None:
-        a, b = _inversion_constants(tower)
-        constants = (*tower.logs((a, tower.neg(b))), tower.sub(a, b))
-        _CONTRACT_CONSTANTS[tower] = constants
-    return constants
+def _linear_maps(tower) -> tuple:
+    """((A, B, A - B), trace, times, scaled), once per tower and with no
+    GF(q^2) exp/log table, from GF(p)[x]/(f) on field._prime_zech(p), where
+    beta is x and X = x^q mod f is conj(beta).  trace is _linear_tables of
+    alpha -> Tr(beta alpha) + q^2 Tr(X alpha), the trace pair packed in one
+    code, from Tr(beta^(j+1)) = x^(j+1) + X^(j+1) and Tr(X beta^j) = X x^j +
+    x X^j; times, of x -> A x and y -> -B y; scaled, their values at gamma^k
+    and at -gamma^k, read by Zech logs k of GF(q).  As conj swaps a trace
+    pair, conj(A x - B y) = A y - B x for x, y in GF(q), so -B = conj(A)."""
+    maps = _LINEAR_MAPS.get(tower)
+    if maps is None:
+        p, q, d, add = tower.p, tower.q, tower.ext_degree, tower.add
+        z = _prime_zech(p)
+        f = z.to_logs(tower.modulus)
+        mul = lambda u, v: z.divide(z.product(u, v), z.divisor(f))[1]
+        code = lambda u: sum(z.code[t] * p ** i for i, t in enumerate(u))
+        beta = [[-1] * j + [0] for j in range(d)]  # beta^j
+        x, conj_x, conj_xs = beta[1], z.powmod(beta[1], q, f), [[0]]
+        while len(conj_xs) <= d:
+            conj_xs.append(mul(conj_xs[-1], conj_x))  # X^j = conj(beta^j)
+        a = z.powmod(z.add(x, z.scale(z.powmod(x, 2 * q - 1, f), z.minus_one)), q * q - 2, f)
+        neg_b = z.powmod(a, q, f)
+        trace = _linear_tables(tower, [
+            add(code(mul(x, b)), code(conj_xs[j + 1]))
+            + tower.q2 * add(code(mul(conj_x, b)), code(mul(x, conj_xs[j])))
+            for j, b in enumerate(beta)
+        ])
+        times = [_linear_tables(tower, [code(mul(c, b)) for b in beta]) for c in (a, neg_b)]
+        la, lb = (_apply(tower, t, tower.zech.code[:-1]) for t in times)
+        # indexed by a log in [-1, 2(q - 1)): two periods, and 0 at -1
+        scaled = [[(s[k:] + s[:k]) * 2 + [0] for s in (la, lb)] for k in (0, tower.zech.minus_one)]
+        a, neg_b = code(a), code(neg_b)
+        maps = _LINEAR_MAPS[tower] = (a, tower.neg(neg_b), add(a, neg_b)), trace, times, scaled
+    return maps
+
+
+def _apply(tower, tables, vec) -> list:
+    """The map of _linear_tables on each code of vec, a sequence."""
+    (low, high), q = tables, tower.q
+    return tower.add_rows([low[v % q] for v in vec], [high[v // q] for v in vec])
 
 
 def trace_pair(tower, alpha: int) -> tuple:
     """(Tr(beta * alpha), Tr(beta^q * alpha)): a GF(q)-linear bijection
     of GF(q^2) onto GF(q)^2; raises ValueError for a code outside it."""
-    beta, alpha = tower.beta, tower.check_element(alpha)
-    return tuple(tower.trace(tower.mul(b, alpha)) for b in (beta, tower.conjugate(beta)))
+    return expand(tower, (alpha,))
 
 
 def expand(tower, vec) -> tuple:
     """GF(q^2)^n -> GF(q)^{2n}: first trace-pair components, then second."""
-    pairs = [trace_pair(tower, x) for x in vec]
-    return tuple(first for first, _ in pairs) + tuple(second for _, second in pairs)
+    q2, vec = tower.q2, list(map(tower.check_element, vec))
+    pairs = _apply(tower, _linear_maps(tower)[1], vec)
+    return tuple(v % q2 for v in pairs) + tuple(v // q2 for v in pairs)
 
 
-def _contract_logs(tower, firsts, seconds, unit: int) -> tuple:
-    """contract on logs: entry i is A x - B y for x = beta^(unit * firsts[i])
-    and y = beta^(unit * seconds[i]), a negative log standing for zero;
-    unit is 1 for tower logs and q + 1 for the Zech logs of GF(q)."""
-    la, lb, _ = _contract_constants(tower)
-    return tuple(tower.add_rows(tower.codes(firsts, la, unit), tower.codes(seconds, lb, unit)))
+def _contract_logs(tower, firsts, seconds, negate: bool) -> tuple:
+    """(row, twisted) from Zech logs of GF(q) in [-1, 2(q - 1)), -1 for
+    zero: row[i] is A x - B y for x = gamma^firsts[i], y = gamma^seconds[i],
+    and twisted[i] is conj(row[i]) = A y - B x, or its negative if negate."""
+    scaled, add = _linear_maps(tower)[3], tower.add_rows
+    (la, lb), (ta, tb) = scaled[0], scaled[negate]
+    row = add([la[t] for t in firsts], [lb[t] for t in seconds])
+    return tuple(row), tuple(add([ta[t] for t in seconds], [tb[t] for t in firsts]))
 
 
 def contract(tower, vec) -> tuple:
@@ -89,8 +125,9 @@ def contract(tower, vec) -> tuple:
     ValueError for an entry outside GF(q^2)."""
     if len(vec) % 2:
         raise OddLengthError("contract needs an even-length q-ary vector")
-    n, logs = len(vec) // 2, tower.logs(map(tower.check_element, vec))
-    return _contract_logs(tower, logs[:n], logs[n:], 1)
+    n, times = len(vec) // 2, _linear_maps(tower)[2]
+    vec = list(map(tower.check_element, vec))
+    return tuple(tower.add_rows(_apply(tower, times[0], vec[:n]), _apply(tower, times[1], vec[n:])))
 
 
 def conjucyclic_shift(tower, vec) -> tuple:
@@ -181,7 +218,7 @@ def largest_cyclic_subcode(code):
     d1 = len(g1) - 1
     k1 = n - d1
     s = (code.card_log_q - k1) % n
-    scale = _contract_constants(tower)[2]
+    scale = _linear_maps(tower)[0][2]
     log_neg_scale = (z.log[scale] + z.minus_one) % q1
     # g1 is monic, so its divisor terms are (j, log(-g1_j)), and x^d1 mod g1
     # is g1 - x^d1 negated
@@ -227,8 +264,7 @@ class ConjucyclicCode:
         """Built on first use (see the class docstring): weight enumeration,
         dual containment and the stabilizer parameters never read it."""
         tower, n, v = self.tower, self.n, self.cyclic.g_logs + [-1] * (2 * self.n)
-        row = _contract_logs(tower, v[:n], v[n : 2 * n], tower.q + 1)
-        conj = tuple(tower.codes(tower.logs(row), 0, tower.q))  # conj(beta^t) = beta^(q t)
+        row, conj = _contract_logs(tower, v[:n], v[n : 2 * n], False)
         return shift_iterates(row, self.card_log_q, conj)
 
     @property
@@ -248,10 +284,7 @@ class ConjucyclicCode:
         in general only in characteristic 2, where T- = T.
         """
         tower, n, r = self.tower, self.n, _dual_logs(self)
-        first = _contract_logs(tower, r[:n], r[n:], tower.q + 1)
-        # -conj(x) = beta^(log(-1) + q log x), log(-1) being (q + 1) times its GF(q) log
-        minus_one = (tower.q + 1) * tower.zech.minus_one
-        twisted = tuple(tower.codes(tower.logs(first), minus_one, tower.q))
+        first, twisted = _contract_logs(tower, r[:n], r[n:], True)
         return shift_iterates(first, self.k, twisted)
 
     def largest_cyclic_subcode(self):

@@ -9,12 +9,13 @@ size q^2 - 1, flat array('i') tables built once, on the first GF(q^2)
 operation: without numpy by the recurrence exp[i + 1] = beta exp[i] up to
 q^2 = 2^18, and above it by numpy a coset of GF(q)* at a time: row j of
 exp is gamma^j beta^0 .. gamma^j beta^q, the row before times gamma
-(q^2 = 2^24: 0.9-1.1 s, 0.17 GB peak RSS).  Other modules read them through
-FieldTower.power, logs, codes and add_rows, except packed.coset_tables,
-which fills them above 2^18; a weight sweep reads none of them, only
-GF(q)'s codes and the modulus.  Element addition is
-digitwise mod p on the codes; polynomials over GF(q) use the tower's Zech
-table of GF(q) instead (poly.ZechLogs, q - 1 entries).
+(q^2 = 2^24: 0.9-1.1 s, 0.17 GB peak RSS).  Only FieldTower's element
+arithmetic and element_str read them, and packed.coset_tables fills them
+above 2^18; neither a weight sweep nor construction reads them, as both
+read O(q)-entry tables (packed._subfield_tables, conju._linear_maps).
+Element addition and negation are digitwise mod p on the codes;
+polynomials over GF(q) use the tower's Zech table of GF(q) instead
+(poly.ZechLogs, q - 1 entries).
 
 The subfield GF(q) is 0 and the q - 1 powers of gamma = beta^(q+1), which
 the constructor steps out on codes mod f without the GF(q^2) tables, by
@@ -172,23 +173,34 @@ def _times_x(v, p, f) -> list:
     return [(a - v[-1] * fj) % p for a, fj in zip([0] + v[:-1], f)]
 
 
-def _gamma_tables(tower) -> tuple:
-    """(low, high), q entries each: gamma v, gamma = beta^(q+1), is low[v % q]
-    plus high[v // q], as v -> gamma v is GF(p)-linear on v's 2m digits, so
-    each is spanned by gamma beta^j (j < m, m <= j < 2m), from gamma = x^(q+1)
-    mod f in GF(p)[x].  Reads p, ext_degree and modulus alone (FieldTower.add
-    reads p), so the table builders run on any namespace of those fields."""
+def _gamma_tables(tower) -> list:
+    """_linear_tables of v -> gamma v, gamma = beta^(q+1), from gamma = x^(q+1)
+    mod f in GF(p)[x] and its shifts gamma beta^j.  Reads p, ext_degree and
+    modulus alone (FieldTower.add reads p), so the table builders run on any
+    namespace of those fields."""
     p, d, f = tower.p, tower.ext_degree, tower.modulus
-    add, m, z = functools.partial(FieldTower.add, tower), d // 2, _prime_zech(p)
-    col = list(z.to_codes(z.powmod([-1, 0], p ** m + 1, z.to_logs(f))))
+    z, images = _prime_zech(p), []
+    col = list(z.to_codes(z.powmod([-1, 0], p ** (d // 2) + 1, z.to_logs(f))))
     col += [0] * (d - len(col))
+    for _ in range(d):  # col is gamma beta^j
+        images.append(sum(a * p ** i for i, a in enumerate(col)))
+        col = _times_x(col, p, f)
+    return _linear_tables(tower, images)
+
+
+def _linear_tables(tower, images) -> list:
+    """(low, high), q entries each, for the GF(p)-linear map L with L(beta^j)
+    = images[j], j < 2m: L(v) is low[v % q] plus high[v // q], as low is
+    spanned by the images of v's low m digits and high by those of its high
+    m.  An image may have more digits than 2m (two codes packed as a + q^2 b,
+    say), as digitwise addition adds every digit."""
+    p, m, add = tower.p, tower.ext_degree // 2, functools.partial(FieldTower.add, tower)
     tables = []
-    for _ in range(2):
+    for half in (images[:m], images[m:]):
         table = [0]
-        for _ in range(m):  # col is gamma beta^j, j the next digit place
-            mults = [sum(c * a % p * p ** i for i, a in enumerate(col)) for c in range(p)]
+        for image in half:  # table spans the images before; add each multiple of this one
+            mults = itertools.accumulate([image] * (p - 1), add, initial=0)
             table = [add(y, x) for x in mults for y in table]
-            col = _times_x(col, p, f)
         tables.append(table)
     return tables
 
@@ -228,9 +240,10 @@ class FieldTower:
         modulus: primitive modulus of GF(q^2) over GF(p), low-degree-first.
         beta: code of the primitive element (residue class of the variable).
         _exp, _log: private array('i') log tables (_exp[i] is beta^i,
-            _log[0] = -1), built on first read, and read elsewhere through
-            power, logs, codes and add_rows; packed.coset_tables fills
-            them above 2^18 through numpy views.
+            _log[0] = -1), built on first read, by the element arithmetic
+            (mul, power, conjugate, ...) or by element_str outside GF(q),
+            their only readers; packed.coset_tables fills them above 2^18
+            through numpy views.
         subfield: sorted codes of the q elements of GF(q), which are 0 and
             the powers of beta^(q+1).
         zech: GF(q) as logs to beta^(q+1), the arithmetic of poly.py.
@@ -326,9 +339,8 @@ class FieldTower:
         return s
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self.mul(a, self.p - 1)  # code p - 1 is -1
+        p = self.p
+        return a if p == 2 else sum(-(a // p ** i) % p * p ** i for i in range(self.ext_degree))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -365,7 +377,8 @@ class FieldTower:
         """Entrywise sums of two rows of codes, by XOR when p = 2."""
         if self.p == 2:
             return [x ^ y for x, y in zip(xs, ys)]
-        return list(map(self.add, xs, ys))
+        add = self.add
+        return [add(x, y) if x and y else x or y for x, y in zip(xs, ys)]
 
     # -- conjugation, trace, subfield ----------------------------------
 

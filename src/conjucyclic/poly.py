@@ -446,11 +446,11 @@ def check_divisor(tower, n: int, g) -> tuple:
         raise NotADivisorError("the zero polynomial is not a divisor")
     for c in g:
         tower.check_element(c)
-    if g[-1] != 1:
+    if not tower.in_subfield(g[-1]):  # else made monic on logs, reading no GF(q^2) table
         g = tuple([tower.div(c, g[-1]) for c in g])
     z = tower.zech
     try:
-        g = z.to_logs(g)
+        g = z.monic(z.to_logs(g))
     except ValueError:
         raise NotADivisorError(
             "generator coefficients must lie in the subfield GF(q)"

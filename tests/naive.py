@@ -293,13 +293,25 @@ def min_positive_weight(words, weight_fn):
     return weights[0] if weights else None
 
 
+def inversion_constants(tower) -> tuple:
+    """(A, B) with alpha = A * Tr(beta*alpha) - B * Tr(beta^q * alpha), by
+    the tower's table arithmetic: A = 1 / (beta - beta^(2q - 1)) and
+    B = beta^(q - 1) A."""
+    a = tower.inv(tower.sub(tower.beta, tower.power(2 * tower.q - 1)))
+    return a, tower.mul(tower.power(tower.q - 1), a)
+
+
+def trace_pair_per_entry(tower, alpha: int) -> tuple:
+    """(Tr(beta * alpha), Tr(beta^q * alpha)) by the tower's mul and trace."""
+    beta = tower.beta
+    return tuple(tower.trace(tower.mul(b, alpha)) for b in (beta, tower.conjugate(beta)))
+
+
 def contract_per_entry(tower, vec) -> tuple:
     """The inverse of expand one entry at a time: A * first - B * second by
     the tower's own mul and sub, with (A, B) the inversion constants."""
-    from conjucyclic.conju import _inversion_constants
-
     n = len(vec) // 2
-    a, b = _inversion_constants(tower)
+    a, b = inversion_constants(tower)
     return tuple(
         tower.sub(tower.mul(a, first), tower.mul(b, second))
         for first, second in zip(vec[:n], vec[n:])
@@ -335,9 +347,8 @@ def trace_dual_kernel_basis(tower, generators, n):
     is the kernel of one linear condition per generator row.
     """
     from conjucyclic import linalg
-    from conjucyclic.conju import _inversion_constants
 
-    a_const, b_const = _inversion_constants(tower)
+    a_const, b_const = inversion_constants(tower)
     rows = []
     for u in generators:
         first = [tower.trace(tower.mul(u[i], a_const)) for i in range(n)]

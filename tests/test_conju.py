@@ -17,6 +17,7 @@ from conjucyclic import (
     enumerate_divisors,
     expand,
     factor_x2n_minus_1,
+    is_alternating_dual_containing,
     is_conjucyclic,
     largest_cyclic_subcode,
     tower_for_q,
@@ -64,18 +65,19 @@ def test_trace_pair_is_bijective():
 
 
 def test_contraction_constants_are_computed_once_per_tower(monkeypatch):
-    # code, alternating dual, cyclic subcode and contract all scale by them;
-    # the cache holds the tower weakly, so a dropped tower is freed
+    # code, alternating dual, cyclic subcode, expand and contract all read
+    # one set of linear maps, built on the first of them (the only caller of
+    # _prime_zech in conju); the cache holds the tower weakly, so a dropped
+    # tower is freed
     tower = FieldTower(3, 1, (2, 2, 1))  # not the cached canonical object
-    calls, inversion_constants = [], conju._inversion_constants
-    monkeypatch.setattr(
-        conju, "_inversion_constants", lambda t: calls.append(id(t)) or inversion_constants(t)
-    )
+    calls, prime_zech = [], conju._prime_zech
+    monkeypatch.setattr(conju, "_prime_zech", lambda p: calls.append(p) or prime_zech(p))
     code = ConjucyclicCode(tower, 4, (2, 0, 1))
     code.alternating_dual_matrix()
     largest_cyclic_subcode(code)
-    assert contract(tower, (1, 1)) == (conju._contract_constants(tower)[2],)
-    assert calls == [id(tower)]
+    assert contract(tower, expand(tower, code.gen_matrix[0])) == code.gen_matrix[0]
+    assert contract(tower, (1, 1)) == (conju._linear_maps(tower)[0][2],)
+    assert calls == [3]
     freed = weakref.ref(tower)
     del tower, code
     gc.collect()
@@ -470,6 +472,50 @@ def test_contract_matches_per_entry_oracle():
         firsts, seconds = zip(*itertools.product(elements, repeat=2))
         vec = firsts + seconds
         assert contract(tower, vec) == naive.contract_per_entry(tower, vec)
+
+
+def test_trace_pair_and_contract_match_per_entry_routes():
+    # every element of GF(q^2) for q <= 64, in each half of contract's
+    # input, and 10^5 sampled ones at q = 512, 1024 and the cap's 4093 and
+    # 4096, on fresh towers, whose GF(q^2) tables go when they do
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 512, 1024, 4093, 4096):
+        canonical, rng = tower_for_q(q), random.Random(q)
+        tower = FieldTower(canonical.p, canonical.m, canonical.modulus)
+        xs = list(range(tower.q2)) if q <= 64 else rng.choices(range(tower.q2), k=10**5)
+        firsts, seconds = zip(*(naive.trace_pair_per_entry(tower, a) for a in xs))
+        assert expand(tower, xs) == firsts + seconds, q
+        assert [trace_pair(tower, a) for a in xs[:64]] == list(zip(firsts, seconds))[:64]
+        vec = xs + rng.sample(xs, len(xs))
+        assert contract(tower, vec) == naive.contract_per_entry(tower, vec), q
+
+
+def test_construction_builds_no_gf_q2_table():
+    # construction reads O(q) tables of GF(p)-linear maps, so on a fresh
+    # tower (the canonical ones may have built theirs elsewhere) no GF(q^2)
+    # exp/log table appears, at q = 512 and at the 2^24 cap, p = 2 and odd
+    cases = [
+        (512, 9, (1, 1, 1, 1, 1)),
+        (512, 9, (2, 0, 1, 2, 0)),
+        (4096, 3, (2, 1, 1)),
+        (4096, 3, (1, 1, 0)),
+        (4093, 3, (1, 1, 0, 1, 0, 0)),
+        (4093, 3, (0, 1, 1, 1, 1, 0)),
+        (2187, 4, (1, 0, 1, 1, 0)),
+        (2187, 4, (0, 1, 0, 0, 1)),
+    ]
+    for q, n, exps in cases:
+        canonical = tower_for_q(q)
+        tower = FieldTower(canonical.p, canonical.m, canonical.modulus)
+        code = ConjucyclicCode(tower, n, factor_x2n_minus_1(tower, n).divisor(list(exps)))
+        rows = code.gen_matrix + code.alternating_dual_matrix() + largest_cyclic_subcode(code)
+        is_alternating_dual_containing(code)
+        assert all(contract(tower, expand(tower, row)) == row for row in rows)
+        assert trace_pair(tower, tower.q2 - 1) == expand(tower, (tower.q2 - 1,))
+        assert "_exp" not in vars(tower) and "_log" not in vars(tower), (q, n, exps)
+    # a GF(q) multiple of a divisor is made monic on Zech logs
+    tower = FieldTower(3, 1, (2, 2, 1))
+    assert ConjucyclicCode(tower, 4, (1, 0, 2)).g == (2, 0, 1)
+    assert "_exp" not in vars(tower) and "_log" not in vars(tower)
 
 
 def test_subcode_of_single_parity_code_is_everything():
