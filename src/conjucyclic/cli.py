@@ -16,8 +16,9 @@ suitable for round-tripping, deterministic except for the wall-clock
 elapsedMs that weights and quantum add.  elapsedMs (and the text form's
 elapsed line) times the whole weight_distribution or stabilizer_params
 call, so it includes the sweep kernel's first load, numpy's import (about
-0.15 s): `weights --q 2 --n 1 --g 1` reports about 150 ms for a 4-word code.
-Odd-p quantum runs no sweep and imports no numpy.
+0.07 s): `weights --q 2 --n 3 --g 1,0,0,1` reports about 65 ms for an
+8-word code.  Odd-p quantum, and a side that shortens to no row, sweep
+nothing and import no numpy: `weights --q 2 --n 1 --g 1` reports 0 ms.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 not a
 divisor, 4 enumeration budget exceeded, 5 not dual-containing, 6 other

@@ -362,17 +362,6 @@ class FieldTower:
         """beta^k for any integer k."""
         return self._exp[k % (self.q2 - 1)]
 
-    def logs(self, vec) -> list:
-        """The log of each entry, -1 for a zero one."""
-        log = self._log
-        return [log[x] for x in vec]
-
-    def codes(self, logs, shift: int = 0, unit: int = 1) -> list:
-        """beta^(shift + unit * t) for each log t, and 0 where t < 0; unit
-        q + 1 reads the Zech logs of GF(q)."""
-        exp, modulus = self._exp, self.q2 - 1
-        return [exp[(shift + unit * t) % modulus] if t >= 0 else 0 for t in logs]
-
     def add_rows(self, xs, ys) -> list:
         """Entrywise sums of two rows of codes, by XOR when p = 2."""
         if self.p == 2:

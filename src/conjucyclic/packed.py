@@ -335,8 +335,7 @@ def _sweep(tower, factors, n, workers):
     _CHUNK_WORDS sums, so a sweep of less than two starts no pool.
     """
     q = tower.q
-    if not any(factors):
-        return [1] + [0] * n
+    assert any(factors), "no rows to sweep"
     multiples = _multiples(tower, factors, n)
     nw = len(multiples)
     cols = [multiples[:, j] for j in range(multiples.shape[1])]

@@ -52,10 +52,10 @@ digit's, or the spare bit.  They take four for the p = 2 layouts with no
 room for one, (q, n) = (2, 28) and (4, 14) among them.  No table lookups
 and no digit additions run inside the hot loop.
 
-The kernel, in packed (numpy's one module, imported by the first sweep),
-is a blocked meet-in-the-middle sweep: the rows' GF(q)-multiples are
-gathers from two packed tables of q - 1 entries, gamma^k and beta gamma^k,
-at summed logs, the rows are split in half, and
+The kernel, in packed (numpy's one module, imported by the first sweep
+with a row to pack: _sweep), is a blocked meet-in-the-middle sweep: the
+rows' GF(q)-multiples are gathers from two packed tables of q - 1 entries,
+gamma^k and beta gamma^k, at summed logs, the rows are split in half, and
 the inner half's full span is built as packed words by packed.packed_span.
 The outer words are the zero word and the outer half's projective
 representatives (the messages whose first nonzero digit is 1).  One
@@ -276,8 +276,7 @@ class _Constacyclic:
         q, n = self.tower.q, self.n
         side = (self.perp or self.dual()) if 2 * self.dim > n else self
         _check_budget(q, side.dim, budget, f"of a length-{n} cyclic code")
-        from . import packed  # numpy loads with the first sweep
-        counts = _lift(packed._sweep(self.tower, [side.short_rows()], n, workers), n, q ** side.dim)
+        counts = _lift(_sweep(self.tower, [side.short_rows()], n, workers), n, q ** side.dim)
         return counts if side is self else _macwilliams(counts, q ** side.dim, q)
 
 
@@ -312,10 +311,19 @@ def _mirror_counts(tower, n, f, workers):
     for p = 2 the side's own shortened mirror rows (_mirror_short_rows),
     for odd p the product of _split's A- in GF(q) and A+ in beta GF(q), the
     first and second factor of packed._sweep."""
-    from . import packed  # numpy loads with the first sweep
     parts = _split(tower, n, f) if tower.p != 2 else ()
     factors = [part.short_rows() for part in parts] if parts else [_mirror_short_rows(tower, n, f)]
-    return _lift(packed._sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
+    return _lift(_sweep(tower, factors, n, workers), n, tower.q ** (2 * n + 1 - len(f)))
+
+
+def _sweep(tower, factors, n, workers):
+    """packed._sweep's histogram of the factors' span; for no rows, the
+    zero word's [1, 0, ..., 0], without importing packed (numpy)."""
+    if not any(factors):
+        return [1] + [0] * n
+    from . import packed  # numpy loads with the first sweep that has a row
+
+    return packed._sweep(tower, factors, n, workers)
 
 
 def _macwilliams(counts, size, q2):

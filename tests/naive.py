@@ -71,9 +71,9 @@ def span_counts(tower, rows, n, workers):
     The rows must be GF(q)-independent so that messages and words are in
     bijection.
     """
-    from conjucyclic import packed
+    from conjucyclic import weights
 
-    return packed._sweep(tower, [mirror_logs(tower, rows)], n, workers)
+    return weights._sweep(tower, [mirror_logs(tower, rows)], n, workers)
 
 
 def coordinates(tower, factors, n):
@@ -135,6 +135,20 @@ def multiples(tower, factors, n):
     return packed.reshape(len(packed), len(rows), tower.q)
 
 
+def element_logs(tower, vec):
+    """The log to beta of each entry, -1 for a zero one, read from the
+    tower's GF(q^2) log table."""
+    log = tower._log
+    return [log[x] for x in vec]
+
+
+def log_codes(tower, logs, shift=0, unit=1):
+    """beta^(shift + unit * t) for each log t, and 0 where t < 0, read from
+    the tower's GF(q^2) exp table; unit q + 1 reads the Zech logs of GF(q)."""
+    exp, modulus = tower._exp, tower.q2 - 1
+    return [exp[(shift + unit * t) % modulus] if t >= 0 else 0 for t in logs]
+
+
 def shorten(tower, rows):
     """A GF(q)-basis of the words of the rows' span that vanish at 0.
 
@@ -156,8 +170,8 @@ def shorten(tower, rows):
             continue
         pivot, h = rows.pop(i), heads.pop(i)
         scales = [tower.neg(tower.div(g, h)) for g in heads]  # -c
-        logs, cs = tower.logs(pivot), set(scales) - {0}
-        times = {c: tower.codes(logs, lc) for c, lc in zip(cs, tower.logs(cs))}
+        logs, cs = element_logs(tower, pivot), set(scales) - {0}
+        times = {c: log_codes(tower, logs, lc) for c, lc in zip(cs, element_logs(tower, cs))}
         rows = [tower.add_rows(row, times[c]) if c else row for row, c in zip(rows, scales)]
     assert not any(row[0] for row in rows), "coordinate 0 not cleared"
     return rows
@@ -170,12 +184,12 @@ def side_counts(tower, rows, n, workers):
     the rows to the words with c_0 = 0 before anything is packed, sweeps
     that shortened side and lifts its histogram.
     """
-    from conjucyclic import packed, weights
+    from conjucyclic import weights
 
     short = shorten(tower, rows)
     # a nonzero side vanishing at 0 would vanish everywhere, by transitivity
     assert not rows or len(short) < len(rows), "a nonzero side vanishes at coordinate 0"
-    counts = packed._sweep(tower, [mirror_logs(tower, short)], n, workers)
+    counts = weights._sweep(tower, [mirror_logs(tower, short)], n, workers)
     return weights._lift(counts, n, tower.q ** len(rows))
 
 

@@ -381,7 +381,11 @@ def test_environment_cannot_change_the_canonical_tower(capsys, monkeypatch, tmp_
 
 # factor, code and dual at q <= 512 build their towers in pure Python,
 # factor at any q builds no GF(q^2) table, quantum at odd p answers without
-# a sweep, and numpy's import waits for the first weight sweep
+# a sweep, a side that shortens to no row lifts [1, 0, ..., 0] without one
+# (the 3-word dual of the GF(3) code, the 4-word code of n = 1, the zero
+# code, and the zero length-15 codes that quantum sweeps for the full
+# space), and numpy's import waits for the first weight sweep with a row
+# to pack
 STARTUP_SCRIPT = """
 import contextlib, io, sys
 from conjucyclic import cli
@@ -393,9 +397,16 @@ with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv + ["--q", str(q), "--n", "3"]) == 0, argv
     for q in (1024, 4096):
         assert cli.main(["factor", "--q", str(q), "--n", "3"]) == 0, q
-    assert cli.main(["quantum", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
-    assert "numpy" not in sys.modules, "after factor, code, dual and odd-p quantum"
-    assert cli.main(["weights", "--q", "3", "--n", "3", "--g", "2,1"]) == 0
+    for argv in (
+        ["quantum", "--q", "3", "--n", "3", "--g", "2,1"],
+        ["weights", "--q", "3", "--n", "3", "--g", "2,1"],
+        ["weights", "--q", "2", "--n", "1", "--g", "1"],
+        ["weights", "--q", "4", "--n", "5", "--exps", "2,2,2"],
+        ["quantum", "--q", "2", "--n", "15", "--exps", "0,0,0,0,0"],
+    ):
+        assert cli.main(argv + ["--format", "json"]) == 0, argv
+    assert "numpy" not in sys.modules, "after construction and trivial sides"
+    assert cli.main(["weights", "--q", "2", "--n", "3", "--g", "1,0,0,1"]) == 0
 assert "numpy" in sys.modules, "after weights"
 """
 

@@ -344,13 +344,13 @@ def test_lift_matches_direct_enumeration_on_both_sides(monkeypatch):
     # code of a small grid; e = 1 and 2 occur, as do n = 1, sides with
     # nothing left to sweep (r = e) and odd-q duals closed under T- only;
     # the shortened rows span exactly the words with c_0 = 0
-    sweep, swept = packed._sweep, []
+    sweep, swept = weights._sweep, []
 
     def recording(tower, factors, n, workers):
         swept.append(sum(map(len, factors)))
         return sweep(tower, factors, n, workers)
 
-    monkeypatch.setattr(packed, "_sweep", recording)
+    monkeypatch.setattr(weights, "_sweep", recording)
     seen = set()
     pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)] + [(2, 4), (2, 5), (3, 4)]
     for code in naive.divisor_codes(pairs):
@@ -430,13 +430,13 @@ def test_p2_mirror_sweep_matches_the_gf_q2_route(monkeypatch):
     # each (q, n) whose smaller side has at most 2^16 words; each code also
     # runs at 2 workers with blocks small enough to start a pool.  e = 1
     # where no shifted row is nonzero at position n (f = x^n + 1, say)
-    sweep, swept = packed._sweep, []
+    sweep, swept = weights._sweep, []
 
     def recording(tower, factors, n, workers):
         swept.append(sum(map(len, factors)))
         return sweep(tower, factors, n, workers)
 
-    monkeypatch.setattr(packed, "_sweep", recording)
+    monkeypatch.setattr(weights, "_sweep", recording)
     default = packed._CHUNK_WORDS
     seen, es, checked = set(), [], 0
     for q in (2, 4, 8, 16):
@@ -676,8 +676,9 @@ def test_spare_bit_layouts_match_naive_at_their_boundaries():
 
 
 def test_sweeps_make_no_per_entry_field_calls(ternary_code, quaternary_code, monkeypatch):
-    # the multiples of the rows come from whole-array gathers: no
-    # FieldTower.codes or FieldTower.logs call runs inside packed._multiples
+    # the multiples of the rows come from whole-array gathers: no call of a
+    # FieldTower method (element arithmetic, add_rows, ...) runs inside
+    # packed._multiples
     inside, entries, calls, multiples = [], [], [], packed._multiples
 
     def entered(tower, factors, n):
@@ -697,8 +698,9 @@ def test_sweeps_make_no_per_entry_field_calls(ternary_code, quaternary_code, mon
         return wrapper
 
     monkeypatch.setattr(packed, "_multiples", entered)
-    for name in ("codes", "logs"):
-        monkeypatch.setattr(FieldTower, name, counting(getattr(FieldTower, name)))
+    for name, method in list(vars(FieldTower).items()):
+        if callable(method) and not name.startswith("_"):
+            monkeypatch.setattr(FieldTower, name, counting(method))
     for code in (ternary_code, quaternary_code):
         weight_distribution(code)
     assert len(entries) == 2 and calls == []
